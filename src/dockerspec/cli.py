@@ -10,7 +10,6 @@ usage error.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -66,6 +65,14 @@ def _load_lists(os_words_path: str | None, stop_words_path: str | None) -> WordL
         raise ConfigError(f"bad word lists: {exc}") from exc
 
 
+def _read_text(path: str | Path) -> str:
+    """Read a UTF-8 input file; undecodable bytes are a one-line ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def _read_spec_file(path: str):
     try:
         return deserialize_spec(Path(path).read_text(encoding="utf-8"))
@@ -93,7 +100,7 @@ def cli(ctx, config_path):
               default="text", show_default=True)
 def parse_command(dockerfile, output_format):
     """Parse a Dockerfile and dump its tree."""
-    doc = parse_dockerfile(Path(dockerfile).read_text(encoding="utf-8"))
+    doc = parse_dockerfile(_read_text(dockerfile))
     tree = build_ast(doc)
     if output_format == "json":
         click.echo(json.dumps(ast_to_json(tree), sort_keys=True))
@@ -107,7 +114,7 @@ def parse_command(dockerfile, output_format):
 def infer_spec_command(dockerfile, os_words_path, stop_words_path):
     """Infer the spec of one Dockerfile and print it as canonical JSON."""
     lists = _load_lists(os_words_path, stop_words_path)
-    doc = parse_dockerfile(Path(dockerfile).read_text(encoding="utf-8"))
+    doc = parse_dockerfile(_read_text(dockerfile))
     spec = infer_spec(doc, lists)
     click.echo(serialize_spec(spec), nl=False)
 
@@ -122,17 +129,14 @@ def corpus_group():
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--max-tokens", type=int, default=1024, show_default=True)
-@click.option("--jobs", type=int, default=None,
-              help="Parallel workers for ingestion (default: available cores).")
 @word_list_options
-def corpus_build(directory, out_path, seed, max_tokens, jobs, os_words_path, stop_words_path):
+def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_words_path):
     """Filter, dedup, cluster, and split Dockerfiles into a JSONL corpus.
 
     Writes OUT plus sibling .train/.eval/.test and .pretrain JSONL streams.
     """
     lists = _load_lists(os_words_path, stop_words_path)
-    entries, reasons = cp.ingest_directory(
-        Path(directory), lists, jobs=jobs or os.cpu_count())
+    entries, reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries, seed=seed, max_tokens=max_tokens)
     reasons.update(result.reasons)
     if not result.finetune:
@@ -162,13 +166,11 @@ def corpus_build(directory, out_path, seed, max_tokens, jobs, os_words_path, sto
 
 @corpus_group.command("stats")
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
-@click.option("--jobs", type=int, default=None)
 @word_list_options
-def corpus_stats(directory, jobs, os_words_path, stop_words_path):
+def corpus_stats(directory, os_words_path, stop_words_path):
     """Report how many files each filter rule accepts or rejects."""
     lists = _load_lists(os_words_path, stop_words_path)
-    entries, ingest_reasons = cp.ingest_directory(
-        Path(directory), lists, jobs=jobs or os.cpu_count())
+    entries, ingest_reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries)
     stats = {
         "files": sum(ingest_reasons.values()),
@@ -236,8 +238,7 @@ def _pair_directories(targets_dir: Path, outputs_dir: Path) -> list[tuple[str, s
     pairs = []
     for name in sorted(target_files):
         if name in output_files:
-            pairs.append((target_files[name].read_text(encoding="utf-8"),
-                          output_files[name].read_text(encoding="utf-8")))
+            pairs.append((_read_text(target_files[name]), _read_text(output_files[name])))
         else:
             click.echo(f"no output for target {name}; skipped", err=True)
     return pairs

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .dockerfile_syntax import (
     parse_dockerfile,
     parse_exec_form,
     parse_shell,
+    run_statements,
 )
 from .errors import (
     EmptyInput,
@@ -33,7 +33,7 @@ from .errors import (
     ShellSyntaxError,
     TooFewEntries,
 )
-from .spec_inference import _install_arguments, infer_spec, split_image_reference
+from .spec_inference import infer_spec, install_command, split_image_reference
 from .spec_model import DockerSpec, WordLists, serialize_spec, spec_to_dict
 
 
@@ -97,10 +97,8 @@ def filter_eligible(
                 if word not in vocabulary and not _is_numericish(word) and len(word) >= 3:
                     return False, "unevaluated-from-word"
     for inst in doc.instructions_of_kind("RUN"):
-        if parse_exec_form(inst.raw_arguments) is not None:
-            continue
         try:
-            parse_shell(inst.raw_arguments)
+            run_statements(inst)
         except ShellSyntaxError:
             return False, "shell-syntax-error"
     if any(not inst.raw_arguments for inst in doc.instructions):
@@ -173,7 +171,8 @@ def select_representative(cluster: SpecCluster) -> CorpusEntry:
 
 
 def _sorted_statement(stmt: ShellStatement) -> ShellStatement:
-    packages = Counter(_install_arguments(stmt))
+    install = install_command(stmt)
+    packages = Counter(install[1] if install else ())
     if not packages:
         return stmt
     anchored = []
@@ -263,23 +262,20 @@ def ingest_directory(
     directory: Path,
     lists: WordLists,
     known_words: frozenset[str] | None = None,
-    jobs: int | None = None,
 ) -> tuple[list[CorpusEntry], Counter]:
     """Parse, filter, and infer specs for every file under ``directory``.
 
-    Files are processed in sorted-path order (in parallel when ``jobs`` > 1;
-    the result does not depend on the worker count). Returns the eligible
-    entries plus a counter of outcomes per filter reason.
+    Files are processed in sorted-path order. Returns the eligible entries
+    plus a counter of outcomes per filter reason.
     """
     paths = sorted(p for p in Path(directory).rglob("*") if p.is_file())
     reasons: Counter = Counter()
     entries: list[CorpusEntry] = []
-    with ThreadPoolExecutor(max_workers=jobs or 1) as pool:
-        for reason, entry in pool.map(
-                lambda p: _ingest_one(p, lists, known_words), paths):
-            reasons[reason] += 1
-            if entry is not None:
-                entries.append(entry)
+    for path in paths:
+        reason, entry = _ingest_one(path, lists, known_words)
+        reasons[reason] += 1
+        if entry is not None:
+            entries.append(entry)
     return entries, reasons
 
 

@@ -327,6 +327,16 @@ def parse_exec_form(raw_arguments: str) -> list[str] | None:
     return [str(e) for e in elements]
 
 
+def run_statements(inst: Instruction) -> list[ShellStatement]:
+    """The shell statements of a RUN instruction: an exec-form list is one
+    statement (none when empty), a shell-form body goes through parse_shell.
+    Propagates ShellSyntaxError."""
+    elements = parse_exec_form(inst.raw_arguments)
+    if elements is None:
+        return parse_shell(inst.raw_arguments)
+    return [ShellStatement(elements[0], tuple(elements[1:]))] if elements else []
+
+
 def build_ast(doc: DockerfileDocument) -> Node:
     """Build the comparison tree: a ``dockerfile`` root, one child per
     instruction labeled by kind, RUN children labeled by shell command with

@@ -13,25 +13,15 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 
-from .dockerfile_syntax import Node, ast_size, build_ast, parse_dockerfile
+from .dockerfile_syntax import DockerfileDocument, Node, ast_size, build_ast, parse_dockerfile
 from .errors import (
     DockerspecError,
     EmptyCandidate,
     EmptyInput,
     EmptyManifest,
     EmptySample,
-    InferenceIncomplete,
 )
-from .spec_inference import (
-    _all_run_statements,
-    extract_installable_args,
-    infer_downloads_external,
-    infer_flags,
-    infer_os,
-    infer_pkg_manager,
-    infer_spec,
-    split_image_reference,
-)
+from .spec_inference import infer_spec
 from .spec_model import SPEC_FIELDS, DockerSpec, WordLists
 
 
@@ -324,30 +314,11 @@ class RunReport:
     failed_pairs: int
 
 
-def infer_spec_for_generated(text: str, lists: WordLists,
+def infer_spec_for_generated(doc: DockerfileDocument, lists: WordLists,
                              target_dependencies: frozenset[str]) -> DockerSpec:
-    """Spec of a generated Dockerfile.
-
-    Generated files carry no comments, so the comment-based dependency step
-    does not apply: a target dependency counts as met when it appears as an
-    installable argument or a FROM word anywhere in the file.
-    """
-    doc = parse_dockerfile(text)
-    froms = doc.instructions_of_kind("FROM")
-    if not froms:
-        raise InferenceIncomplete("generated file has no FROM instruction")
-    ref = split_image_reference(froms[0].raw_arguments)
-    mentioned = extract_installable_args(_all_run_statements(doc))
-    mentioned.update(ref.name_words)
-    mentioned.update(ref.tag_words)
-    os_name = infer_os(ref, lists)
-    return DockerSpec(
-        os=os_name,
-        pkg_manager=infer_pkg_manager(doc, os_name),
-        dependencies=frozenset(d for d in target_dependencies if d in mentioned),
-        downloads_external=infer_downloads_external(doc),
-        **infer_flags(doc),
-    )
+    """Spec of a parsed generated Dockerfile: ``infer_spec`` in its
+    ``target_dependencies`` mode."""
+    return infer_spec(doc, lists, target_dependencies)
 
 
 def evaluate_pair(index: int, target_text: str, generated_text: str,
@@ -356,10 +327,10 @@ def evaluate_pair(index: int, target_text: str, generated_text: str,
     try:
         target_doc = parse_dockerfile(target_text)
         target_spec = infer_spec(target_doc, lists)
-        obtained_spec = infer_spec_for_generated(
-            generated_text, lists, target_spec.dependencies)
-        result.adherence = adherence(target_spec, obtained_spec)
         generated_doc = parse_dockerfile(generated_text)
+        obtained_spec = infer_spec_for_generated(
+            generated_doc, lists, target_spec.dependencies)
+        result.adherence = adherence(target_spec, obtained_spec)
         result.distance = normalized_distance(
             build_ast(target_doc), build_ast(generated_doc))
         result.bleu = bleu4(generated_text.split(), target_text.split())

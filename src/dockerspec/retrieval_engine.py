@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyCorpus, SchemaError
+from .errors import ConfigError, EmptyCorpus, SchemaError
 from .spec_model import SPEC_FIELDS, DockerSpec, FLAG_FIELDS, spec_from_dict, spec_to_dict
 
 INDEX_MAGIC = "dockerspec-index"
@@ -71,7 +71,14 @@ class ScoredHit:
 
 def build_index(entries: list[tuple[DockerSpec, str]],
                 k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> RetrievalIndex:
-    """Index (spec, dockerfile) pairs; deterministic for a given entry order."""
+    """Index (spec, dockerfile) pairs; deterministic for a given entry order.
+
+    Raises ConfigError unless k1 is finite and at least 0 and b is in [0, 1].
+    """
+    if not (math.isfinite(k1) and k1 >= 0.0):
+        raise ConfigError(f"k1 must be a finite number >= 0, got {k1!r}")
+    if not 0.0 <= b <= 1.0:
+        raise ConfigError(f"b must be a number in [0, 1], got {b!r}")
     if not entries:
         raise EmptyCorpus("cannot index an empty corpus")
     documents = []
@@ -210,7 +217,8 @@ def save_index(index: RetrievalIndex, path: Path) -> None:
 
 
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:
-    """Read an index file; raises SchemaError on wrong magic or version."""
+    """Read an index file; raises SchemaError on wrong magic or version,
+    missing keys, or BM25 parameters that build_index rejects."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -219,8 +227,13 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
         raise SchemaError("not an index file (bad magic header)")
     if payload.get("version") != INDEX_VERSION:
         raise SchemaError(f"unsupported index version {payload.get('version')!r}")
-    entries = [
-        (spec_from_dict(item["spec"]), item["dockerfile"])
-        for item in payload["entries"]
-    ]
-    return build_index(entries, payload["k1"], payload["b"]), entries
+    try:
+        entries = [
+            (spec_from_dict(item["spec"]), item["dockerfile"])
+            for item in payload["entries"]
+        ]
+        return build_index(entries, payload["k1"], payload["b"]), entries
+    except KeyError as exc:
+        raise SchemaError(f"index file lacks key {exc}") from exc
+    except (TypeError, ConfigError) as exc:
+        raise SchemaError(f"malformed index file: {exc}") from exc

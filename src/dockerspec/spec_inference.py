@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .dockerfile_syntax import (
     CommentLine,
     DockerfileDocument,
+    Instruction,
     ShellStatement,
-    parse_exec_form,
-    parse_shell,
+    run_statements,
 )
 from .errors import InferenceIncomplete, MalformedFrom
-from .spec_model import DockerSpec, WordLists, allowed_managers
+from .spec_model import PKG_MANAGERS, DockerSpec, WordLists, allowed_managers
 
 _WORD_SEPARATORS = re.compile(r"[-_]")
 _SEGMENT_SEPARATORS = re.compile(r"[-_.]")
@@ -30,6 +30,10 @@ _NUMERIC_TAG = re.compile(r"(?=.*\d)[\d.]+$")
 _DOWNLOAD_COMMANDS = ("wget", "curl")
 _CLONE_COMMANDS = ("git", "hg")
 _VCS_PREFIXES = ("git+", "hg+", "svn+", "bzr+")
+# command -> (tool, install subcommand); npm's subcommand is read per statement
+_INSTALLERS = {"apt": ("apt", "install"), "apt-get": ("apt", "install"),
+               "yum": ("yum", "install"), "apk": ("apk", "add"),
+               "pip": ("pip", "install"), "pip3": ("pip", "install"), "npm": ("npm", None)}
 
 _FLAG_FOR_KIND = {
     "ENV": "uses_env",
@@ -146,30 +150,25 @@ def _strip_redirections(arguments: tuple[str, ...]) -> list[str]:
     return kept
 
 
-def _install_arguments(stmt: ShellStatement) -> list[str]:
-    """Package arguments of a recognized install statement (flags, variable
-    references, and the subcommand itself excluded); [] otherwise."""
+def install_command(stmt: ShellStatement) -> tuple[str, list[str]] | None:
+    """The tool and package arguments of an install statement, or None.
+
+    Recognizes ``apt``/``apt-get``/``yum`` install, ``apk add``,
+    ``pip``/``pip3`` install and ``npm install``/``npm i``; the tool is one
+    of apt, apk, yum, pip, npm. The decision and the packages use the
+    arguments without redirections; packages exclude flags, variable
+    references and the subcommand itself.
+    """
+    if stmt.command not in _INSTALLERS:
+        return None
+    tool, subcommand = _INSTALLERS[stmt.command]
     args = _strip_redirections(stmt.arguments)
-    command = stmt.command
-    subcommand = None
-    if command in ("apt", "apt-get", "yum") and "install" in args:
-        subcommand = "install"
-    elif command == "apk" and "add" in args:
-        subcommand = "add"
-    elif command in ("pip", "pip3") and "install" in args:
-        subcommand = "install"
-    elif command == "npm" and args and args[0] in ("install", "i"):
-        subcommand = args[0]
-    if subcommand is None:
-        return []
-    packages = []
-    seen_subcommand = False
-    for arg in args:
-        if not seen_subcommand and arg == subcommand:
-            seen_subcommand = True
-        elif not arg.startswith(("-", "$")):
-            packages.append(arg)
-    return packages
+    if tool == "npm":
+        subcommand = args[0] if args and args[0] in ("install", "i") else None
+    if subcommand not in args:
+        return None
+    args.remove(subcommand)
+    return tool, [a for a in args if not a.startswith(("-", "$"))]
 
 
 def _url_arguments(stmt: ShellStatement) -> list[str]:
@@ -203,7 +202,8 @@ def extract_installable_args(statements: list[ShellStatement]) -> set[str]:
         words.update(w for w in _SEGMENT_SEPARATORS.split(arg) if w)
 
     for stmt in statements:
-        for arg in _install_arguments(stmt):
+        install = install_command(stmt)
+        for arg in install[1] if install else ():
             add(arg)
         for url in _url_arguments(stmt):
             words.add(url.lower())
@@ -211,20 +211,13 @@ def extract_installable_args(statements: list[ShellStatement]) -> set[str]:
     return words
 
 
-def _statements_of(doc: DockerfileDocument, instruction) -> list[ShellStatement]:
-    elements = parse_exec_form(instruction.raw_arguments)
-    if elements is not None:
-        if not elements:
-            return []
-        return [ShellStatement(elements[0], tuple(elements[1:]))]
-    return parse_shell(instruction.raw_arguments)
-
-
-def comment_scopes(doc: DockerfileDocument, lists: WordLists) -> list[CommentScope]:
+def comment_scopes(doc: DockerfileDocument, lists: WordLists,
+                   runs: list[tuple[Instruction, list[ShellStatement]]]) -> list[CommentScope]:
     """Build the install-comment scopes of a document.
 
-    A scope covers the RUN instructions starting after the comment and
-    before the next comment line or blank line, whichever comes first.
+    ``runs`` pairs each RUN instruction with its statements. A scope covers
+    the RUN instructions starting after the comment and before the next
+    comment line or blank line, whichever comes first.
     """
     boundary_lines = sorted(
         {c.line for c in doc.comments} | set(doc.blank_lines))
@@ -235,18 +228,17 @@ def comment_scopes(doc: DockerfileDocument, lists: WordLists) -> list[CommentSco
             continue
         terminator = next(
             (b for b in boundary_lines if b > comment.line), float("inf"))
-        statements: list[ShellStatement] = []
-        for inst in doc.instructions_of_kind("RUN"):
-            if comment.line < inst.line_span[0] < terminator:
-                statements.extend(_statements_of(doc, inst))
-        scopes.append(CommentScope(comment, tuple(candidates), tuple(statements)))
+        statements = tuple(
+            stmt for inst, body in runs
+            if comment.line < inst.line_span[0] < terminator for stmt in body)
+        scopes.append(CommentScope(comment, tuple(candidates), statements))
     return scopes
 
 
-def infer_comment_dependencies(doc: DockerfileDocument, lists: WordLists) -> set[str]:
+def infer_comment_dependencies(scopes: list[CommentScope]) -> set[str]:
     """Comment candidates confirmed by an install argument in their scope."""
     accepted: set[str] = set()
-    for scope in comment_scopes(doc, lists):
+    for scope in scopes:
         installable = extract_installable_args(list(scope.run_statements))
         accepted.update(c for c in scope.candidate_dependencies if c in installable)
     return accepted
@@ -259,44 +251,33 @@ def infer_flags(doc: DockerfileDocument) -> dict[str, bool]:
     return {flag: kind in kinds for kind, flag in _FLAG_FOR_KIND.items()}
 
 
-def _all_run_statements(doc: DockerfileDocument) -> list[ShellStatement]:
-    statements: list[ShellStatement] = []
-    for inst in doc.instructions_of_kind("RUN"):
-        statements.extend(_statements_of(doc, inst))
-    return statements
-
-
-def infer_pkg_manager(doc: DockerfileDocument, os_name: str) -> str:
-    """The unique package manager whose install/add subcommand appears in the
+def infer_pkg_manager(statements: list[ShellStatement], os_name: str) -> str:
+    """The unique apt/apk/yum manager with an install statement among the
     RUN statements; "any" when none, several, or incoherent with the OS."""
-    detected = set()
-    for stmt in _all_run_statements(doc):
-        if stmt.command in ("apt", "apt-get") and "install" in stmt.arguments:
-            detected.add("apt")
-        elif stmt.command == "apk" and "add" in stmt.arguments:
-            detected.add("apk")
-        elif stmt.command == "yum" and "install" in stmt.arguments:
-            detected.add("yum")
+    installs = [install_command(stmt) for stmt in statements]
+    detected = {i[0] for i in installs if i and i[0] in PKG_MANAGERS}
     if len(detected) != 1:
         return "any"
     manager = detected.pop()
     return manager if manager in allowed_managers(os_name) else "any"
 
 
-def infer_downloads_external(doc: DockerfileDocument) -> bool:
+def infer_downloads_external(statements: list[ShellStatement]) -> bool:
     """True when some RUN statement downloads or installs from outside the
     package manager: URL downloads/clones, pip/npm VCS or URL installs, or a
     low-level package tool applied to a local file."""
-    for stmt in _all_run_statements(doc):
+    for stmt in statements:
         if _url_arguments(stmt):
             return True
+        install = install_command(stmt)
+        if install is not None:
+            tool, packages = install
+            if tool in ("pip", "npm") and any(
+                    _URL.match(a) or a.startswith(_VCS_PREFIXES) for a in packages):
+                return True
+            if tool == "apk" and any(a.endswith(".apk") for a in packages):
+                return True
         command, args = stmt.command, stmt.arguments
-        if command in ("pip", "pip3") and "install" in args:
-            if any(_URL.match(a) or a.startswith(_VCS_PREFIXES) for a in args):
-                return True
-        if command == "npm" and args and args[0] in ("install", "i"):
-            if any(_URL.match(a) or a.startswith(_VCS_PREFIXES) for a in args[1:]):
-                return True
         if command == "dpkg" and any(a == "--install" or
                                      (a.startswith("-") and not a.startswith("--") and "i" in a)
                                      for a in args):
@@ -306,13 +287,19 @@ def infer_downloads_external(doc: DockerfileDocument) -> bool:
                                      and ("i" in a or "U" in a))
                                     for a in args):
             return True
-        if command == "apk" and "add" in args and any(a.endswith(".apk") for a in args):
-            return True
     return False
 
 
-def infer_spec(doc: DockerfileDocument, lists: WordLists) -> DockerSpec:
+def infer_spec(doc: DockerfileDocument, lists: WordLists,
+               target_dependencies: frozenset[str] | None = None) -> DockerSpec:
     """Run the full inference: OS, dependencies, package manager, and flags.
+
+    Each RUN body is split into statements once. By default dependencies
+    come from the image name and from install-comment scopes. Given
+    ``target_dependencies`` (for generated files, which carry no comments),
+    the comment step is skipped: a target dependency counts as met when it
+    is an installable argument of some RUN statement or a word of the FROM
+    image name or tag.
 
     Raises InferenceIncomplete when a sub-step cannot produce its field
     (no FROM instruction, unusable image reference); shell syntax errors
@@ -326,17 +313,24 @@ def infer_spec(doc: DockerfileDocument, lists: WordLists) -> DockerSpec:
     except MalformedFrom as exc:
         raise InferenceIncomplete(str(exc)) from exc
 
+    runs = [(inst, run_statements(inst)) for inst in doc.instructions_of_kind("RUN")]
+    statements = [stmt for _, body in runs for stmt in body]
     os_name = infer_os(ref, lists)
-    dependencies = infer_from_dependencies(ref, lists)
-    dependencies |= infer_comment_dependencies(doc, lists)
-    dependencies = {
-        d for d in dependencies
-        if d[0].isalpha() and d not in lists.os_words and d not in lists.stop_words
-    }
+    if target_dependencies is None:
+        dependencies = infer_from_dependencies(ref, lists)
+        dependencies |= infer_comment_dependencies(comment_scopes(doc, lists, runs))
+        dependencies = {
+            d for d in dependencies
+            if d[0].isalpha() and d not in lists.os_words and d not in lists.stop_words
+        }
+    else:
+        mentioned = extract_installable_args(statements)
+        mentioned.update(ref.name_words + ref.tag_words)
+        dependencies = {d for d in target_dependencies if d in mentioned}
     return DockerSpec(
         os=os_name,
-        pkg_manager=infer_pkg_manager(doc, os_name),
+        pkg_manager=infer_pkg_manager(statements, os_name),
         dependencies=frozenset(dependencies),
-        downloads_external=infer_downloads_external(doc),
+        downloads_external=infer_downloads_external(statements),
         **infer_flags(doc),
     )

@@ -5,6 +5,7 @@ import pytest
 
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
+from dockerspec.spec_model import DockerSpec, spec_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -257,6 +258,62 @@ class TestEvaluateCommand:
         code, _, _ = run(capsys, "evaluate", "layers", "--original", str(original),
                          "--generated", str(generated))
         assert code == 1
+
+
+NOT_UTF8 = b"FROM alpine\n# Install caf\xe9\nRUN apk add curl\n"
+SPEC = DockerSpec(os="alpine", pkg_manager="apk", dependencies=frozenset({"curl"}))
+
+
+def write_corpus(path):
+    record = {"spec": spec_to_dict(SPEC), "dockerfile": "FROM alpine <nl>\n"}
+    path.write_text(json.dumps(record) + "\n")
+    return path
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["parse", "infer-spec", "evaluate"])
+    def test_non_utf8_file(self, capsys, tmp_path, command):
+        targets, outputs = tmp_path / "targets", tmp_path / "outputs"
+        for directory in (targets, outputs):
+            directory.mkdir()
+            (directory / "a.Dockerfile").write_bytes(NOT_UTF8)
+        if command == "evaluate":
+            argv = ["evaluate", "--targets", str(targets), "--outputs", str(outputs)]
+        else:
+            argv = [command, str(targets / "a.Dockerfile")]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err
+
+    @pytest.mark.parametrize("key", ["entries", "k1", "b"])
+    def test_generate_on_index_without_key(self, capsys, tmp_path, key):
+        index = tmp_path / "index.bin"
+        assert main(["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                     "--out", str(index)]) == 0
+        payload = json.loads(index.read_text())
+        del payload[key]
+        index.write_text(json.dumps(payload))
+        spec_file = tmp_path / "query.json"
+        spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
+        capsys.readouterr()
+        code, out, err = run(capsys, "generate", "--spec", str(spec_file), "--index", str(index))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    @pytest.mark.parametrize("flags", [["--k1", "nan"], ["--k1", "-5"], ["--k1", "inf"],
+                                       ["--b", "7"], ["--b", "-0.1"], ["--b", "nan"]])
+    def test_index_build_rejects_bad_bm25_parameters(self, capsys, tmp_path, flags):
+        index = tmp_path / "index.bin"
+        code, out, err = run(capsys, "index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                             "--out", str(index), *flags)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not index.exists()
 
 
 class TestUsage:

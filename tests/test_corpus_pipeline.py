@@ -254,17 +254,12 @@ class TestSplitDataset:
 
 class TestPipeline:
     def test_ingest_reasons(self, corpus_dir, word_lists):
-        entries, reasons = ingest_directory(corpus_dir, word_lists, jobs=2)
+        entries, reasons = ingest_directory(corpus_dir, word_lists)
         assert reasons["no-comments"] == 1
         assert reasons["multi-stage"] == 1
         assert reasons["shell-syntax-error"] == 1
         assert reasons["empty-instruction"] == 1
         assert reasons["eligible"] == len(entries)
-
-    def test_ingest_independent_of_job_count(self, corpus_dir, word_lists):
-        serial, _ = ingest_directory(corpus_dir, word_lists, jobs=1)
-        parallel, _ = ingest_directory(corpus_dir, word_lists, jobs=8)
-        assert [e.content_hash for e in serial] == [e.content_hash for e in parallel]
 
     def test_build_corpus_partitions(self, corpus_dir, word_lists):
         entries, _ = ingest_directory(corpus_dir, word_lists)

@@ -10,6 +10,7 @@ from dockerspec.dockerfile_syntax import (
     join_statements,
     parse_dockerfile,
     parse_shell,
+    run_statements,
     serialize_document,
 )
 from dockerspec.errors import EmptyInput, MalformedInstruction, ShellSyntaxError
@@ -186,6 +187,25 @@ def test_rejoin_reproduces_statement_tokens(statement_words, connectors):
     reparsed = parse_shell(join_statements(statements))
     assert [(s.command, s.arguments, s.connector_to_next) for s in reparsed] == \
         [(s.command, s.arguments, s.connector_to_next) for s in statements]
+
+
+class TestRunStatements:
+    def run_of(self, line):
+        return parse_dockerfile(f"FROM x\n{line}\n").instructions_of_kind("RUN")[0]
+
+    def test_shell_form(self):
+        assert run_statements(self.run_of("RUN a b && c")) == parse_shell("a b && c")
+
+    def test_exec_form_is_one_statement(self):
+        assert run_statements(self.run_of('RUN ["apk", "add", "curl"]')) == \
+            [ShellStatement("apk", ("add", "curl"))]
+
+    def test_empty_exec_form(self):
+        assert run_statements(self.run_of("RUN []")) == []
+
+    def test_shell_error_propagates(self):
+        with pytest.raises(ShellSyntaxError):
+            run_statements(self.run_of("RUN echo 'open"))
 
 
 class TestBuildAst:

@@ -337,18 +337,18 @@ RUN apt-get update && apt-get install -y nginx
 
 class TestInferSpecForGenerated:
     def test_dependency_met_by_install_arg(self, word_lists):
-        spec = infer_spec_for_generated(GENERATED_GOOD, word_lists,
+        spec = infer_spec_for_generated(parse_dockerfile(GENERATED_GOOD), word_lists,
                                         frozenset({"nginx", "certbot"}))
         assert spec.dependencies == frozenset({"nginx", "certbot"})
         assert spec.uses_expose is True
 
     def test_dependency_met_by_from_word(self, word_lists):
-        spec = infer_spec_for_generated("FROM tomcat:9-jre8\n", word_lists,
+        spec = infer_spec_for_generated(parse_dockerfile("FROM tomcat:9-jre8\n"), word_lists,
                                         frozenset({"tomcat", "ffmpeg"}))
         assert spec.dependencies == frozenset({"tomcat"})
 
     def test_unmet_dependency_excluded(self, word_lists):
-        spec = infer_spec_for_generated(GENERATED_PARTIAL, word_lists,
+        spec = infer_spec_for_generated(parse_dockerfile(GENERATED_PARTIAL), word_lists,
                                         frozenset({"nginx", "certbot"}))
         assert spec.dependencies == frozenset({"nginx"})
 
@@ -373,6 +373,17 @@ class TestEvaluateRun:
         assert report.evaluated_pairs == 1
         assert report.pair_results[1].error is not None
 
+    def test_each_file_parsed_once(self, monkeypatch, word_lists):
+        from dockerspec import evaluation
+
+        parsed = []
+        original = evaluation.parse_dockerfile
+        monkeypatch.setattr(evaluation, "parse_dockerfile",
+                            lambda text: parsed.append(text) or original(text))
+        result = evaluation.evaluate_pair(0, TARGET, GENERATED_GOOD, word_lists)
+        assert result.error is None
+        assert parsed == [TARGET, GENERATED_GOOD]
+
     def test_three_pair_composition(self, word_lists):
         pairs = [(TARGET, GENERATED_GOOD), (TARGET, GENERATED_PARTIAL),
                  (TARGET, TARGET)]
@@ -382,7 +393,7 @@ class TestEvaluateRun:
         target_spec = infer_spec(parse_dockerfile(TARGET), word_lists)
         by_hand = []
         for _, generated in pairs:
-            obtained = infer_spec_for_generated(generated, word_lists,
+            obtained = infer_spec_for_generated(parse_dockerfile(generated), word_lists,
                                                 target_spec.dependencies)
             by_hand.append(adherence(target_spec, obtained))
         for name in SPEC_FIELDS:

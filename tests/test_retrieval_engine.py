@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dockerspec.errors import EmptyCorpus, SchemaError
+from dockerspec.errors import ConfigError, EmptyCorpus, SchemaError
 from dockerspec.retrieval_engine import (
     build_index,
     bm25_score,
@@ -228,3 +229,36 @@ class TestIndexFile:
         path.write_text("not an index")
         with pytest.raises(SchemaError):
             load_index(path)
+
+    @pytest.mark.parametrize("key", ["entries", "k1", "b"])
+    def test_missing_key(self, tmp_path, key):
+        path = tmp_path / "index.bin"
+        save_index(build_index([(DockerSpec(), "doc")]), path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=key):
+            load_index(path)
+
+    def test_hand_edited_parameters_rejected(self, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(build_index([(DockerSpec(), "doc")]), path)
+        payload = json.loads(path.read_text())
+        payload["k1"] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="k1"):
+            load_index(path)
+
+
+class TestBm25Parameters:
+    @pytest.mark.parametrize("k1, b", [(float("nan"), 0.75), (float("inf"), 0.75),
+                                       (-5.0, 0.75), (1.2, 7.0), (1.2, -0.1),
+                                       (1.2, float("nan"))])
+    def test_rejected(self, k1, b):
+        with pytest.raises(ConfigError):
+            build_index([(DockerSpec(), "doc")], k1=k1, b=b)
+
+    @pytest.mark.parametrize("k1, b", [(0.0, 0.0), (0.0, 1.0), (100.0, 0.5)])
+    def test_boundaries_accepted(self, k1, b):
+        index = build_index([(DockerSpec(), "doc")], k1=k1, b=b)
+        assert (index.k1, index.b) == (k1, b)

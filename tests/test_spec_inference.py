@@ -1,7 +1,16 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dockerspec.dockerfile_syntax import CommentLine, parse_dockerfile, parse_shell
+from dockerspec import dockerfile_syntax
+from dockerspec.dockerfile_syntax import (
+    CommentLine,
+    ShellStatement,
+    parse_dockerfile,
+    parse_shell,
+    run_statements,
+)
 from dockerspec.errors import InferenceIncomplete, MalformedFrom
 from dockerspec.spec_inference import (
     comment_scopes,
@@ -14,9 +23,22 @@ from dockerspec.spec_inference import (
     infer_os,
     infer_pkg_manager,
     infer_spec,
+    install_command,
     split_image_reference,
 )
 from dockerspec.spec_model import DockerSpec, validate_spec
+
+
+def runs_of(doc):
+    return [(inst, run_statements(inst)) for inst in doc.instructions_of_kind("RUN")]
+
+
+def statements_of(doc):
+    return [stmt for _, body in runs_of(doc) for stmt in body]
+
+
+def comment_dependencies(doc, word_lists):
+    return infer_comment_dependencies(comment_scopes(doc, word_lists, runs_of(doc)))
 
 
 class TestSplitImageReference:
@@ -156,22 +178,91 @@ class TestExtractInstallableArgs:
         assert "curl" in extract_installable_args(parse_shell("apk add --no-cache curl"))
 
 
+class TestInstallCommand:
+    @pytest.mark.parametrize("script, expected", [
+        ("apt-get install -y zsh git", ("apt", ["zsh", "git"])),
+        ("apt install curl", ("apt", ["curl"])),
+        ("yum install -y $EXTRA gcc", ("yum", ["gcc"])),
+        ("apk add --no-cache curl", ("apk", ["curl"])),
+        ("pip3 install requests", ("pip", ["requests"])),
+        ("npm i lodash", ("npm", ["lodash"])),
+        ("apt-get install -y", ("apt", [])),
+        ("apt-get install git > /tmp/log", ("apt", ["git"])),
+        ("apt-get install git 2>&1", ("apt", ["git"])),
+    ])
+    def test_recognized(self, script, expected):
+        assert install_command(parse_shell(script)[0]) == expected
+
+    @pytest.mark.parametrize("script", [
+        "apt-get update", "apk update", "npm run install", "echo install", "pip --version",
+    ])
+    def test_not_an_install(self, script):
+        assert install_command(parse_shell(script)[0]) is None
+
+    def test_redirection_target_spelled_install(self):
+        stmt = parse_shell("apt-get update > install")[0]
+        assert stmt == ShellStatement("apt-get", ("update", ">", "install"))
+        assert install_command(stmt) is None
+        assert infer_pkg_manager([stmt], "any") == "any"
+        assert extract_installable_args([stmt]) == set()
+
+    def test_redirection_target_spelled_like_a_package_source(self):
+        stmt = parse_shell("pip install requests > git+log")[0]
+        assert install_command(stmt) == ("pip", ["requests"])
+        assert infer_downloads_external([stmt]) is False
+
+
+MIXED_RUNS = ("FROM ubuntu:20.04\n"
+              "# Install curl git\n"
+              "RUN apt-get update && apt-get install -y curl git\n"
+              "RUN [\"pip\", \"install\", \"requests\"]\n"
+              "# Install lodash\n"
+              "RUN npm install lodash\n"
+              "\n"
+              "RUN wget https://example.com/tool.tar.gz\n")
+TOMCAT_FFMPEG = (Path(__file__).parent / "fixtures" / "tomcat-ffmpeg.Dockerfile").read_text()
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("text, shell_form_runs", [
+        (MIXED_RUNS, 3), (TOMCAT_FFMPEG, 3), ("FROM alpine\nENV A=1\n", 0)],
+        ids=["mixed", "tomcat-ffmpeg", "no-run"])
+    @pytest.mark.parametrize("target_dependencies", [None, frozenset({"curl"})],
+                             ids=["comments", "targets"])
+    def test_one_parse_shell_call_per_shell_form_run(self, monkeypatch, word_lists, text,
+                                                      shell_form_runs, target_dependencies):
+        doc = parse_dockerfile(text)
+        calls = []
+        original = dockerfile_syntax.parse_shell
+
+        def counting(script):
+            calls.append(script)
+            return original(script)
+
+        monkeypatch.setattr(dockerfile_syntax, "parse_shell", counting)
+        infer_spec(doc, word_lists, target_dependencies)
+        shell_form = [i.raw_arguments for i in doc.instructions_of_kind("RUN")
+                      if not i.raw_arguments.startswith("[")]
+        assert len(calls) == shell_form_runs
+        assert sorted(calls) == sorted(shell_form)
+
+
 class TestCommentDependencies:
     def test_tomcat_ffmpeg_scopes(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        scopes = comment_scopes(doc, word_lists)
+        scopes = comment_scopes(doc, word_lists, runs_of(doc))
         assert [s.candidate_dependencies for s in scopes] == [("x265",), ("ffmpeg",)]
         assert all(s.run_statements for s in scopes)
-        assert infer_comment_dependencies(doc, word_lists) == {"x265", "ffmpeg"}
+        assert comment_dependencies(doc, word_lists) == {"x265", "ffmpeg"}
 
     def test_unmatched_candidate(self, word_lists):
         doc = parse_dockerfile("FROM x\n# Install foo\nRUN apt-get install -y bar\n")
-        assert infer_comment_dependencies(doc, word_lists) == set()
+        assert comment_dependencies(doc, word_lists) == set()
 
     def test_empty_scope(self, word_lists):
         doc = parse_dockerfile(
             "FROM x\n# Install foo\n\nRUN apt-get install -y foo\n")
-        assert infer_comment_dependencies(doc, word_lists) == set()
+        assert comment_dependencies(doc, word_lists) == set()
 
     def test_scope_ends_at_next_comment(self, word_lists):
         doc = parse_dockerfile(
@@ -179,15 +270,15 @@ class TestCommentDependencies:
             "# Install foo\n"
             "# another note\n"
             "RUN apt-get install -y foo\n")
-        assert infer_comment_dependencies(doc, word_lists) == set()
+        assert comment_dependencies(doc, word_lists) == set()
 
     def test_scope_locality(self, word_lists):
         prefix = ("FROM x\n"
                   "# Install foo\n"
                   "RUN apt-get install -y foo\n")
         with_suffix = prefix + "\n# Install bar\nRUN apt-get install -y bar\n"
-        full = infer_comment_dependencies(parse_dockerfile(with_suffix), word_lists)
-        truncated = infer_comment_dependencies(parse_dockerfile(prefix), word_lists)
+        full = comment_dependencies(parse_dockerfile(with_suffix), word_lists)
+        truncated = comment_dependencies(parse_dockerfile(prefix), word_lists)
         assert truncated == {"foo"}
         assert full == {"foo", "bar"}
 
@@ -219,52 +310,53 @@ class TestInferFlags:
 class TestInferPkgManager:
     def test_tomcat_ffmpeg_apt(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        assert infer_pkg_manager(doc, "any") == "apt"
+        assert infer_pkg_manager(statements_of(doc), "any") == "apt"
 
     def test_incoherent_yum_on_ubuntu(self):
         doc = parse_dockerfile("FROM ubuntu\nRUN yum install -y git\n")
-        assert infer_pkg_manager(doc, "ubuntu") == "any"
+        assert infer_pkg_manager(statements_of(doc), "ubuntu") == "any"
 
     def test_no_package_statements(self):
         doc = parse_dockerfile("FROM x\nRUN echo hi\n")
-        assert infer_pkg_manager(doc, "any") == "any"
+        assert infer_pkg_manager(statements_of(doc), "any") == "any"
 
     def test_conflicting_managers(self):
         doc = parse_dockerfile("FROM x\nRUN apt-get install -y a && apk add b\n")
-        assert infer_pkg_manager(doc, "any") == "any"
+        assert infer_pkg_manager(statements_of(doc), "any") == "any"
 
     def test_update_alone_does_not_count(self):
         doc = parse_dockerfile("FROM x\nRUN apt-get update\n")
-        assert infer_pkg_manager(doc, "any") == "any"
+        assert infer_pkg_manager(statements_of(doc), "any") == "any"
 
 
 class TestInferDownloadsExternal:
     def test_tomcat_ffmpeg_true(self, tomcat_ffmpeg_text):
-        assert infer_downloads_external(parse_dockerfile(tomcat_ffmpeg_text)) is True
+        doc = parse_dockerfile(tomcat_ffmpeg_text)
+        assert infer_downloads_external(statements_of(doc)) is True
 
     def test_manager_only_install_false(self):
         doc = parse_dockerfile("FROM x\nRUN apt-get install -y git\n")
-        assert infer_downloads_external(doc) is False
+        assert infer_downloads_external(statements_of(doc)) is False
 
     def test_pip_vcs_reference(self):
         doc = parse_dockerfile("FROM x\nRUN pip install git+https://github.com/a/b\n")
-        assert infer_downloads_external(doc) is True
+        assert infer_downloads_external(statements_of(doc)) is True
 
     def test_wget_url(self):
         doc = parse_dockerfile("FROM x\nRUN wget https://example.com/tool.tar.gz\n")
-        assert infer_downloads_external(doc) is True
+        assert infer_downloads_external(statements_of(doc)) is True
 
     def test_dpkg_local_file(self):
         doc = parse_dockerfile("FROM x\nRUN dpkg -i ./package.deb\n")
-        assert infer_downloads_external(doc) is True
+        assert infer_downloads_external(statements_of(doc)) is True
 
     def test_apk_local_file(self):
         doc = parse_dockerfile("FROM x\nRUN apk add ./custom.apk\n")
-        assert infer_downloads_external(doc) is True
+        assert infer_downloads_external(statements_of(doc)) is True
 
     def test_git_clone_without_url_false(self):
         doc = parse_dockerfile("FROM x\nRUN git clone local-mirror\n")
-        assert infer_downloads_external(doc) is False
+        assert infer_downloads_external(statements_of(doc)) is False
 
 
 class TestInferSpec:
@@ -287,6 +379,15 @@ class TestInferSpec:
         spec = infer_spec(parse_dockerfile("FROM tomcat:9.0.20-jre8-alpine\n"), word_lists)
         assert spec.os == "alpine"
         assert spec.dependencies == frozenset({"tomcat"})
+
+    def test_target_dependencies_mode(self, word_lists):
+        doc = parse_dockerfile("FROM tomcat:9\n# Install ffmpeg\n"
+                               "RUN apt-get install -y ffmpeg x265\n")
+        assert infer_spec(doc, word_lists).dependencies == frozenset({"tomcat", "ffmpeg"})
+        # comments are ignored; install arguments and FROM words count
+        spec = infer_spec(doc, word_lists, frozenset({"tomcat", "x265", "nginx"}))
+        assert spec.dependencies == frozenset({"tomcat", "x265"})
+        assert spec.pkg_manager == "apt"
 
     def test_no_from_raises(self, word_lists):
         with pytest.raises(InferenceIncomplete):
