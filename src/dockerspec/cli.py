@@ -75,9 +75,19 @@ def _read_text(path: str | Path) -> str:
 
 def _read_spec_file(path: str):
     try:
-        return deserialize_spec(Path(path).read_text(encoding="utf-8"))
+        return deserialize_spec(_read_text(path))
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_config(command: click.Command, defaults, where: str) -> None:
+    """Click reads the config as nested default maps: the whole file and the
+    value under each key that names a subcommand must be JSON objects."""
+    if not isinstance(defaults, dict):
+        raise ConfigError(f"bad config file: {where} must hold a JSON object")
+    for name, subcommand in getattr(command, "commands", {}).items():
+        if name in defaults:
+            _check_config(subcommand, defaults[name], f"{where} key {name!r}")
 
 
 @click.group()
@@ -89,9 +99,11 @@ def cli(ctx, config_path):
     """Infer Dockerfile specs, build corpora, retrieve, and evaluate."""
     if config_path:
         try:
-            ctx.default_map = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            defaults = json.loads(_read_text(config_path))
+        except (OSError, ParseError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad config file: {exc}") from exc
+        _check_config(ctx.command, defaults, config_path)
+        ctx.default_map = defaults
 
 
 @cli.command("parse")
@@ -298,7 +310,7 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
 
 def _read_manifest(path: str) -> tuple[list[str], str]:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad manifest {path}: {exc}") from exc
     if isinstance(data, list):

@@ -336,18 +336,26 @@ def write_jsonl(path: Path, entries: list[CorpusEntry]) -> None:
 
 
 def read_corpus_records(path: Path) -> list[dict]:
-    """Read corpus JSONL records as dicts (spec left as a plain dict)."""
+    """Read corpus JSONL records as dicts (spec left as a plain dict).
+
+    Raises SchemaError on text that is not UTF-8, a line that is not a JSON
+    object, or a record without a spec or without a dockerfile string."""
     records = []
     with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{number}: not a JSONL record: {exc}") from exc
-            if not isinstance(record, dict) or "spec" not in record or "dockerfile" not in record:
-                raise SchemaError(f"{path}:{number}: record must carry spec and dockerfile")
-            records.append(record)
+        try:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{number}: not a JSONL record: {exc}") from exc
+                if (not isinstance(record, dict) or "spec" not in record
+                        or not isinstance(record.get("dockerfile"), str)):
+                    raise SchemaError(
+                        f"{path}:{number}: record must carry spec and a dockerfile string")
+                records.append(record)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return records

@@ -39,27 +39,20 @@ def render_spec_fields(spec: DockerSpec) -> dict[str, str]:
 
 
 @dataclass
-class IndexedDocument:
-    id: int
-    spec: DockerSpec
-    field_texts: dict[str, str]
-    dockerfile_text: str
-    term_frequencies: dict[str, Counter]
-    length: dict[str, int]
-
-
-@dataclass
 class RetrievalIndex:
-    documents: list[IndexedDocument]
+    """BM25 statistics over ``entries``; a document's id is its position there
+    and in each ``lengths[field]`` list."""
+    entries: list[tuple[DockerSpec, str]]
     postings: dict[str, dict[str, list[tuple[int, int]]]]
     doc_frequency: dict[str, dict[str, int]]
+    lengths: dict[str, list[int]]
     average_length: dict[str, float]
     k1: float
     b: float
 
     @property
     def size(self) -> int:
-        return len(self.documents)
+        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -81,26 +74,22 @@ def build_index(entries: list[tuple[DockerSpec, str]],
         raise ConfigError(f"b must be a number in [0, 1], got {b!r}")
     if not entries:
         raise EmptyCorpus("cannot index an empty corpus")
-    documents = []
     postings: dict[str, dict[str, list[tuple[int, int]]]] = {f: {} for f in SPEC_FIELDS}
-    for doc_id, (spec, dockerfile_text) in enumerate(entries):
-        field_texts = render_spec_fields(spec)
-        frequencies = {f: Counter(text.split()) for f, text in field_texts.items()}
-        lengths = {f: sum(c.values()) for f, c in frequencies.items()}
-        documents.append(IndexedDocument(doc_id, spec, field_texts, dockerfile_text,
-                                         frequencies, lengths))
-        for field_name, counts in frequencies.items():
-            for term, tf in counts.items():
+    lengths: dict[str, list[int]] = {f: [] for f in SPEC_FIELDS}
+    for doc_id, (spec, _) in enumerate(entries):
+        for field_name, text in render_spec_fields(spec).items():
+            terms = text.split()
+            lengths[field_name].append(len(terms))
+            for term, tf in Counter(terms).items():
                 postings[field_name].setdefault(term, []).append((doc_id, tf))
     doc_frequency = {
         f: {term: len(plist) for term, plist in terms.items()}
         for f, terms in postings.items()
     }
-    n = len(documents)
-    average_length = {
-        f: sum(d.length[f] for d in documents) / n for f in SPEC_FIELDS
-    }
-    return RetrievalIndex(documents, postings, doc_frequency, average_length, k1, b)
+    n = len(entries)
+    average_length = {f: sum(lengths[f]) / n for f in SPEC_FIELDS}
+    return RetrievalIndex(list(entries), postings, doc_frequency, lengths,
+                          average_length, k1, b)
 
 
 def _idf(n_docs: int, df: int) -> float:
@@ -109,25 +98,6 @@ def _idf(n_docs: int, df: int) -> float:
 
 def query_terms_for(spec: DockerSpec) -> dict[str, list[str]]:
     return {f: text.split() for f, text in render_spec_fields(spec).items()}
-
-
-def bm25_score(query_terms: dict[str, list[str]],
-               doc: IndexedDocument, index: RetrievalIndex) -> float:
-    """Okapi BM25 summed over fields and query terms for one document."""
-    n = index.size
-    score = 0.0
-    for field_name in SPEC_FIELDS:
-        avgdl = index.average_length[field_name]
-        if avgdl == 0.0:
-            continue
-        norm = index.k1 * (1.0 - index.b + index.b * doc.length[field_name] / avgdl)
-        for term in query_terms.get(field_name, ()):
-            tf = doc.term_frequencies[field_name].get(term, 0)
-            if tf == 0:
-                continue
-            df = index.doc_frequency[field_name].get(term, 0)
-            score += _idf(n, df) * tf * (index.k1 + 1.0) / (tf + norm)
-    return score
 
 
 def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]:
@@ -145,17 +115,17 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
         avgdl = index.average_length[field_name]
         if avgdl == 0.0:
             continue
+        lengths = index.lengths[field_name]
         for term in query_terms[field_name]:
             df = index.doc_frequency[field_name].get(term, 0)
             if df == 0:
                 continue
             idf = _idf(n, df)
             for doc_id, tf in index.postings[field_name][term]:
-                doc_length = index.documents[doc_id].length[field_name]
-                norm = index.k1 * (1.0 - index.b + index.b * doc_length / avgdl)
+                norm = index.k1 * (1.0 - index.b + index.b * lengths[doc_id] / avgdl)
                 scores[doc_id] += idf * tf * (index.k1 + 1.0) / (tf + norm)
     ranked = sorted(range(index.size), key=lambda i: (-scores[i], i))[:max(k, 0)]
-    return [ScoredHit(i, scores[i], index.documents[i].dockerfile_text) for i in ranked]
+    return [ScoredHit(i, scores[i], index.entries[i][1]) for i in ranked]
 
 
 def _tfidf_vector(counts: Counter, idf: dict[str, float], n_docs: int) -> dict[str, float]:
@@ -209,18 +179,23 @@ def save_index(index: RetrievalIndex, path: Path) -> None:
         "k1": index.k1,
         "b": index.b,
         "entries": [
-            {"spec": spec_to_dict(doc.spec), "dockerfile": doc.dockerfile_text}
-            for doc in index.documents
+            {"spec": spec_to_dict(spec), "dockerfile": dockerfile_text}
+            for spec, dockerfile_text in index.entries
         ],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:
-    """Read an index file; raises SchemaError on wrong magic or version,
-    missing keys, or BM25 parameters that build_index rejects."""
+    """Read an index file; returns the index and its own ``entries`` list.
+
+    Raises SchemaError on text that is not UTF-8, wrong magic or version,
+    missing keys, a dockerfile that is not a string, or BM25 parameters that
+    build_index rejects."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not an index file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:
@@ -232,8 +207,11 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
             (spec_from_dict(item["spec"]), item["dockerfile"])
             for item in payload["entries"]
         ]
-        return build_index(entries, payload["k1"], payload["b"]), entries
+        if not all(isinstance(text, str) for _, text in entries):
+            raise SchemaError("malformed index file: a dockerfile is not a string")
+        index = build_index(entries, payload["k1"], payload["b"])
     except KeyError as exc:
         raise SchemaError(f"index file lacks key {exc}") from exc
     except (TypeError, ConfigError) as exc:
         raise SchemaError(f"malformed index file: {exc}") from exc
+    return index, index.entries

@@ -271,21 +271,49 @@ def write_corpus(path):
 
 
 class TestBadInput:
-    @pytest.mark.parametrize("command", ["parse", "infer-spec", "evaluate"])
+    @pytest.mark.parametrize("command", ["parse", "infer-spec", "evaluate", "generate-spec",
+                                         "generate-index", "index-build", "evaluate-layers",
+                                         "config"])
     def test_non_utf8_file(self, capsys, tmp_path, command):
         targets, outputs = tmp_path / "targets", tmp_path / "outputs"
         for directory in (targets, outputs):
             directory.mkdir()
             (directory / "a.Dockerfile").write_bytes(NOT_UTF8)
-        if command == "evaluate":
-            argv = ["evaluate", "--targets", str(targets), "--outputs", str(outputs)]
-        else:
-            argv = [command, str(targets / "a.Dockerfile")]
+        bad = str(targets / "a.Dockerfile")
+        index, spec_file, manifest = (tmp_path / "index.bin", tmp_path / "query.json",
+                                      tmp_path / "manifest.json")
+        assert main(["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                     "--out", str(index)]) == 0
+        spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
+        manifest.write_text(json.dumps(["a"]))
+        capsys.readouterr()
+        argv = {
+            "evaluate": ["evaluate", "--targets", str(targets), "--outputs", str(outputs)],
+            "generate-spec": ["generate", "--spec", bad, "--index", str(index)],
+            "generate-index": ["generate", "--spec", str(spec_file), "--index", bad],
+            "index-build": ["index", "build", bad, "--out", str(tmp_path / "i.bin")],
+            "evaluate-layers": ["evaluate", "layers", "--original", bad,
+                                "--generated", str(manifest)],
+            "config": ["--config", bad, "parse", str(FIXTURES / "tomcat-ffmpeg.Dockerfile")],
+        }.get(command, [command, bad])
         code, out, err = run(capsys, *argv)
-        assert code == 1
+        # the exit code that malformed content in a file of that kind gets
+        assert code == (3 if command == "config" else 1)
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not UTF-8" in err
+
+    @pytest.mark.parametrize("config", [[1, 2], "defaults", {"corpus": 5},
+                                        {"corpus": {"build": [1]}}])
+    def test_config_not_an_object(self, capsys, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", str(path), "parse",
+                             str(FIXTURES / "tomcat-ffmpeg.Dockerfile"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "JSON object" in err
 
     @pytest.mark.parametrize("key", ["entries", "k1", "b"])
     def test_generate_on_index_without_key(self, capsys, tmp_path, key):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from dockerspec.corpus_pipeline import (
     write_jsonl,
 )
 from dockerspec.dockerfile_syntax import parse_dockerfile
-from dockerspec.errors import KindMismatch, TooFewEntries
+from dockerspec.errors import KindMismatch, SchemaError, TooFewEntries
 from dockerspec.spec_inference import infer_spec
 from dockerspec.spec_model import DockerSpec
 
@@ -286,6 +287,13 @@ class TestPipeline:
         assert {r["sha1"] for r in records} == \
             {e.content_hash for e in result.finetune}
         assert all(set(r) == {"spec", "dockerfile", "sha1", "source"} for r in records)
+
+    @pytest.mark.parametrize("dockerfile", [3, None, ["FROM alpine"]])
+    def test_read_rejects_non_string_dockerfile(self, tmp_path, dockerfile):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"spec": {}, "dockerfile": dockerfile}) + "\n")
+        with pytest.raises(SchemaError, match=":1: record must carry"):
+            read_corpus_records(path)
 
     def test_cluster_members_share_spec(self, corpus_dir, word_lists):
         entries, _ = ingest_directory(corpus_dir, word_lists)

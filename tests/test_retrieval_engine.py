@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dockerspec.errors import ConfigError, EmptyCorpus, SchemaError
 from dockerspec.retrieval_engine import (
     build_index,
-    bm25_score,
     load_index,
-    query_terms_for,
     render_spec_fields,
     rendered_spec_text,
     retrieve,
@@ -69,39 +67,65 @@ class TestBuildIndex:
             build_index([])
 
     def test_length_equals_term_frequency_sum(self):
-        index = build_index([(DockerSpec(dependencies=frozenset({"a", "b"})), "d")])
-        doc = index.documents[0]
-        for field_name, counts in doc.term_frequencies.items():
-            assert doc.length[field_name] == sum(counts.values())
+        entries = [(DockerSpec(dependencies=frozenset({"a", "b"})), "d"),
+                   (DockerSpec(os="alpine", dependencies=frozenset({"a", "a b"}),
+                               uses_env=True), "e")]
+        index = build_index(entries)
+        for field_name, terms in index.postings.items():
+            for doc_id in range(len(entries)):
+                tf_sum = sum(tf for plist in terms.values()
+                             for posting_id, tf in plist if posting_id == doc_id)
+                assert index.lengths[field_name][doc_id] == tf_sum
+        assert index.lengths["dependencies"] == [2, 3]
+        assert index.lengths["uses_env"] == [0, 1]
 
 
 class TestBm25Score:
+    """Per-document BM25 scores, read through ``retrieve``."""
+
+    @staticmethod
+    def scores(query, index):
+        return {h.doc_id: h.score for h in retrieve(query, index.size, index)}
+
     def test_absent_term_contributes_zero(self):
-        index = build_index([(DockerSpec(dependencies=frozenset({"git"})), "d")])
-        base = bm25_score({"dependencies": ["git"]}, index.documents[0], index)
-        with_absent = bm25_score({"dependencies": ["git", "zzz"]},
-                                 index.documents[0], index)
+        index = build_index([(DockerSpec(dependencies=frozenset({"git"})), "d"),
+                             (DockerSpec(dependencies=frozenset({"vim"})), "e")])
+        base = self.scores(DockerSpec(dependencies=frozenset({"git"})), index)
+        with_absent = self.scores(DockerSpec(dependencies=frozenset({"git", "zzz"})), index)
         assert with_absent == base
+        assert base[0] > 0.0
 
     def test_matches_naive_oracle_single_doc(self):
         spec = DockerSpec(os="alpine", pkg_manager="apk",
                           dependencies=frozenset({"git", "curl"}), uses_env=True)
         index = build_index([(spec, "d")])
-        score = bm25_score(query_terms_for(spec), index.documents[0], index)
+        score = self.scores(spec, index)[0]
         oracle = naive_bm25_rankings(spec, [spec], render=render_spec_fields)
         assert score == pytest.approx(oracle[0], abs=1e-12)
         assert score > 0.0
 
+    def test_term_frequency_above_one_matches_oracle(self):
+        # "git lfs" renders as two tokens, so "git" occurs twice in the first
+        # document's dependencies text
+        specs = [DockerSpec(dependencies=frozenset({"git", "git lfs"})),
+                 DockerSpec(dependencies=frozenset({"git", "vim"})),
+                 DockerSpec(os="alpine", dependencies=frozenset({"lfs"}))]
+        index = build_index([(s, f"d{i}") for i, s in enumerate(specs)])
+        assert index.postings["dependencies"]["git"][0] == (0, 2)
+        for query in specs + [DockerSpec(dependencies=frozenset({"git"}))]:
+            oracle = naive_bm25_rankings(query, specs, render=render_spec_fields)
+            scores = self.scores(query, index)
+            for doc_id, expected in enumerate(oracle):
+                assert scores[doc_id] == pytest.approx(expected, abs=1e-12)
+
     def test_monotone_in_term_frequency(self):
-        entries = [(DockerSpec(dependencies=frozenset({"git", "pad"})), "a"),
-                   (DockerSpec(dependencies=frozenset({"git", "fill"})), "b")]
+        # equal dependency lengths (3 tokens each), so only tf differs
+        entries = [(DockerSpec(dependencies=frozenset({"git", "git lfs"})), "a"),
+                   (DockerSpec(dependencies=frozenset({"git", "pad fill"})), "b")]
         index = build_index(entries)
-        query = {"dependencies": ["git"]}
-        single = bm25_score(query, index.documents[0], index)
-        # raise tf while holding the recorded length fixed: score must grow
-        index.documents[0].term_frequencies["dependencies"]["git"] = 2
-        doubled = bm25_score(query, index.documents[0], index)
-        assert doubled > single
+        assert index.lengths["dependencies"] == [3, 3]
+        scores = self.scores(DockerSpec(dependencies=frozenset({"git"})), index)
+        assert scores[0] > scores[1]
 
 
 class TestRetrieve:
@@ -206,6 +230,7 @@ class TestIndexFile:
         loaded, loaded_entries = load_index(path)
         assert loaded.k1 == 1.4 and loaded.b == 0.6
         assert loaded_entries == entries
+        assert loaded_entries is loaded.entries
         query = random_valid_spec(rng)
         original_hits = retrieve(query, 8, index)
         loaded_hits = retrieve(query, 8, loaded)
@@ -238,6 +263,23 @@ class TestIndexFile:
         del payload[key]
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match=key):
+            load_index(path)
+
+    def test_save_is_byte_identical(self, tmp_path):
+        rng = random.Random(4)
+        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(8)]
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_index(build_index(entries), first)
+        save_index(load_index(first)[0], second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_non_string_dockerfile_rejected(self, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(build_index([(DockerSpec(), "doc")]), path)
+        payload = json.loads(path.read_text())
+        payload["entries"][0]["dockerfile"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="dockerfile"):
             load_index(path)
 
     def test_hand_edited_parameters_rejected(self, tmp_path):
