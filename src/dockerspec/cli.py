@@ -206,8 +206,13 @@ def index_group():
 @click.option("--b", type=float, default=re_engine.DEFAULT_B, show_default=True)
 def index_build(corpus, out_path, k1, b):
     """Build a BM25 index file from a corpus JSONL."""
-    records = cp.read_corpus_records(Path(corpus))
-    entries = [(spec_from_dict(r["spec"]), r["dockerfile"]) for r in records]
+    entries = []
+    for number, record in cp.read_corpus_records(Path(corpus)):
+        try:
+            spec = spec_from_dict(record["spec"])
+        except SchemaError as exc:
+            raise SchemaError(f"{corpus}:{number}: {exc}") from exc
+        entries.append((spec, record["dockerfile"]))
     index = re_engine.build_index(entries, k1=k1, b=b)
     re_engine.save_index(index, Path(out_path))
     click.echo(json.dumps({"index": out_path, "documents": index.size,
@@ -301,6 +306,10 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
         systems[name], distances[name] = _report_for_system(pairs, lists)
     payload = {"systems": systems}
     if len(systems) > 1:
+        for name in sorted(systems):
+            if not distances[name]:
+                click.echo(f"system {name}: no evaluated pairs; left out of comparisons",
+                           err=True)
         payload["comparisons"] = ev.compare_systems(distances)
     text = json.dumps(payload, sort_keys=True, indent=2)
     if report_path:

@@ -335,14 +335,16 @@ def write_jsonl(path: Path, entries: list[CorpusEntry]) -> None:
             handle.write(json.dumps(entry_record(entry), sort_keys=True) + "\n")
 
 
-def read_corpus_records(path: Path) -> list[dict]:
-    """Read corpus JSONL records as dicts (spec left as a plain dict).
+def read_corpus_records(path: Path) -> list[tuple[int, dict]]:
+    """Read corpus JSONL records, each with its line number (spec left as a
+    plain dict).
 
-    Raises SchemaError on text that is not UTF-8, a line that is not a JSON
-    object, or a record without a spec or without a dockerfile string."""
+    Raises SchemaError naming ``path:line`` on text that is not UTF-8, a
+    line that is not a JSON object, or a record without a spec or without a
+    dockerfile string."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
@@ -355,7 +357,23 @@ def read_corpus_records(path: Path) -> list[dict]:
                         or not isinstance(record.get("dockerfile"), str)):
                     raise SchemaError(
                         f"{path}:{number}: record must carry spec and a dockerfile string")
-                records.append(record)
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+                records.append((number, record))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}:{_undecodable_line(path)}: not UTF-8 text: {exc.reason}") from exc
     return records
+
+
+def _undecodable_line(path: Path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8 (the last line
+    if none). A text stream decodes ahead of the lines it has returned, so
+    its error cannot say; no UTF-8 sequence spans a newline byte, so each
+    line decodes alone."""
+    number = 0
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return number

@@ -12,6 +12,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .dockerfile_syntax import DockerfileDocument, Node, ast_size, build_ast, parse_dockerfile
 from .errors import (
@@ -59,9 +60,13 @@ def adherence(target: DockerSpec, obtained: DockerSpec) -> AdherenceReport:
 # ---------------------------------------------------------------------------
 # tree edit distance (Zhang-Shasha, unit costs)
 
-def _postorder(root: Node) -> tuple[list[str], list[int]]:
-    """Post-order labels and, per node, the index of its leftmost leaf."""
-    labels: list[str] = []
+def _postorder(root: Node, codes: dict[str, int]) -> tuple[list[int], list[int]]:
+    """Post-order label codes and, per node, the index of its leftmost leaf.
+
+    Labels are interned into ``codes``, which both trees of one distance
+    share, so comparing two labels compares two small ints.
+    """
+    labels: list[int] = []
     leftmost: list[int] = []
 
     def walk(node: Node) -> int:
@@ -71,7 +76,7 @@ def _postorder(root: Node) -> tuple[list[str], list[int]]:
             if first is None:
                 first = child_leftmost
         index = len(labels)
-        labels.append(node.label)
+        labels.append(codes.setdefault(node.label, len(codes)))
         leftmost.append(first if first is not None else index)
         return leftmost[index]
 
@@ -86,43 +91,94 @@ def _keyroots(leftmost: list[int]) -> list[int]:
     return sorted(last_with_leftmost.values())
 
 
+def _leaf_distances(label: int, labels: list[int], leftmost: list[int]) -> list[int]:
+    """Distance from one node labeled ``label`` to each subtree T(y) of a
+    post-order tree: |T(y)| - 1 + (label not in T(y)), because the node can
+    be kept as any node of T(y) and every other node is inserted."""
+    seen = list(accumulate((other == label for other in labels), initial=0))
+    return [y - left + (after == seen[left])
+            for y, (left, after) in enumerate(zip(leftmost, seen[1:]))]
+
+
 def tree_edit_distance(a: Node, b: Node) -> int:
     """Minimum number of unit-cost node insertions, deletions, and relabels
-    turning ordered tree ``a`` into ``b``."""
-    labels_a, left_a = _postorder(a)
-    labels_b, left_b = _postorder(b)
-    size_a, size_b = len(labels_a), len(labels_b)
-    tree_dist = [[0] * size_b for _ in range(size_a)]
+    turning ordered tree ``a`` into ``b``.
 
-    def forest_dist(i: int, j: int) -> None:
-        i_offset = left_a[i] - 1
-        j_offset = left_b[j] - 1
-        m = i - left_a[i] + 2
-        n = j - left_b[j] + 2
-        fd = [[0] * n for _ in range(m)]
-        for x in range(1, m):
-            fd[x][0] = fd[x - 1][0] + 1
-        for y in range(1, n):
-            fd[0][y] = fd[0][y - 1] + 1
-        for x in range(1, m):
-            for y in range(1, n):
-                if left_a[x + i_offset] == left_a[i] and left_b[y + j_offset] == left_b[j]:
-                    relabel = 0 if labels_a[x + i_offset] == labels_b[y + j_offset] else 1
-                    fd[x][y] = min(fd[x - 1][y] + 1,
-                                   fd[x][y - 1] + 1,
-                                   fd[x - 1][y - 1] + relabel)
-                    tree_dist[x + i_offset][y + j_offset] = fd[x][y]
-                else:
-                    p = left_a[x + i_offset] - 1 - i_offset
-                    q = left_b[y + j_offset] - 1 - j_offset
-                    fd[x][y] = min(fd[x - 1][y] + 1,
-                                   fd[x][y - 1] + 1,
-                                   fd[p][q] + tree_dist[x + i_offset][y + j_offset])
+    Zhang & Shasha (SIAM J. Comput. 1989). ``tree_dist[x][y]`` is the
+    distance between the subtrees of ``a``'s node ``x`` and ``b``'s node
+    ``y`` (post-order). A keyroot that is a leaf gets its whole row or
+    column in closed form; each other keyroot pair fills a forest table
+    row by row, from column data built once per keyroot of ``b``.
+    """
+    codes: dict[str, int] = {}
+    labels_a, left_a = _postorder(a, codes)
+    labels_b, left_b = _postorder(b, codes)
+    tree_dist = [[0] * len(labels_b) for _ in labels_a]
+
+    columns = []
+    for j in _keyroots(left_b):
+        lj = left_b[j]
+        if lj == j:
+            leaf_column = _leaf_distances(labels_b[j], labels_a, left_a)
+            for row, value in zip(tree_dist, leaf_column):
+                row[j] = value
+            continue
+        # forest column y is node lj + y - 1; the forest left of that node's
+        # subtree ends at column offsets[y - 1], which is 0 on j's left path
+        offsets = [left_b[y] - lj for y in range(lj, j + 1)]
+        left_path = [(lj + y, y + 1) for y, offset in enumerate(offsets) if not offset]
+        columns.append((lj, j + 1, labels_b[lj:j + 1], offsets, left_path,
+                        list(range(j - lj + 2))))
 
     for i in _keyroots(left_a):
-        for j in _keyroots(left_b):
-            forest_dist(i, j)
-    return tree_dist[size_a - 1][size_b - 1]
+        li = left_a[i]
+        if li == i:
+            tree_dist[i] = _leaf_distances(labels_a[i], labels_b, left_b)
+            continue
+        for lj, stop, labels, offsets, left_path, first_row in columns:
+            # forest[x][y]: distance between a's nodes li..li+x-1 and b's
+            # nodes lj..lj+y-1; each cell is the cheapest of deleting the
+            # last node of a (the row above + 1), inserting the last node of
+            # b (the cell to the left + 1), and matching the two last
+            # subtrees whole (the forests left of them + tree_dist)
+            forest = [first_row]
+            above = first_row
+            for x, node in enumerate(range(li, i + 1), 1):
+                dist_row = tree_dist[node]
+                row = [x]
+                append = row.append
+                cell = x
+                p = left_a[node] - li
+                if p:
+                    before = forest[p]
+                    for q, dist, up in zip(offsets, dist_row[lj:stop], above[1:]):
+                        if up < cell:
+                            cell = up
+                        cell += 1
+                        dist += before[q]
+                        if dist < cell:
+                            cell = dist
+                        append(cell)
+                else:
+                    # node is on i's left path: forest[0][q] is q, and where
+                    # the column is on j's left path too, matching the two
+                    # subtrees is relabelling node onto the column's node
+                    label = labels_a[node]
+                    diagonal = x - 1
+                    for q, other, dist, up in zip(offsets, labels, dist_row[lj:stop], above[1:]):
+                        if up < cell:
+                            cell = up
+                        cell += 1
+                        dist = dist + q if q else diagonal + (label != other)
+                        if dist < cell:
+                            cell = dist
+                        diagonal = up
+                        append(cell)
+                    for column, y in left_path:
+                        dist_row[column] = row[y]
+                forest.append(row)
+                above = row
+    return tree_dist[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -309,7 +365,7 @@ class RunReport:
     pair_results: list[PairResult]
     adherence_means: dict[str, float]
     distance_summary: dict[str, float]
-    bleu_mean: float
+    bleu_mean: float | None
     evaluated_pairs: int
     failed_pairs: int
 
@@ -343,7 +399,8 @@ def evaluate_run(pairs: list[tuple[str, str]], lists: WordLists) -> RunReport:
     """Evaluate (target, generated) text pairs.
 
     Pairs where parsing or inference fails are recorded and skipped; they
-    never abort the run. Aggregates are means over the surviving pairs.
+    never abort the run. Aggregates are means over the surviving pairs;
+    with none, the BLEU mean is None and the other aggregates are empty.
     """
     if not pairs:
         raise EmptyInput("no pairs to evaluate")
@@ -368,7 +425,7 @@ def evaluate_run(pairs: list[tuple[str, str]], lists: WordLists) -> RunReport:
             "max": max(distances),
             "stdev": statistics.pstdev(distances),
         }
-    bleu_mean = statistics.fmean(r.bleu for r in succeeded) if succeeded else 0.0
+    bleu_mean = statistics.fmean(r.bleu for r in succeeded) if succeeded else None
     return RunReport(
         pair_results=results,
         adherence_means=adherence_means,
@@ -382,8 +439,9 @@ def evaluate_run(pairs: list[tuple[str, str]], lists: WordLists) -> RunReport:
 def compare_systems(distances_by_system: dict[str, list[float]]) -> list[dict]:
     """Pairwise Mann-Whitney tests over per-system distance distributions,
     with Benjamini-Hochberg adjustment across all pairings and Cliff's delta
-    effect sizes."""
-    names = sorted(distances_by_system)
+    effect sizes. A system without distances (no evaluated pair) is left
+    out."""
+    names = sorted(name for name, distances in distances_by_system.items() if distances)
     pairings = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     raw = []
     for a, b in pairings:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's own algorithms: tree edit distance is
-the naive forest recursion over the textbook definition, BM25/TF-IDF scoring
+the naive forest recursion over the textbook definition (plus a plain
+Zhang-Shasha for trees too big for it), BM25/TF-IDF scoring
 is a literal formula transcription without an inverted index, and the
 Mann-Whitney p-value enumerates group assignments with itertools.
 """
@@ -62,6 +63,74 @@ def random_tree(rng: random.Random, max_nodes: int, labels: str = "abc") -> Node
         parent.children.append(child)
         nodes.append(child)
     return nodes[0]
+
+
+def _zs_postorder(root: Node) -> tuple[list[str], list[int]]:
+    """Post-order labels and, per node, the index of its leftmost leaf."""
+    labels: list[str] = []
+    leftmost: list[int] = []
+
+    def walk(node: Node) -> int:
+        first = None
+        for child in node.children:
+            child_leftmost = walk(child)
+            if first is None:
+                first = child_leftmost
+        index = len(labels)
+        labels.append(node.label)
+        leftmost.append(first if first is not None else index)
+        return leftmost[index]
+
+    walk(root)
+    return labels, leftmost
+
+
+def _zs_keyroots(leftmost: list[int]) -> list[int]:
+    last_with_leftmost: dict[int, int] = {}
+    for index, value in enumerate(leftmost):
+        last_with_leftmost[value] = index
+    return sorted(last_with_leftmost.values())
+
+
+def zhang_shasha_reference(a: Node, b: Node) -> int:
+    """Textbook Zhang-Shasha with unit costs: one full forest table per
+    keyroot pair, every cell by the three-case recurrence. Polynomial, so it
+    checks the library's tuned version on trees too big for the naive
+    recursion."""
+    labels_a, left_a = _zs_postorder(a)
+    labels_b, left_b = _zs_postorder(b)
+    size_a, size_b = len(labels_a), len(labels_b)
+    tree_dist = [[0] * size_b for _ in range(size_a)]
+
+    def forest_dist(i: int, j: int) -> None:
+        i_offset = left_a[i] - 1
+        j_offset = left_b[j] - 1
+        m = i - left_a[i] + 2
+        n = j - left_b[j] + 2
+        fd = [[0] * n for _ in range(m)]
+        for x in range(1, m):
+            fd[x][0] = fd[x - 1][0] + 1
+        for y in range(1, n):
+            fd[0][y] = fd[0][y - 1] + 1
+        for x in range(1, m):
+            for y in range(1, n):
+                if left_a[x + i_offset] == left_a[i] and left_b[y + j_offset] == left_b[j]:
+                    relabel = 0 if labels_a[x + i_offset] == labels_b[y + j_offset] else 1
+                    fd[x][y] = min(fd[x - 1][y] + 1,
+                                   fd[x][y - 1] + 1,
+                                   fd[x - 1][y - 1] + relabel)
+                    tree_dist[x + i_offset][y + j_offset] = fd[x][y]
+                else:
+                    p = left_a[x + i_offset] - 1 - i_offset
+                    q = left_b[y + j_offset] - 1 - j_offset
+                    fd[x][y] = min(fd[x - 1][y] + 1,
+                                   fd[x][y - 1] + 1,
+                                   fd[p][q] + tree_dist[x + i_offset][y + j_offset])
+
+    for i in _zs_keyroots(left_a):
+        for j in _zs_keyroots(left_b):
+            forest_dist(i, j)
+    return tree_dist[size_a - 1][size_b - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ class TestIndexAndGenerate:
 
     def test_generate_returns_indexed_dockerfile(self, capsys, built, tmp_path):
         corpus, index = built
-        record = read_corpus_records(corpus)[0]
+        _, record = read_corpus_records(corpus)[0]
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(record["spec"]))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
@@ -135,7 +135,7 @@ class TestIndexAndGenerate:
 
     def test_generate_top_k_json(self, capsys, built, tmp_path):
         corpus, index = built
-        record = read_corpus_records(corpus)[0]
+        _, record = read_corpus_records(corpus)[0]
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(record["spec"]))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
@@ -148,7 +148,7 @@ class TestIndexAndGenerate:
 
     def test_generate_tfidf_method(self, capsys, built, tmp_path):
         corpus, index = built
-        record = read_corpus_records(corpus)[1]
+        _, record = read_corpus_records(corpus)[1]
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(record["spec"]))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
@@ -224,6 +224,23 @@ class TestEvaluateCommand:
         comparison = payload["comparisons"][0]
         assert comparison["systems"] == ["other", "outputs"]
         assert "p_adjusted" in comparison
+
+    def test_system_without_evaluated_pairs(self, capsys, dirs, tmp_path):
+        targets, outputs = dirs
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in ("a.Dockerfile", "b.Dockerfile"):
+            (broken / name).write_text("this is not a Dockerfile\n")
+        code, out, err = run(capsys, "evaluate", "--targets", str(targets),
+                             "--outputs", str(outputs), "--outputs", str(broken))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["systems"]["broken"]["evaluated_pairs"] == 0
+        assert payload["systems"]["broken"]["failed_pairs"] == 2
+        assert payload["systems"]["broken"]["bleu4_mean"] is None
+        assert payload["systems"]["outputs"]["bleu4_mean"] > 0.0
+        assert payload["comparisons"] == []
+        assert err == "system broken: no evaluated pairs; left out of comparisons\n"
 
     def test_usage_error_without_dirs(self, capsys):
         code, _, err = run(capsys, "evaluate")
@@ -331,6 +348,17 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    def test_index_build_names_line_of_bad_spec(self, capsys, tmp_path):
+        corpus = write_corpus(tmp_path / "c.jsonl")
+        with corpus.open("a") as handle:
+            handle.write("\n" + json.dumps({"spec": {"os": "alpine"}, "dockerfile": "x"}) + "\n")
+        code, out, err = run(capsys, "index", "build", str(corpus),
+                             "--out", str(tmp_path / "index.bin"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {corpus}:3: missing field(s): pkg_manager")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [["--k1", "nan"], ["--k1", "-5"], ["--k1", "inf"],
                                        ["--b", "7"], ["--b", "-0.1"], ["--b", "nan"]])

@@ -282,7 +282,7 @@ class TestPipeline:
         result = build_corpus(entries)
         out = tmp_path / "corpus.jsonl"
         write_jsonl(out, result.finetune)
-        records = read_corpus_records(out)
+        records = [record for _, record in read_corpus_records(out)]
         assert len(records) == len(result.finetune)
         assert {r["sha1"] for r in records} == \
             {e.content_hash for e in result.finetune}
@@ -294,6 +294,19 @@ class TestPipeline:
         path.write_text(json.dumps({"spec": {}, "dockerfile": dockerfile}) + "\n")
         with pytest.raises(SchemaError, match=":1: record must carry"):
             read_corpus_records(path)
+
+    def test_read_names_line_of_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps({"spec": {}, "dockerfile": "FROM alpine"})
+        path.write_bytes(f"{good}\n{good}\n".encode() + b'{"dockerfile": "caf\xe9"}\n')
+        with pytest.raises(SchemaError, match=r"corpus\.jsonl:3: not UTF-8 text"):
+            read_corpus_records(path)
+
+    def test_read_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps({"spec": {}, "dockerfile": "FROM alpine"})
+        path.write_text(f"{good}\n\n{good}\n")
+        assert [number for number, _ in read_corpus_records(path)] == [1, 3]
 
     def test_cluster_members_share_spec(self, corpus_dir, word_lists):
         entries, _ = ingest_directory(corpus_dir, word_lists)

@@ -1,10 +1,12 @@
+import copy
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dockerspec.dockerfile_syntax import Node, build_ast, parse_dockerfile
+from dockerspec.dockerfile_syntax import Node, ast_size, build_ast, parse_dockerfile
 from dockerspec.errors import EmptyCandidate, EmptyInput, EmptyManifest, EmptySample
 from dockerspec.evaluation import (
     adherence,
@@ -26,7 +28,10 @@ from oracles import (
     permutation_mann_whitney_p,
     random_tree,
     random_valid_spec,
+    zhang_shasha_reference,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestAdherence:
@@ -108,6 +113,97 @@ class TestTreeEditDistance:
                 for c in trees[:4]:
                     assert tree_edit_distance(a, c) <= \
                         tree_edit_distance(a, b) + tree_edit_distance(b, c)
+
+
+def labels_of(node):
+    return {node.label}.union(*(labels_of(c) for c in node.children))
+
+
+def edited(root, rng, edits, labels=("RUN", "apt-get", "curl", "x")):
+    """A copy of ``root`` after ``edits`` random relabels, node deletions
+    (the children move up) and node insertions (over a run of siblings)."""
+    root = copy.deepcopy(root)
+    for _ in range(edits):
+        places = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            places.extend((node, index) for index in range(len(node.children)))
+            stack.extend(node.children)
+        action = rng.choice(("relabel", "delete", "insert"))
+        if action == "delete" and places:
+            parent, index = rng.choice(places)
+            parent.children[index:index + 1] = parent.children[index].children
+        elif action == "insert" and places:
+            parent, start = rng.choice(places)
+            stop = rng.randint(start, len(parent.children))
+            parent.children[start:stop] = [Node(rng.choice(labels),
+                                                 parent.children[start:stop])]
+        else:
+            node = rng.choice([root] + [parent.children[i] for parent, i in places])
+            node.label = rng.choice(labels)
+    return root
+
+
+@st.composite
+def small_tree_pairs(draw):
+    """Two random trees of 1-7 nodes over one shared alphabet of 1-2 labels."""
+    labels = draw(st.sampled_from(["a", "ab"]))
+
+    def one_tree():
+        nodes = [Node(draw(st.sampled_from(labels)))]
+        for k in range(1, draw(st.integers(1, 7))):
+            child = Node(draw(st.sampled_from(labels)))
+            nodes[draw(st.integers(0, k - 1))].children.append(child)
+            nodes.append(child)
+        return nodes[0]
+
+    return one_tree(), one_tree()
+
+
+class TestTreeEditDistanceExactness:
+    """The tuned tree_edit_distance against the plain Zhang-Shasha of
+    tests/oracles.py on real Dockerfile trees, and against the naive
+    recursion on tiny ones."""
+
+    @pytest.fixture(scope="class")
+    def fixture_trees(self):
+        trees = {path.stem: build_ast(parse_dockerfile(path.read_text()))
+                 for path in sorted(FIXTURES.glob("*.Dockerfile"))}
+        ffmpeg = trees["tomcat-ffmpeg"]
+        trees["merged"] = Node("dockerfile", copy.deepcopy(
+            ffmpeg.children + trees["debian-slim"].children + ffmpeg.children[:5]))
+        return trees
+
+    def test_fixtures_against_each_other(self, fixture_trees):
+        for a in fixture_trees.values():
+            for b in fixture_trees.values():
+                assert tree_edit_distance(a, b) == zhang_shasha_reference(a, b)
+
+    @pytest.mark.parametrize("name", ["tomcat-ffmpeg", "merged"])
+    def test_fixture_against_edited_copies(self, fixture_trees, name):
+        rng = random.Random(name)
+        original = fixture_trees[name]
+        assert 60 <= ast_size(original) <= 150
+        copies = [edited(original, rng, edits) for edits in (1, 4, 12)]
+        for a, b in [(original, c) for c in copies] + [(copies[0], copies[2])]:
+            expected = zhang_shasha_reference(a, b)
+            assert tree_edit_distance(a, b) == expected
+            assert tree_edit_distance(b, a) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=small_tree_pairs())
+    def test_tiny_trees_match_naive_oracle(self, pair):
+        a, b = pair
+        assert tree_edit_distance(a, b) == naive_tree_edit_distance(a, b)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 10 ** 6), label=st.sampled_from("abcd"))
+    def test_leaf_identity(self, seed, label):
+        other = random_tree(random.Random(seed), 30, "abc")
+        expected = ast_size(other) - 1 + (label not in labels_of(other))
+        assert tree_edit_distance(Node(label), other) == expected
+        assert tree_edit_distance(other, Node(label)) == expected
 
 
 class TestNormalizedDistance:
@@ -373,6 +469,12 @@ class TestEvaluateRun:
         assert report.evaluated_pairs == 1
         assert report.pair_results[1].error is not None
 
+    def test_no_evaluated_pair_gives_null_bleu_mean(self, word_lists):
+        report = evaluate_run([(TARGET, ""), (TARGET, "")], word_lists)
+        assert report.evaluated_pairs == 0
+        assert report.bleu_mean is None
+        assert report.distance_summary == {}
+
     def test_each_file_parsed_once(self, monkeypatch, word_lists):
         from dockerspec import evaluation
 
@@ -427,3 +529,9 @@ class TestCompareSystems:
                          if r["systems"] == ["system-a", "system-c"])
         assert identical["delta"] == 0.0
         assert identical["p_value"] == 1.0
+
+    def test_system_without_distances_left_out(self):
+        results = compare_systems({"system-a": [0.1, 0.2], "system-b": [0.5, 0.6],
+                                   "failed": []})
+        assert [r["systems"] for r in results] == [["system-a", "system-b"]]
+        assert compare_systems({"system-a": [0.1], "failed": []}) == []
