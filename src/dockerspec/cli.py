@@ -371,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     except InferenceIncomplete as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except (ParseError, SchemaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
     except DockerspecError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

@@ -24,11 +24,10 @@ from .dockerfile_syntax import (
     run_statements,
 )
 from .errors import (
-    EmptyInput,
     InferenceIncomplete,
     KindMismatch,
     MalformedFrom,
-    MalformedInstruction,
+    ParseError,
     SchemaError,
     ShellSyntaxError,
     TooFewEntries,
@@ -108,13 +107,10 @@ def filter_eligible(
 
 def dedup(entries: list[CorpusEntry]) -> list[CorpusEntry]:
     """Drop duplicate Dockerfiles by content hash, keeping first occurrences."""
-    seen: set[str] = set()
-    kept = []
+    first: dict[str, CorpusEntry] = {}
     for entry in entries:
-        if entry.content_hash not in seen:
-            seen.add(entry.content_hash)
-            kept.append(entry)
-    return kept
+        first.setdefault(entry.content_hash, entry)
+    return list(first.values())
 
 
 def instruction_jaccard(a: Instruction, b: Instruction) -> float:
@@ -122,11 +118,13 @@ def instruction_jaccard(a: Instruction, b: Instruction) -> float:
     instructions (1.0 when both sets are empty)."""
     if a.kind != b.kind:
         raise KindMismatch(f"{a.kind} vs {b.kind}")
-    tokens_a = set(a.argument_tokens())
-    tokens_b = set(b.argument_tokens())
-    if not tokens_a and not tokens_b:
+    return _jaccard(frozenset(a.argument_tokens()), frozenset(b.argument_tokens()))
+
+
+def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    if not a and not b:
         return 1.0
-    return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
+    return len(a & b) / len(a | b)
 
 
 def cluster_by_spec(entries: list[CorpusEntry]) -> list[SpecCluster]:
@@ -140,34 +138,27 @@ def cluster_by_spec(entries: list[CorpusEntry]) -> list[SpecCluster]:
     return list(clusters.values())
 
 
-def _typicality(entry: CorpusEntry, others: list[CorpusEntry]) -> float:
-    scores = []
-    for inst in entry.document.instructions:
-        best_matches = []
-        for other in others:
-            same_kind = [j for j in other.document.instructions if j.kind == inst.kind]
-            best_matches.append(
-                max((instruction_jaccard(inst, j) for j in same_kind), default=0.0))
-        # summing in sorted order keeps the score independent of member order
-        scores.append(sum(sorted(best_matches)) / len(best_matches))
-    return sum(scores) / len(scores)
-
-
 def select_representative(cluster: SpecCluster) -> CorpusEntry:
     """The member with the highest mean best-counterpart Jaccard similarity
     to the other members; ties broken by fewer instructions, then hash."""
-    if len(cluster.members) == 1:
-        return cluster.members[0]
-    best_key = None
-    best = None
-    for idx, entry in enumerate(cluster.members):
-        others = cluster.members[:idx] + cluster.members[idx + 1:]
-        key = (-_typicality(entry, others),
-               len(entry.document.instructions),
-               entry.content_hash)
-        if best_key is None or key < best_key:
-            best_key, best = key, entry
-    return best
+    members = cluster.members
+    if len(members) == 1:
+        return members[0]
+    token_sets = [[(inst.kind, frozenset(inst.argument_tokens()))
+                   for inst in member.document.instructions] for member in members]
+
+    def key(idx: int) -> tuple[float, int, str]:
+        scores = []
+        for kind, tokens in token_sets[idx]:
+            best_matches = [
+                max((_jaccard(tokens, other_tokens)
+                     for other_kind, other_tokens in other if other_kind == kind), default=0.0)
+                for other_idx, other in enumerate(token_sets) if other_idx != idx]
+            # summing in sorted order keeps the score independent of member order
+            scores.append(sum(sorted(best_matches)) / len(best_matches))
+        return -(sum(scores) / len(scores)), len(token_sets[idx]), members[idx].content_hash
+
+    return members[min(range(len(members)), key=key)]
 
 
 def _sorted_statement(stmt: ShellStatement) -> ShellStatement:
@@ -246,7 +237,7 @@ def _ingest_one(path: Path, lists: WordLists,
         return "unreadable", None
     try:
         doc = parse_dockerfile(text)
-    except (MalformedInstruction, EmptyInput):
+    except ParseError:
         return "parse-error", None
     eligible, reason = filter_eligible(doc, lists, known_words)
     if not eligible:

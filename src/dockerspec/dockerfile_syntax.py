@@ -9,15 +9,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
-from .errors import EmptyInput, MalformedInstruction, ShellSyntaxError
+from .errors import EmptyInput, MalformedInstruction, ParseError, ShellSyntaxError
 
 INSTRUCTION_KINDS = frozenset({
     "FROM", "RUN", "CMD", "ENTRYPOINT", "COPY", "ADD", "ENV", "ARG",
     "LABEL", "EXPOSE", "WORKDIR", "USER", "VOLUME", "MAINTAINER",
     "ONBUILD", "SHELL", "STOPSIGNAL", "HEALTHCHECK",
 })
+
+# a parser directive BuildKit knows; directives count only above any other line
+_DIRECTIVE = re.compile(r"#\s*(syntax|escape|check)\s*=\s*(.+?)\s*", re.IGNORECASE)
+# quoted strings and escapes are skipped; an unquoted "<<" opens a heredoc
+_HEREDOC_SCAN = re.compile(r"""'[^']*'|"(?:\\.|[^"\\])*"|\\.|<<<|<<""")
 
 # connector spellings, in both directions
 _CONNECTOR_NAMES = {"&&": "and", "||": "or", ";": "semicolon", "|": "pipe", "\n": "newline"}
@@ -76,10 +82,7 @@ class Node:
 def _trailing_continuation(line: str) -> bool:
     """True when the line ends with an unescaped backslash."""
     stripped = line.rstrip()
-    n = 0
-    while n < len(stripped) and stripped[-1 - n] == "\\":
-        n += 1
-    return n % 2 == 1
+    return (len(stripped) - len(stripped.rstrip("\\"))) % 2 == 1
 
 
 def parse_dockerfile(text: str) -> DockerfileDocument:
@@ -88,8 +91,9 @@ def parse_dockerfile(text: str) -> DockerfileDocument:
     Backslash line continuations are joined into one logical line per
     instruction; comments inside a continuation block are recorded as
     standalone comment lines. Raises MalformedInstruction for a line that
-    does not start with a known keyword and EmptyInput when no instruction
-    is found.
+    does not start with a known keyword, ParseError for an ``escape`` parser
+    directive other than backslash or a RUN/COPY/ADD that opens a heredoc,
+    and EmptyInput when no instruction is found.
     """
     instructions: list[Instruction] = []
     comments: list[CommentLine] = []
@@ -103,27 +107,33 @@ def parse_dockerfile(text: str) -> DockerfileDocument:
         head, _, rest = logical.partition(" ")
         if not head.isalpha() or head.upper() not in INSTRUCTION_KINDS:
             raise MalformedInstruction(start_line, segments[0])
+        if head.upper() in ("RUN", "COPY", "ADD") and "<<" in rest and any(
+                m[0] == "<<" for m in _HEREDOC_SCAN.finditer(rest)):
+            raise ParseError(
+                f"line {start_line}: heredoc (<<) in {head.upper()} is not supported")
         instructions.append(Instruction(head.upper(), rest.strip(), (start_line, end_line)))
         segments.clear()
 
+    directive = True  # still inside the parser directives that open the file
     last_content_line = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
+        directive = directive and _DIRECTIVE.fullmatch(stripped)
+        if directive and directive[1].lower() == "escape" and directive[2] != "\\":
+            raise ParseError(f"line {lineno}: parser directive {stripped!r} is not "
+                             "supported; the escape character must be backslash")
         if not stripped:
             blanks.add(lineno)
             continue
         if stripped.startswith("#"):
             comments.append(CommentLine(stripped[1:].strip(), lineno))
             continue
-        if _trailing_continuation(line):
-            piece = line.rstrip()[:-1].strip()
-        else:
-            piece = stripped
+        continued = _trailing_continuation(line)
         if not segments:
             start_line = lineno
-        segments.append(piece)
+        segments.append(line.rstrip()[:-1].strip() if continued else stripped)
         last_content_line = lineno
-        if not _trailing_continuation(line):
+        if not continued:
             close_instruction(lineno)
     if segments:
         # dangling continuation at EOF: close with what we have
@@ -150,7 +160,10 @@ def serialize_document(doc: DockerfileDocument) -> str:
     """
     events: list[tuple[int, int, str]] = []
     for inst in doc.instructions:
-        events.append((inst.line_span[0], 1, f"{inst.kind} {inst.raw_arguments}".rstrip()))
+        line = f"{inst.kind} {inst.raw_arguments}".rstrip()
+        if _trailing_continuation(line):
+            line += " \\"  # as parsed from a continuation dangling at the end
+        events.append((inst.line_span[0], 1, line))
     for comment in doc.comments:
         events.append((comment.line, 0, f"# {comment.text}".rstrip()))
     for blank in doc.blank_lines:

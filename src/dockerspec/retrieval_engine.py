@@ -190,8 +190,8 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
     """Read an index file; returns the index and its own ``entries`` list.
 
     Raises SchemaError on text that is not UTF-8, wrong magic or version,
-    missing keys, a dockerfile that is not a string, or BM25 parameters that
-    build_index rejects."""
+    missing keys, a bad entry (named ``path: entry N``, N its doc id), or
+    BM25 parameters that build_index rejects."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -203,12 +203,14 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
     if payload.get("version") != INDEX_VERSION:
         raise SchemaError(f"unsupported index version {payload.get('version')!r}")
     try:
-        entries = [
-            (spec_from_dict(item["spec"]), item["dockerfile"])
-            for item in payload["entries"]
-        ]
-        if not all(isinstance(text, str) for _, text in entries):
-            raise SchemaError("malformed index file: a dockerfile is not a string")
+        entries = []
+        for doc_id, item in enumerate(payload["entries"]):
+            try:
+                entries.append((spec_from_dict(item["spec"]), item["dockerfile"]))
+                if not isinstance(item["dockerfile"], str):
+                    raise SchemaError("malformed index file: a dockerfile is not a string")
+            except SchemaError as exc:
+                raise SchemaError(f"{path}: entry {doc_id}: {exc}") from exc
         index = build_index(entries, payload["k1"], payload["b"])
     except KeyError as exc:
         raise SchemaError(f"index file lacks key {exc}") from exc

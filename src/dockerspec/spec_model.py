@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import SchemaError
@@ -50,9 +50,6 @@ class DockerSpec:
     uses_expose: bool = False
     uses_cmd: bool = False
     uses_entrypoint: bool = False
-
-    def replace(self, **changes) -> "DockerSpec":
-        return replace(self, **changes)
 
 
 def allowed_managers(os_name: str) -> set[str]:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: tree edit distance is
 the naive forest recursion over the textbook definition (plus a plain
-Zhang-Shasha for trees too big for it), BM25/TF-IDF scoring
+Zhang-Shasha for trees too big for it), representative selection
+re-tokenizes every compared instruction pair, BM25/TF-IDF scoring
 is a literal formula transcription without an inverted index, and the
 Mann-Whitney p-value enumerates group assignments with itertools.
 """
@@ -13,6 +14,7 @@ import random
 from collections import Counter
 
 from dockerspec.dockerfile_syntax import Node
+from dockerspec.errors import KindMismatch
 from dockerspec.spec_model import FLAG_FIELDS, DockerSpec
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,53 @@ def zhang_shasha_reference(a: Node, b: Node) -> int:
         for j in _zs_keyroots(left_b):
             forest_dist(i, j)
     return tree_dist[size_a - 1][size_b - 1]
+
+
+# ---------------------------------------------------------------------------
+# representative selection: the straightforward per-triple version
+
+
+def reference_instruction_jaccard(a, b) -> float:
+    """Jaccard similarity of the argument token sets of two same-kind
+    instructions (1.0 when both sets are empty)."""
+    if a.kind != b.kind:
+        raise KindMismatch(f"{a.kind} vs {b.kind}")
+    tokens_a = set(a.argument_tokens())
+    tokens_b = set(b.argument_tokens())
+    if not tokens_a and not tokens_b:
+        return 1.0
+    return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
+
+
+def _reference_typicality(entry, others) -> float:
+    scores = []
+    for inst in entry.document.instructions:
+        best_matches = []
+        for other in others:
+            same_kind = [j for j in other.document.instructions if j.kind == inst.kind]
+            best_matches.append(
+                max((reference_instruction_jaccard(inst, j) for j in same_kind), default=0.0))
+        # summing in sorted order keeps the score independent of member order
+        scores.append(sum(sorted(best_matches)) / len(best_matches))
+    return sum(scores) / len(scores)
+
+
+def select_representative_reference(cluster):
+    """The member with the highest mean best-counterpart Jaccard similarity
+    to the other members; ties broken by fewer instructions, then hash.
+    Re-tokenizes both instructions for every compared pair."""
+    if len(cluster.members) == 1:
+        return cluster.members[0]
+    best_key = None
+    best = None
+    for idx, entry in enumerate(cluster.members):
+        others = cluster.members[:idx] + cluster.members[idx + 1:]
+        key = (-_reference_typicality(entry, others),
+               len(entry.document.instructions),
+               entry.content_hash)
+        if best_key is None or key < best_key:
+            best_key, best = key, entry
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
@@ -360,6 +361,38 @@ class TestBadInput:
         assert err.startswith(f"error: {corpus}:3: missing field(s): pkg_manager")
         assert err.count("\n") == 1
 
+    def test_generate_names_entry_of_bad_index_spec(self, capsys, tmp_path):
+        corpus = write_corpus(tmp_path / "c.jsonl")
+        corpus.write_text(corpus.read_text() * 3)
+        index = tmp_path / "index.bin"
+        assert main(["index", "build", str(corpus), "--out", str(index)]) == 0
+        payload = json.loads(index.read_text())
+        payload["entries"][1]["spec"] = {"os": "alpine"}
+        index.write_text(json.dumps(payload))
+        spec_file = tmp_path / "query.json"
+        spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
+        capsys.readouterr()
+        code, out, err = run(capsys, "generate", "--spec", str(spec_file), "--index", str(index))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {index}: entry 1: missing field(s): pkg_manager")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["parse", "infer-spec"])
+    @pytest.mark.parametrize("text, message", [
+        ("# escape=`\nFROM mcr.microsoft.com/windows/servercore\nRUN dir `\n    c:\\\n",
+         "line 1: parser directive '# escape=`' is not supported"),
+        ("# Install git\nFROM alpine:3.18\nRUN <<EOF\napk add git\nEOF\n",
+         "line 3: heredoc (<<) in RUN is not supported"),
+    ])
+    def test_directive_and_heredoc_named(self, capsys, tmp_path, command, text, message):
+        dockerfile = tmp_path / "Dockerfile"
+        dockerfile.write_text(text)
+        code, out, err = run(capsys, command, str(dockerfile))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [["--k1", "nan"], ["--k1", "-5"], ["--k1", "inf"],
                                        ["--b", "7"], ["--b", "-0.1"], ["--b", "nan"]])
     def test_index_build_rejects_bad_bm25_parameters(self, capsys, tmp_path, flags):
@@ -406,3 +439,27 @@ class TestUsage:
                               str(corpus_dir), "--out", str(out), "--seed", "5")
         assert code == 0
         assert json.loads(stdout)["seed"] == 5
+
+
+# Dockerfile-shaped bytes for the CLI fuzz test, beside arbitrary bytes
+_LINES = st.sampled_from([
+    "FROM alpine:3.18", "FROM ubuntu:22.04", "FROM", "# Install git curl", "# escape=`",
+    "RUN apk add --no-cache git", "RUN apt-get install -y curl && \\", "RUN echo 'x",
+    "RUN <<EOF", "RUN wget http://x/y.tgz", 'CMD ["run"]', "EXPOSE 80", "LABEL", "",
+    "not an instruction",
+])
+_DOCKERFILE_BYTES = st.lists(st.one_of(_LINES, st.text(max_size=10)), max_size=8).map(
+    lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@pytest.mark.parametrize("command", ["parse", "infer-spec"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.one_of(st.binary(), _DOCKERFILE_BYTES))
+def test_arbitrary_bytes_exit_cleanly(capsys, tmp_path, command, content):
+    dockerfile = tmp_path / "Dockerfile"
+    dockerfile.write_bytes(content)
+    code, out, err = run(capsys, command, str(dockerfile))
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +23,13 @@ from dockerspec.corpus_pipeline import (
     token_length,
     write_jsonl,
 )
-from dockerspec.dockerfile_syntax import parse_dockerfile
+from dockerspec.dockerfile_syntax import Instruction, parse_dockerfile
 from dockerspec.errors import KindMismatch, SchemaError, TooFewEntries
 from dockerspec.spec_inference import infer_spec
 from dockerspec.spec_model import DockerSpec
+from oracles import reference_instruction_jaccard, select_representative_reference
+
+BENCHMARK_GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
 
 
 def entry_from_text(text, word_lists, source="mem"):
@@ -120,6 +126,17 @@ class TestInstructionJaccard:
         b = Instruction("LABEL", "", (2, 2))
         assert instruction_jaccard(a, b) == 1.0
 
+    @given(st.sampled_from(["RUN", "LABEL"]), st.lists(st.sampled_from("abcdef"), max_size=5),
+           st.sampled_from(["RUN", "LABEL"]), st.lists(st.sampled_from("abcdef"), max_size=5))
+    def test_matches_reference(self, kind_a, words_a, kind_b, words_b):
+        a = Instruction(kind_a, " ".join(words_a), (1, 1))
+        b = Instruction(kind_b, " ".join(words_b), (2, 2))
+        if kind_a != kind_b:
+            with pytest.raises(KindMismatch):
+                instruction_jaccard(a, b)
+        else:
+            assert instruction_jaccard(a, b) == reference_instruction_jaccard(a, b)
+
     @given(st.lists(st.sampled_from("abcdef"), max_size=5),
            st.lists(st.sampled_from("abcdef"), max_size=5))
     def test_symmetric_and_bounded(self, words_a, words_b):
@@ -173,6 +190,96 @@ class TestSelectRepresentative:
             rng.shuffle(members)
             shuffled = SpecCluster(cluster.spec, members)
             assert select_representative(shuffled).content_hash == chosen
+
+
+# instruction lines for random clusters: shared, overlapping and empty token
+# sets over several kinds, so that scores tie and kinds go unmatched
+_CLUSTER_LINES = ["RUN apt-get install -y git", "RUN apt-get install -y git curl",
+                  "RUN echo a", "RUN echo a b", "COPY . /app", "COPY src /app",
+                  "WORKDIR /app", "LABEL", "ENV", "EXPOSE 80", "EXPOSE 80 443"]
+
+
+def _cluster_from_bodies(bodies):
+    members = []
+    for i, lines in enumerate(bodies):
+        doc = parse_dockerfile("\n".join(["# c", "FROM alpine:3.18"] + lines) + "\n")
+        members.append(CorpusEntry(DockerSpec(), doc, f"m{i}"))
+    return SpecCluster(DockerSpec(), members)
+
+
+def _benchmark_clusters(tmp_path, seed, word_lists):
+    """The clusters of the benchmark's corpus workload for ``seed``."""
+    spec = importlib.util.spec_from_file_location("benchmark_generate", BENCHMARK_GENERATOR)
+    generate = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generate  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(generate)
+        generate.write_corpus(tmp_path, seed)
+    finally:
+        del sys.modules[spec.name]
+    entries, _ = ingest_directory(tmp_path, word_lists)
+    return cluster_by_spec(dedup(entries))
+
+
+class TestSelectRepresentativeMatchesReference:
+    """The representative is the one today's per-triple reference picks,
+    as the same object."""
+
+    def test_fixture_clusters(self, corpus_dir, word_lists):
+        entries, _ = ingest_directory(corpus_dir, word_lists)
+        clusters = cluster_by_spec(dedup(entries))
+        assert any(len(c.members) > 2 for c in clusters)
+        for cluster in clusters:
+            assert select_representative(cluster) is select_representative_reference(cluster)
+
+    @given(st.lists(st.lists(st.sampled_from(_CLUSTER_LINES), max_size=5),
+                    min_size=2, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_random_clusters(self, bodies):
+        cluster = _cluster_from_bodies(bodies)
+        assert select_representative(cluster) is select_representative_reference(cluster)
+
+    def test_identical_members_first_wins(self):
+        cluster = _cluster_from_bodies([["RUN echo a"], ["RUN echo a b"], ["RUN echo a"]])
+        assert select_representative(cluster) is cluster.members[0]
+        assert select_representative_reference(cluster) is cluster.members[0]
+
+    def test_tie_breaks_by_fewer_instructions_before_hash(self):
+        short = "# a\nFROM alpine:3.18\nRUN echo a\n"
+        long = short + "RUN echo a\n"
+        members = [CorpusEntry(DockerSpec(), parse_dockerfile(t), t) for t in (long, short)]
+        assert members[0].content_hash < members[1].content_hash
+        cluster = SpecCluster(DockerSpec(), members)
+        assert select_representative(cluster) is members[1]
+        assert select_representative_reference(cluster) is members[1]
+
+    def test_best_matches_summed_in_sorted_order(self):
+        # members 1 and 3 have the same exact score (53/120); summed sorted,
+        # the floats tie and the hash picks 3; summed in member order,
+        # member 1 would win by the last bit
+        bodies = ["b k d c h e f", "e i f k c g a b", "l f b h c", "i b d k c g a", "g d i j b"]
+        members = [CorpusEntry(DockerSpec(), parse_dockerfile(f"RUN {body}\n"), body)
+                   for body in bodies]
+        cluster = SpecCluster(DockerSpec(), members)
+        assert select_representative(cluster) is members[3]
+        assert select_representative_reference(cluster) is members[3]
+
+    def test_each_instruction_tokenized_once(self, monkeypatch):
+        cluster = _cluster_from_bodies([_CLUSTER_LINES[:4], _CLUSTER_LINES[2:7],
+                                        _CLUSTER_LINES[5:]])
+        calls = []
+        tokens = Instruction.argument_tokens
+        monkeypatch.setattr(Instruction, "argument_tokens",
+                            lambda inst: calls.append(inst) or tokens(inst))
+        select_representative(cluster)
+        assert len(calls) == sum(len(m.document.instructions) for m in cluster.members)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_clusters(self, tmp_path, word_lists, seed):
+        clusters = _benchmark_clusters(tmp_path, seed, word_lists)
+        assert len(clusters) > 500 and max(len(c.members) for c in clusters) > 40
+        for cluster in clusters:
+            assert select_representative(cluster) is select_representative_reference(cluster)
 
 
 class TestNormalize:
@@ -261,6 +368,15 @@ class TestPipeline:
         assert reasons["shell-syntax-error"] == 1
         assert reasons["empty-instruction"] == 1
         assert reasons["eligible"] == len(entries)
+
+    def test_directive_and_heredoc_files_are_parse_errors(self, corpus_dir, word_lists):
+        (corpus_dir / "windows.Dockerfile").write_text(
+            "# escape=`\nFROM mcr.microsoft.com/windows/servercore\n# Install git\n"
+            "RUN choco install git `\n    -y\n")
+        (corpus_dir / "heredoc.Dockerfile").write_text(
+            "FROM ubuntu:22.04\n# Install git\nRUN <<EOF\napt-get install -y git\nEOF\n")
+        _, reasons = ingest_directory(corpus_dir, word_lists)
+        assert reasons["parse-error"] == 2
 
     def test_build_corpus_partitions(self, corpus_dir, word_lists):
         entries, _ = ingest_directory(corpus_dir, word_lists)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dockerspec.dockerfile_syntax import (
     ShellStatement,
@@ -13,7 +13,7 @@ from dockerspec.dockerfile_syntax import (
     run_statements,
     serialize_document,
 )
-from dockerspec.errors import EmptyInput, MalformedInstruction, ShellSyntaxError
+from dockerspec.errors import EmptyInput, MalformedInstruction, ParseError, ShellSyntaxError
 
 
 class TestParseDockerfile:
@@ -91,6 +91,74 @@ class TestParseDockerfile:
         assert all(start <= end for start, end in spans)
         for (_, prev_end), (start, _) in zip(spans, spans[1:]):
             assert start > prev_end
+
+
+def _parse_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_dockerfile(text)
+    assert not isinstance(info.value, MalformedInstruction)
+    assert "\n" not in str(info.value)
+    return str(info.value)
+
+
+class TestParserDirectives:
+    """Only ``escape=\\`` is accepted; a directive counts only in the run of
+    directive lines that opens the file (Dockerfile reference)."""
+
+    def test_windows_escape_rejected_on_its_line(self):
+        text = ("# escape=`\n\nFROM mcr.microsoft.com/windows/servercore\n"
+                "RUN dir `\n    c:\\\n")
+        message = _parse_error(text)
+        assert message.startswith("line 1: parser directive '# escape=`' is not supported")
+
+    @pytest.mark.parametrize("line", ["#escape=`", "#  ESCAPE = `", "# Escape=x",
+                                      "# escape=\\\\"])
+    def test_other_escape_spellings_rejected(self, line):
+        assert _parse_error(f"{line}\nFROM alpine\n").startswith("line 1: parser directive")
+
+    def test_after_syntax_directive_still_a_directive(self):
+        text = "# syntax=docker/dockerfile:1\n# escape=`\nFROM alpine\n"
+        assert _parse_error(text).startswith("line 2: parser directive")
+
+    @pytest.mark.parametrize("text", [
+        "# escape=\\\nFROM alpine\nRUN a \\\n  b\n",
+        "#  escape = \\ \nFROM alpine\n",
+        "# a comment\n# escape=`\nFROM alpine\n",
+        "\n# escape=`\nFROM alpine\n",
+        "FROM alpine\n# escape=`\n",
+        "# unknown=x\n# escape=`\nFROM alpine\n",
+    ])
+    def test_backslash_or_not_a_directive_parses(self, text):
+        doc = parse_dockerfile(text)
+        assert doc.instructions[0].kind == "FROM"
+        assert any("escape" in c.text for c in doc.comments)
+
+
+class TestHeredocs:
+    @pytest.mark.parametrize("text, line, kind", [
+        ("FROM alpine\nRUN <<EOF\napk add git\nEOF\n", 2, "RUN"),
+        ("FROM alpine\nRUN cat <<EOF > /etc/motd\nhello\nEOF\n", 2, "RUN"),
+        ("FROM alpine\nRUN <<-EOT bash\n\tapk add git\nEOT\n", 2, "RUN"),
+        ("FROM alpine\nRUN python3 <<'EOF'\nprint(1)\nEOF\n", 2, "RUN"),
+        ("FROM alpine\nCOPY <<EOF /etc/app.conf\nkey=value\nEOF\n", 2, "COPY"),
+        ("FROM alpine\nadd <<EOF /x\ny\nEOF\n", 2, "ADD"),
+        ("FROM alpine\nRUN apk add git && \\\n  cat <<EOF\nx\nEOF\n", 2, "RUN"),
+    ])
+    def test_rejected_at_the_opening_instruction(self, text, line, kind):
+        message = _parse_error(text)
+        assert message == f"line {line}: heredoc (<<) in {kind} is not supported"
+
+    @pytest.mark.parametrize("arguments", [
+        'echo "a <<b"', "echo 'a <<b'", "echo \\<<b", 'echo "x\\" <<y"',
+        'cat <<< "here string"', '["sh", "-c", "cat <<EOF"]',
+    ])
+    def test_quoted_escaped_or_here_string_parses_as_before(self, arguments):
+        doc = parse_dockerfile(f"FROM alpine\nRUN {arguments}\n")
+        assert doc.instructions[1].raw_arguments == arguments
+
+    def test_other_instructions_unaffected(self):
+        doc = parse_dockerfile("FROM alpine\nENV A=<<b\nLABEL x=<<y\n")
+        assert [i.raw_arguments for i in doc.instructions[1:]] == ["A=<<b", "x=<<y"]
 
 
 class TestParseShell:
@@ -302,3 +370,48 @@ def test_roundtrip_on_generated_documents(lines):
     reparsed = parse_dockerfile(serialize_document(doc))
     assert [(i.kind, i.raw_arguments) for i in doc.instructions] == \
         [(i.kind, i.raw_arguments) for i in reparsed.instructions]
+
+
+# Dockerfile-shaped lines for the fuzz tests: keywords, continuations, quotes,
+# comments, directives and heredoc openers, mixed with arbitrary text
+_FUZZ_PIECES = st.sampled_from([
+    "alpine:3.14", "echo", "a=b", "\\", "\\\\", " \\", "'", '"', "<<", "<<<", "EOF", "`",
+    "&&", ";", "[", "]", " ", "\t", "\n", "\r\n", "\x85", "\u2028", "$(", ")", "#",
+])
+_fuzz_line = st.tuples(
+    st.sampled_from(["FROM", "RUN", "run", "COPY", "ADD", "ENV", "LABEL", "#", "# escape=",
+                     "# syntax=", ""]),
+    st.lists(st.one_of(_FUZZ_PIECES, st.text(max_size=6)), max_size=6),
+).map(lambda parts: parts[0] + " " + "".join(parts[1]))
+_dockerfile_like = st.lists(_fuzz_line, max_size=10).map("\n".join)
+
+
+@pytest.mark.parametrize("text", ["FROM alpine:3.14\\ \\", "RUN a \\\\ \\\n# c\n\n"])
+def test_roundtrip_of_backslash_left_by_dangling_continuation(text):
+    doc = parse_dockerfile(text)
+    assert doc.instructions[0].raw_arguments.endswith("\\")
+    reparsed = parse_dockerfile(serialize_document(doc))
+    assert [(i.kind, i.raw_arguments) for i in reparsed.instructions] == \
+        [(i.kind, i.raw_arguments) for i in doc.instructions]
+    assert [c.text for c in reparsed.comments] == [c.text for c in doc.comments]
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _dockerfile_like))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            parse_dockerfile(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _dockerfile_like))
+    def test_serialized_document_reparses_to_same_instructions(self, text):
+        try:
+            doc = parse_dockerfile(text)
+        except ParseError:
+            return
+        reparsed = parse_dockerfile(serialize_document(doc))
+        assert [(i.kind, i.raw_arguments) for i in reparsed.instructions] == \
+            [(i.kind, i.raw_arguments) for i in doc.instructions]

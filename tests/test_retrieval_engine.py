@@ -282,6 +282,21 @@ class TestIndexFile:
         with pytest.raises(SchemaError, match="dockerfile"):
             load_index(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("spec", {"os": "alpine"}, "missing field(s): pkg_manager"),
+        ("dockerfile", 3, "malformed index file: a dockerfile is not a string"),
+    ])
+    def test_bad_entry_named(self, tmp_path, key, value, message):
+        path = tmp_path / "index.bin"
+        save_index(build_index([(DockerSpec(), "doc0"), (DockerSpec(), "doc1"),
+                                (DockerSpec(), "doc2")]), path)
+        payload = json.loads(path.read_text())
+        payload["entries"][1][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            load_index(path)
+        assert str(info.value).startswith(f"{path}: entry 1: {message}")
+
     def test_hand_edited_parameters_rejected(self, tmp_path):
         path = tmp_path / "index.bin"
         save_index(build_index([(DockerSpec(), "doc")]), path)
