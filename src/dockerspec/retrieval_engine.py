@@ -3,15 +3,23 @@
 Specs are rendered into per-field texts and indexed; a query spec scores
 every document with Okapi BM25 summed over fields (a disjunctive,
 should-style query). A TF-IDF cosine ranking over whole rendered specs is
-provided as the lexical stand-in for an embedding-based baseline.
+provided as the lexical stand-in for an embedding-based baseline. Both rank
+with one top-k, ties going to the ascending doc id.
+
+The BM25 statistics are built with the index; the TF-IDF tables (idf,
+document norms, weighted postings) on the first TF-IDF query over it, and
+reused after. Both assume the index's entries list is read-only once
+indexed.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError, EmptyCorpus, SchemaError
@@ -38,11 +46,55 @@ def render_spec_fields(spec: DockerSpec) -> dict[str, str]:
     return texts
 
 
+def rendered_spec_text(spec: DockerSpec) -> str:
+    return " ".join(t for t in render_spec_fields(spec).values() if t)
+
+
+@dataclass(frozen=True)
+class TfidfTables:
+    """Smoothed idf per term, each document's vector norm, and per term the
+    (doc id, tf * idf) postings in ascending doc id."""
+    idf: dict[str, float]
+    norms: list[float]
+    postings: dict[str, list[tuple[int, float]]]
+
+
+def _tfidf_tables(entries: list[tuple[DockerSpec, str]]) -> TfidfTables:
+    """Tables over the entries' rendered specs; a document's weights, and the
+    squares summed into its norm, follow its terms' first-occurrence order."""
+    n = len(entries)
+    doc_counts = [Counter(rendered_spec_text(s).split()) for s, _ in entries]
+    df: Counter = Counter()
+    for counts in doc_counts:
+        df.update(counts.keys())
+    idf = {term: math.log((1.0 + n) / (1.0 + d)) + 1.0 for term, d in df.items()}
+    norms = []
+    postings: dict[str, list[tuple[int, float]]] = {}
+    for doc_id, counts in enumerate(doc_counts):
+        weights = [(term, tf * idf[term]) for term, tf in counts.items()]
+        norms.append(math.sqrt(sum(w * w for _, w in weights)))
+        for term, weight in weights:
+            postings.setdefault(term, []).append((doc_id, weight))
+    return TfidfTables(idf, norms, postings)
+
+
+class IndexedEntries(list):
+    """An index's own (spec, dockerfile) list, read-only once indexed. Its
+    TF-IDF tables are built on the first ``vector_retrieve`` over it and
+    kept with it."""
+
+    @cached_property
+    def tfidf(self) -> TfidfTables:
+        return _tfidf_tables(self)
+
+
 @dataclass
 class RetrievalIndex:
     """BM25 statistics over ``entries``; a document's id is its position there
-    and in each ``lengths[field]`` list."""
-    entries: list[tuple[DockerSpec, str]]
+    and in each ``lengths[field]`` list. ``entries`` is read-only once
+    indexed: the BM25 statistics, and the TF-IDF tables it builds on the
+    first TF-IDF query and reuses, describe it as it was then."""
+    entries: IndexedEntries
     postings: dict[str, dict[str, list[tuple[int, int]]]]
     doc_frequency: dict[str, dict[str, int]]
     lengths: dict[str, list[int]]
@@ -88,7 +140,7 @@ def build_index(entries: list[tuple[DockerSpec, str]],
     }
     n = len(entries)
     average_length = {f: sum(lengths[f]) / n for f in SPEC_FIELDS}
-    return RetrievalIndex(list(entries), postings, doc_frequency, lengths,
+    return RetrievalIndex(IndexedEntries(entries), postings, doc_frequency, lengths,
                           average_length, k1, b)
 
 
@@ -98,6 +150,12 @@ def _idf(n_docs: int, df: int) -> float:
 
 def query_terms_for(spec: DockerSpec) -> dict[str, list[str]]:
     return {f: text.split() for f, text in render_spec_fields(spec).items()}
+
+
+def _top_k(scores: list[float], k: int) -> list[int]:
+    """Ids of the k highest scores; nlargest is stable, so ties go to the
+    ascending id."""
+    return heapq.nlargest(max(k, 0), range(len(scores)), key=scores.__getitem__)
 
 
 def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]:
@@ -124,50 +182,37 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
             for doc_id, tf in index.postings[field_name][term]:
                 norm = index.k1 * (1.0 - index.b + index.b * lengths[doc_id] / avgdl)
                 scores[doc_id] += idf * tf * (index.k1 + 1.0) / (tf + norm)
-    ranked = sorted(range(index.size), key=lambda i: (-scores[i], i))[:max(k, 0)]
-    return [ScoredHit(i, scores[i], index.entries[i][1]) for i in ranked]
-
-
-def _tfidf_vector(counts: Counter, idf: dict[str, float], n_docs: int) -> dict[str, float]:
-    default = math.log((1.0 + n_docs) / 1.0) + 1.0
-    return {term: tf * idf.get(term, default) for term, tf in counts.items()}
-
-
-def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
-    dot = sum(weight * b[term] for term, weight in a.items() if term in b)
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
-
-
-def rendered_spec_text(spec: DockerSpec) -> str:
-    return " ".join(t for t in render_spec_fields(spec).values() if t)
+    return [ScoredHit(i, scores[i], index.entries[i][1]) for i in _top_k(scores, k)]
 
 
 def vector_retrieve(spec: DockerSpec, k: int,
                     entries: list[tuple[DockerSpec, str]]) -> list[ScoredHit]:
     """Top-k by TF-IDF cosine between the rendered query spec and each stored
-    spec (the lexical stand-in for the sentence-embedding baseline).
+    spec (the lexical stand-in for the sentence-embedding baseline); ties
+    broken by ascending id.
 
     Uses smoothed idf, ln((1+N)/(1+df)) + 1, so identical rendered specs
-    always score 1.0.
+    always score 1.0. The tables over an index's own ``entries`` are built
+    once; over any other list, once per call.
     """
     if not entries:
         raise EmptyCorpus("retrieval over an empty corpus")
+    tables = entries.tfidf if isinstance(entries, IndexedEntries) else _tfidf_tables(entries)
     n = len(entries)
-    doc_counts = [Counter(rendered_spec_text(s).split()) for s, _ in entries]
-    df: Counter = Counter()
-    for counts in doc_counts:
-        df.update(counts.keys())
-    idf = {term: math.log((1.0 + n) / (1.0 + d)) + 1.0 for term, d in df.items()}
-    query_vector = _tfidf_vector(Counter(rendered_spec_text(spec).split()), idf, n)
-    similarities = [
-        _cosine(query_vector, _tfidf_vector(counts, idf, n)) for counts in doc_counts
-    ]
-    ranked = sorted(range(n), key=lambda i: (-similarities[i], i))[:max(k, 0)]
-    return [ScoredHit(i, similarities[i], entries[i][1]) for i in ranked]
+    default = math.log((1.0 + n) / 1.0) + 1.0
+    query = [(term, tf * tables.idf.get(term, default))
+             for term, tf in Counter(rendered_spec_text(spec).split()).items()]
+    query_norm = math.sqrt(sum(w * w for _, w in query))
+    # each document's products, in query-term order, are added by sum() as a
+    # dot product over the query's terms is: since Python 3.12 sum()
+    # compensates rounding, so a running += could differ in the last bit
+    products: list[list[float]] = [[] for _ in range(n)]
+    for term, weight in query:
+        for doc_id, doc_weight in tables.postings.get(term, ()):
+            products[doc_id].append(weight * doc_weight)
+    similarities = [sum(p) / (query_norm * norm) if p else 0.0
+                    for p, norm in zip(products, tables.norms)]
+    return [ScoredHit(i, similarities[i], entries[i][1]) for i in _top_k(similarities, k)]
 
 
 def save_index(index: RetrievalIndex, path: Path) -> None:

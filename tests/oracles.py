@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: tree edit distance is
 the naive forest recursion over the textbook definition (plus a plain
 Zhang-Shasha for trees too big for it), representative selection
 re-tokenizes every compared instruction pair, BM25/TF-IDF scoring
-is a literal formula transcription without an inverted index, and the
-Mann-Whitney p-value enumerates group assignments with itertools.
+is a literal formula transcription without an inverted index (plus a
+per-query TF-IDF ranker that the engine's scores must match bit for bit),
+and the Mann-Whitney p-value enumerates group assignments with itertools.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import random
 from collections import Counter
 
 from dockerspec.dockerfile_syntax import Node
-from dockerspec.errors import KindMismatch
+from dockerspec.errors import EmptyCorpus, KindMismatch
+from dockerspec.retrieval_engine import ScoredHit, rendered_spec_text
 from dockerspec.spec_model import FLAG_FIELDS, DockerSpec
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,48 @@ def naive_cosine_scores(query_text: str, corpus_texts: list[str]) -> list[float]
 
     q = vector(query_text.split())
     return [cosine(q, vector(tokens)) for tokens in doc_tokens]
+
+
+def _reference_tfidf_vector(counts: Counter, idf: dict[str, float], n_docs: int) -> dict[str, float]:
+    default = math.log((1.0 + n_docs) / 1.0) + 1.0
+    return {term: tf * idf.get(term, default) for term, tf in counts.items()}
+
+
+def _reference_cosine(a: dict[str, float], b: dict[str, float]) -> float:
+    dot = sum(weight * b[term] for term, weight in a.items() if term in b)
+    norm_a = math.sqrt(sum(w * w for w in a.values()))
+    norm_b = math.sqrt(sum(w * w for w in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def vector_retrieve_reference(spec: DockerSpec, k: int,
+                              entries: list[tuple[DockerSpec, str]]) -> list[ScoredHit]:
+    """TF-IDF cosine top-k with no tables kept: every query re-counts every
+    document, rebuilds the idf table and each document vector, and sorts
+    all ids. Its scores are the reference to the last bit; ties go to the
+    ascending id."""
+    if not entries:
+        raise EmptyCorpus("retrieval over an empty corpus")
+    n = len(entries)
+    doc_counts = [Counter(rendered_spec_text(s).split()) for s, _ in entries]
+    df: Counter = Counter()
+    for counts in doc_counts:
+        df.update(counts.keys())
+    idf = {term: math.log((1.0 + n) / (1.0 + d)) + 1.0 for term, d in df.items()}
+    query_vector = _reference_tfidf_vector(Counter(rendered_spec_text(spec).split()), idf, n)
+    similarities = [
+        _reference_cosine(query_vector, _reference_tfidf_vector(counts, idf, n))
+        for counts in doc_counts
+    ]
+    ranked = sorted(range(n), key=lambda i: (-similarities[i], i))[:max(k, 0)]
+    return [ScoredHit(i, similarities[i], entries[i][1]) for i in ranked]
+
+
+def rank_reference(scores: list[float], k: int) -> list[int]:
+    """Top-k ids by a full sort: descending score, ties to the ascending id."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:max(k, 0)]
 
 
 def rankings_agree(impl_order: list[int], oracle_scores: list[float],

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
-from dockerspec.spec_model import DockerSpec, spec_to_dict
+from dockerspec.spec_model import DockerSpec, spec_from_dict, spec_to_dict
+from oracles import vector_retrieve_reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -156,6 +157,21 @@ class TestIndexAndGenerate:
                            "--index", str(index), "--method", "tfidf")
         assert code == 0
         assert out == record["dockerfile"]
+
+    def test_generate_tfidf_top_k_bytes(self, capsys, built, tmp_path):
+        corpus, index = built
+        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
+                   for _, r in read_corpus_records(corpus)]
+        spec_file = tmp_path / "query.json"
+        spec_file.write_text(json.dumps(spec_to_dict(entries[2][0])))
+        code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
+                           "--index", str(index), "--method", "tfidf", "-k", "3")
+        expected = json.dumps(
+            [{"doc_id": h.doc_id, "score": h.score, "dockerfile": h.dockerfile_text}
+             for h in vector_retrieve_reference(entries[2][0], 3, entries)],
+            sort_keys=True) + "\n"
+        assert code == 0
+        assert out == expected
 
     def test_generate_missing_index(self, capsys, tmp_path):
         spec_file = tmp_path / "query.json"

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dockerspec import retrieval_engine
 from dockerspec.errors import ConfigError, EmptyCorpus, SchemaError
 from dockerspec.retrieval_engine import (
     build_index,
@@ -19,8 +20,28 @@ from oracles import (
     naive_bm25_rankings,
     naive_cosine_scores,
     random_valid_spec,
+    rank_reference,
     rankings_agree,
+    vector_retrieve_reference,
 )
+
+# few words and values, so that corpora share terms, repeat specs and tie;
+# "git lfs" renders as two tokens, giving "git" a term frequency of 2
+_SPECS = st.one_of(
+    st.builds(DockerSpec,
+              os=st.sampled_from(["any", "alpine", "debian10", "centos7"]),
+              pkg_manager=st.sampled_from(["any", "apt", "apk", "yum"]),
+              dependencies=st.frozensets(
+                  st.sampled_from(["git", "vim", "curl", "nginx", "git lfs", "lfs"]),
+                  max_size=4),
+              **{name: st.booleans() for name in FLAG_FIELDS}),
+    st.just(DockerSpec()),
+    st.just(DockerSpec(os="", pkg_manager="")),  # renders as empty text
+)
+
+
+def _hits(hits):
+    return [(h.doc_id, h.score.hex(), h.dockerfile_text) for h in hits]
 
 
 class TestRenderSpecFields:
@@ -144,6 +165,8 @@ class TestRetrieve:
         entries = [(DockerSpec(dependencies=frozenset({c})), c) for c in "abc"]
         index = build_index(entries)
         assert len(retrieve(DockerSpec(), 10, index)) == 3
+        assert sorted(h.doc_id for h in vector_retrieve(DockerSpec(), 10, index.entries)) == \
+            [0, 1, 2]
 
     def test_identical_documents_ascending_ids(self):
         spec = DockerSpec(dependencies=frozenset({"git"}))
@@ -218,6 +241,109 @@ class TestVectorRetrieve:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             vector_retrieve(DockerSpec(), 1, [])
+
+
+class TestExactReferences:
+    """Both rankers against the per-query TF-IDF ranker and a full sort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(_SPECS, min_size=1, max_size=12), query=_SPECS,
+           data=st.data())
+    def test_vector_retrieve_matches_reference(self, specs, query, data):
+        entries = [(s, f"doc{i}") for i, s in enumerate(specs)]
+        k = data.draw(st.integers(0, len(entries) + 2), label="k")
+        expected = _hits(vector_retrieve_reference(query, k, entries))
+        assert _hits(vector_retrieve(query, k, build_index(entries).entries)) == expected
+        assert _hits(vector_retrieve(query, k, list(entries))) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(_SPECS, min_size=1, max_size=12), query=_SPECS,
+           data=st.data())
+    def test_retrieve_matches_full_sort(self, specs, query, data):
+        index = build_index([(s, f"doc{i}") for i, s in enumerate(specs)])
+        k = data.draw(st.integers(0, index.size + 2), label="k")
+        scores = [0.0] * index.size
+        for hit in retrieve(query, index.size, index):
+            scores[hit.doc_id] = hit.score
+        assert [h.doc_id for h in retrieve(query, k, index)] == rank_reference(scores, k)
+
+    def test_random_corpus_of_400(self):
+        # many distinct idf values: adding a dot product's terms in another
+        # order changes the last bit of some scores here
+        rng = random.Random(11)
+        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(400)]
+        indexed = build_index(entries).entries
+        for _ in range(20):
+            query = random_valid_spec(rng)
+            assert _hits(vector_retrieve(query, 400, indexed)) == \
+                _hits(vector_retrieve_reference(query, 400, entries))
+
+
+class TestTfidfTablesBuiltOnce:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        build = retrieval_engine._tfidf_tables
+
+        def counting(entries):
+            calls.append(len(entries))
+            return build(entries)
+
+        monkeypatch.setattr(retrieval_engine, "_tfidf_tables", counting)
+        return calls
+
+    @staticmethod
+    def saved(tmp_path):
+        rng = random.Random(6)
+        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(10)]
+        index = build_index(entries)
+        save_index(index, tmp_path / "index.bin")
+        return index, [random_valid_spec(rng) for _ in range(3)]
+
+    def test_loaded_entries_build_on_first_query_only(self, tmp_path, builds):
+        _, queries = self.saved(tmp_path)
+        _, entries = load_index(tmp_path / "index.bin")
+        assert builds == []
+        for query in queries:
+            vector_retrieve(query, 3, entries)
+        assert builds == [10]
+
+    def test_plain_list_builds_every_call(self, tmp_path, builds):
+        index, queries = self.saved(tmp_path)
+        entries = list(index.entries)
+        for query in queries:
+            vector_retrieve(query, 3, entries)
+        assert builds == [10, 10, 10]
+
+    def test_loaded_rankings_equal_in_memory(self, tmp_path):
+        index, queries = self.saved(tmp_path)
+        _, entries = load_index(tmp_path / "index.bin")
+        for query in queries:
+            assert _hits(vector_retrieve(query, 10, entries)) == \
+                _hits(vector_retrieve(query, 10, index.entries))
+
+
+class TestTopKEdges:
+    ENTRIES = [(DockerSpec(os="alpine", dependencies=frozenset({"vim"})), "a"),
+               (DockerSpec(os="debian10", dependencies=frozenset({"git"})), "b"),
+               (DockerSpec(os="centos7", dependencies=frozenset({"curl"})), "c"),
+               (DockerSpec(os="alpine", dependencies=frozenset({"nginx"})), "d")]
+
+    def test_k_zero_is_empty(self):
+        index = build_index(self.ENTRIES)
+        assert retrieve(self.ENTRIES[0][0], 0, index) == []
+        assert vector_retrieve(self.ENTRIES[0][0], 0, index.entries) == []
+
+    def test_bm25_fills_with_zero_scores_in_ascending_id(self):
+        # the query shares only "git" with document 1: every field of the
+        # others misses, pkg_manager "any" included
+        index = build_index(self.ENTRIES)
+        query = DockerSpec(os="fedora34", pkg_manager="yum",
+                           dependencies=frozenset({"git"}))
+        hits = retrieve(query, 4, index)
+        assert [h.doc_id for h in hits] == [1, 0, 2, 3]
+        assert hits[0].score > 0.0
+        assert [h.score for h in hits[1:]] == [0.0, 0.0, 0.0]
 
 
 class TestIndexFile:
