@@ -147,11 +147,17 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
 
     Writes OUT plus sibling .train/.eval/.test and .pretrain JSONL streams.
     """
+    if max_tokens < 1:
+        raise ConfigError("--max-tokens must be at least 1")
     lists = _load_lists(os_words_path, stop_words_path)
     entries, reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries, seed=seed, max_tokens=max_tokens)
     reasons.update(result.reasons)
     if not result.finetune:
+        over = result.reasons["over-token-limit"]
+        if over:
+            raise ParseError(f"no eligible Dockerfiles within --max-tokens {max_tokens}: "
+                             f"all {over} are over it")
         raise ParseError("no eligible Dockerfiles")
 
     out = Path(out_path)

@@ -25,6 +25,27 @@ _DIRECTIVE = re.compile(r"#\s*(syntax|escape|check)\s*=\s*(.+?)\s*", re.IGNORECA
 # quoted strings and escapes are skipped; an unquoted "<<" opens a heredoc
 _HEREDOC_SCAN = re.compile(r"""'[^']*'|"(?:\\.|[^"\\])*"|\\.|<<<|<<""")
 
+# the shell lexer's token classes, tried in this order at each position
+_SHELL_TOKEN = re.compile(r"""
+      (?P<blank>[^\S\n]+)
+    | (?P<plain>[^\s'"\\$`<#&|;]+)
+    | (?P<op>&&|\|\||[;|\n])
+    | '(?P<single>[^']*)'
+    | "(?P<double>[^"\\]*(?:\\.[^"\\]*)*)"
+    | \\(?P<escaped>[^\n])
+    | (?P<joined>\\\n?)
+    | (?P<backquoted>`[^`]*`)
+    | (?P<substitution>\$\()
+    | (?P<heredoc><<)
+    | (?P<comment>\#[^\n]*)
+    | (?P<unterminated>['"`])
+    | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\(["\\$`])')
+_PAREN = re.compile(r"[()]")
+_UNTERMINATED = {"'": "unterminated single quote", '"': "unterminated double quote",
+                 "`": "unterminated backquote substitution"}
+
 # connector spellings, in both directions
 _CONNECTOR_NAMES = {"&&": "and", "||": "or", ";": "semicolon", "|": "pipe", "\n": "newline"}
 CONNECTOR_TOKENS = {"and": "&&", "or": "||", "semicolon": ";", "pipe": "|", "newline": ";"}
@@ -175,101 +196,56 @@ def serialize_document(doc: DockerfileDocument) -> str:
 def _tokenize_shell(script: str) -> list[tuple[str, str]]:
     """Split a shell script into ("word", text) / ("op", connector) tokens.
 
-    Quotes are honored (and stripped), backslash escapes the next character,
-    and `$(...)` / backtick substitutions are kept as opaque word content.
-    Here-documents are unsupported and raise ShellSyntaxError.
+    At each position the first of these token classes that matches is taken:
+    a blank run (ends the word); a run of plain characters; an operator
+    (``&&``, ``||``, ``;``, ``|``, newline); a single-quoted string (quotes
+    stripped); a double-quoted string (quotes stripped, ``\\`` kept except
+    before ``"``, ``\\``, ``$`` and a backquote); a backslash escape (the
+    next character; an escaped newline or a final backslash is dropped); a
+    backquoted substitution (kept whole); ``$(``; ``<<``; a comment (only
+    where no word has started; inside a word ``#`` is literal); any other
+    single character. A ``$(`` substitution is kept whole up to the
+    parenthesis that brings the count of every ``(`` and ``)`` after the
+    ``$``, quoted or escaped ones included, back to zero. An unterminated
+    quote or substitution, and a here-document, raise ShellSyntaxError.
     """
     tokens: list[tuple[str, str]] = []
-    buf: list[str] = []
-    in_word = False
-    i = 0
-    n = len(script)
-
-    def flush() -> None:
-        nonlocal in_word
-        if in_word:
-            tokens.append(("word", "".join(buf)))
-            buf.clear()
-            in_word = False
-
-    while i < n:
-        c = script[i]
-        if c == "'":
-            end = script.find("'", i + 1)
-            if end < 0:
-                raise ShellSyntaxError("unterminated single quote")
-            buf.append(script[i + 1:end])
-            in_word = True
-            i = end + 1
-        elif c == '"':
-            i += 1
-            closed = False
-            while i < n:
-                c = script[i]
-                if c == "\\" and i + 1 < n and script[i + 1] in '"\\$`':
-                    buf.append(script[i + 1])
-                    i += 2
-                elif c == '"':
-                    closed = True
-                    i += 1
-                    break
-                else:
-                    buf.append(c)
-                    i += 1
-            if not closed:
-                raise ShellSyntaxError("unterminated double quote")
-            in_word = True
-        elif c == "\\":
-            if i + 1 < n and script[i + 1] == "\n":
-                pass  # escaped newline: line continuation, joins the lines
-            elif i + 1 < n:
-                buf.append(script[i + 1])
-                in_word = True
-            i += 2
-        elif c == "$" and i + 1 < n and script[i + 1] == "(":
+    word: list[str] = []  # non-empty while a word is open, even as [""]
+    pos = 0
+    while pos < len(script):
+        m = _SHELL_TOKEN.match(script, pos)
+        kind, text = m.lastgroup, m[m.lastgroup]
+        pos = m.end()
+        if kind in ("blank", "op"):
+            if word:
+                tokens.append(("word", "".join(word)))
+                word.clear()
+            if kind == "op":
+                tokens.append(("op", text))
+        elif kind == "double":
+            word.append(_DOUBLE_QUOTED_ESCAPE.sub(r"\1", text))
+        elif kind == "substitution":
             depth = 0
-            j = i + 1
-            while j < n:
-                if script[j] == "(":
-                    depth += 1
-                elif script[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
+            for paren in _PAREN.finditer(script, m.start() + 1):
+                depth += 1 if paren[0] == "(" else -1
+                if depth == 0:
+                    break
+            else:
                 raise ShellSyntaxError("unterminated command substitution")
-            buf.append(script[i:j + 1])
-            in_word = True
-            i = j + 1
-        elif c == "`":
-            end = script.find("`", i + 1)
-            if end < 0:
-                raise ShellSyntaxError("unterminated backquote substitution")
-            buf.append(script[i:end + 1])
-            in_word = True
-            i = end + 1
-        elif c == "<" and i + 1 < n and script[i + 1] == "<":
+            word.append(script[m.start():paren.end()])
+            pos = paren.end()
+        elif kind == "comment":
+            if word:
+                word.append("#")
+                pos = m.start() + 1
+        elif kind == "heredoc":
             raise ShellSyntaxError("here-documents are not supported")
-        elif c == "#" and not in_word:
-            while i < n and script[i] != "\n":
-                i += 1
-        elif script.startswith("&&", i) or script.startswith("||", i):
-            flush()
-            tokens.append(("op", script[i:i + 2]))
-            i += 2
-        elif c in ";|\n":
-            flush()
-            tokens.append(("op", c))
-            i += 1
-        elif c.isspace():
-            flush()
-            i += 1
-        else:
-            buf.append(c)
-            in_word = True
-            i += 1
-    flush()
+        elif kind == "unterminated":
+            raise ShellSyntaxError(_UNTERMINATED[text])
+        elif kind != "joined":
+            word.append(text)
+    if word:
+        tokens.append(("word", "".join(word)))
     return tokens
 
 

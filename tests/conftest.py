@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from dockerspec.spec_model import default_word_lists
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCHMARK_GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
 
 # base image, manager command template
 _BASES = [
@@ -95,6 +98,28 @@ def write_corpus_files(directory: Path, families: int = 16, variants: int = 4,
             "FROM debian:10\n# Install tools\nRUN apt-get update && \n")
         put("emptyarg.Dockerfile", "FROM debian:10\n# notes\nLABEL\n")
     return paths
+
+
+def write_benchmark_corpus(directory: Path, seed: int) -> None:
+    """Write the benchmark's corpus workload input for ``seed`` (1,500
+    Dockerfiles) with ``perfbench/generate.py``."""
+    spec = importlib.util.spec_from_file_location("benchmark_generate", BENCHMARK_GENERATOR)
+    generate = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generate  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(generate)
+        generate.write_corpus(directory, seed)
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="session", params=[1, 2])
+def benchmark_corpus_dir(request, tmp_path_factory):
+    """The benchmark's corpus workload input at seeds 1 and 2, written once
+    per test session."""
+    directory = tmp_path_factory.mktemp(f"benchmark_corpus_{request.param}")
+    write_benchmark_corpus(directory, request.param)
+    return directory
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ re-tokenizes every compared instruction pair, BM25/TF-IDF scoring
 is a literal formula transcription without an inverted index (plus a
 per-query TF-IDF ranker that the engine's scores must match bit for bit),
 and the Mann-Whitney p-value enumerates group assignments with itertools.
+The shell lexer's reference is the character loop that it replaced.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import random
 from collections import Counter
 
 from dockerspec.dockerfile_syntax import Node
-from dockerspec.errors import EmptyCorpus, KindMismatch
+from dockerspec.errors import EmptyCorpus, KindMismatch, ShellSyntaxError
 from dockerspec.retrieval_engine import ScoredHit, rendered_spec_text
 from dockerspec.spec_model import FLAG_FIELDS, DockerSpec
 
@@ -182,6 +183,113 @@ def select_representative_reference(cluster):
         if best_key is None or key < best_key:
             best_key, best = key, entry
     return best
+
+
+# ---------------------------------------------------------------------------
+# shell lexing: the character loop that the token-table lexer replaced,
+# kept verbatim
+
+
+def tokenize_shell_reference(script: str) -> list[tuple[str, str]]:
+    """Split a shell script into ("word", text) / ("op", connector) tokens.
+
+    Quotes are honored (and stripped), backslash escapes the next character,
+    and `$(...)` / backtick substitutions are kept as opaque word content.
+    Here-documents are unsupported and raise ShellSyntaxError.
+    """
+    tokens: list[tuple[str, str]] = []
+    buf: list[str] = []
+    in_word = False
+    i = 0
+    n = len(script)
+
+    def flush() -> None:
+        nonlocal in_word
+        if in_word:
+            tokens.append(("word", "".join(buf)))
+            buf.clear()
+            in_word = False
+
+    while i < n:
+        c = script[i]
+        if c == "'":
+            end = script.find("'", i + 1)
+            if end < 0:
+                raise ShellSyntaxError("unterminated single quote")
+            buf.append(script[i + 1:end])
+            in_word = True
+            i = end + 1
+        elif c == '"':
+            i += 1
+            closed = False
+            while i < n:
+                c = script[i]
+                if c == "\\" and i + 1 < n and script[i + 1] in '"\\$`':
+                    buf.append(script[i + 1])
+                    i += 2
+                elif c == '"':
+                    closed = True
+                    i += 1
+                    break
+                else:
+                    buf.append(c)
+                    i += 1
+            if not closed:
+                raise ShellSyntaxError("unterminated double quote")
+            in_word = True
+        elif c == "\\":
+            if i + 1 < n and script[i + 1] == "\n":
+                pass  # escaped newline: line continuation, joins the lines
+            elif i + 1 < n:
+                buf.append(script[i + 1])
+                in_word = True
+            i += 2
+        elif c == "$" and i + 1 < n and script[i + 1] == "(":
+            depth = 0
+            j = i + 1
+            while j < n:
+                if script[j] == "(":
+                    depth += 1
+                elif script[j] == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                j += 1
+            if depth != 0:
+                raise ShellSyntaxError("unterminated command substitution")
+            buf.append(script[i:j + 1])
+            in_word = True
+            i = j + 1
+        elif c == "`":
+            end = script.find("`", i + 1)
+            if end < 0:
+                raise ShellSyntaxError("unterminated backquote substitution")
+            buf.append(script[i:end + 1])
+            in_word = True
+            i = end + 1
+        elif c == "<" and i + 1 < n and script[i + 1] == "<":
+            raise ShellSyntaxError("here-documents are not supported")
+        elif c == "#" and not in_word:
+            while i < n and script[i] != "\n":
+                i += 1
+        elif script.startswith("&&", i) or script.startswith("||", i):
+            flush()
+            tokens.append(("op", script[i:i + 2]))
+            i += 2
+        elif c in ";|\n":
+            flush()
+            tokens.append(("op", c))
+            i += 1
+        elif c.isspace():
+            flush()
+            i += 1
+        else:
+            buf.append(c)
+            in_word = True
+            i += 1
+    flush()
+    return tokens
+
 
 
 # ---------------------------------------------------------------------------

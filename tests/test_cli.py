@@ -420,6 +420,28 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not index.exists()
 
+    @pytest.mark.parametrize("max_tokens", ["0", "-3"])
+    def test_corpus_build_rejects_max_tokens_below_one(self, capsys, corpus_dir, tmp_path,
+                                                       max_tokens):
+        out = tmp_path / "corpus.jsonl"
+        code, stdout, err = run(capsys, "corpus", "build", str(corpus_dir), "--out", str(out),
+                                "--max-tokens", max_tokens)
+        assert code == 3
+        assert stdout == ""
+        assert err == "error: --max-tokens must be at least 1\n"
+        assert list(tmp_path.glob("corpus*")) == []
+
+    def test_corpus_build_names_the_cap_when_all_are_over_it(self, capsys, corpus_dir,
+                                                             tmp_path):
+        out = tmp_path / "corpus.jsonl"
+        code, stdout, err = run(capsys, "corpus", "build", str(corpus_dir), "--out", str(out),
+                                "--max-tokens", "1")
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: no eligible Dockerfiles within --max-tokens 1: all ")
+        assert err.endswith(" are over it\n") and err.count("\n") == 1
+        assert list(tmp_path.glob("corpus*")) == []
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -1,8 +1,5 @@
-import importlib.util
 import json
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +25,6 @@ from dockerspec.errors import KindMismatch, SchemaError, TooFewEntries
 from dockerspec.spec_inference import infer_spec
 from dockerspec.spec_model import DockerSpec
 from oracles import reference_instruction_jaccard, select_representative_reference
-
-BENCHMARK_GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
 
 
 def entry_from_text(text, word_lists, source="mem"):
@@ -207,20 +202,6 @@ def _cluster_from_bodies(bodies):
     return SpecCluster(DockerSpec(), members)
 
 
-def _benchmark_clusters(tmp_path, seed, word_lists):
-    """The clusters of the benchmark's corpus workload for ``seed``."""
-    spec = importlib.util.spec_from_file_location("benchmark_generate", BENCHMARK_GENERATOR)
-    generate = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = generate  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(generate)
-        generate.write_corpus(tmp_path, seed)
-    finally:
-        del sys.modules[spec.name]
-    entries, _ = ingest_directory(tmp_path, word_lists)
-    return cluster_by_spec(dedup(entries))
-
-
 class TestSelectRepresentativeMatchesReference:
     """The representative is the one today's per-triple reference picks,
     as the same object."""
@@ -274,9 +255,9 @@ class TestSelectRepresentativeMatchesReference:
         select_representative(cluster)
         assert len(calls) == sum(len(m.document.instructions) for m in cluster.members)
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_benchmark_clusters(self, tmp_path, word_lists, seed):
-        clusters = _benchmark_clusters(tmp_path, seed, word_lists)
+    def test_benchmark_clusters(self, benchmark_corpus_dir, word_lists):
+        entries, _ = ingest_directory(benchmark_corpus_dir, word_lists)
+        clusters = cluster_by_spec(dedup(entries))
         assert len(clusters) > 500 and max(len(c.members) for c in clusters) > 40
         for cluster in clusters:
             assert select_representative(cluster) is select_representative_reference(cluster)

@@ -1,8 +1,12 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dockerspec.dockerfile_syntax import (
     ShellStatement,
+    _tokenize_shell,
     ast_size,
     ast_to_json,
     ast_to_text,
@@ -14,6 +18,7 @@ from dockerspec.dockerfile_syntax import (
     serialize_document,
 )
 from dockerspec.errors import EmptyInput, MalformedInstruction, ParseError, ShellSyntaxError
+from oracles import tokenize_shell_reference
 
 
 class TestParseDockerfile:
@@ -255,6 +260,68 @@ def test_rejoin_reproduces_statement_tokens(statement_words, connectors):
     reparsed = parse_shell(join_statements(statements))
     assert [(s.command, s.arguments, s.connector_to_next) for s in reparsed] == \
         [(s.command, s.arguments, s.connector_to_next) for s in statements]
+
+
+def _lex(tokenize, script):
+    """The tokens of ``tokenize(script)``, or its ShellSyntaxError message."""
+    try:
+        return tokenize(script)
+    except ShellSyntaxError as error:
+        return f"ShellSyntaxError: {error}"
+
+
+# every character the lexer treats specially, plain ones, and whitespace
+# that str.isspace knows beyond ASCII; then the multi-character tokens
+_SHELL_CHARS = list("ab()>\\'\"$`<#&|; \t\n\r\x0b\x0c") + [
+    "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "\xe9"]
+_SHELL_TEXT = st.one_of(
+    st.text(st.sampled_from(_SHELL_CHARS), max_size=40),
+    st.lists(st.sampled_from(_SHELL_CHARS + [
+        "&&", "||", "<<", "<<<", "$(", "a$b", '"a\\$b"', "\\\n", "\\\\", "\\x", "a#b",
+        "''", '""']), max_size=20).map("".join))
+
+
+class TestTokenizeShellMatchesReference:
+    """The token-table lexer gives the tokens, or the ShellSyntaxError
+    message, of the character loop it replaced (tests/oracles.py)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_SHELL_TEXT)
+    def test_random_text(self, script):
+        assert _lex(_tokenize_shell, script) == _lex(tokenize_shell_reference, script)
+
+    @pytest.mark.parametrize("script", [
+        '"a\\"b\\\\c\\$d\\`e\\x\\\nf"',  # double-quote unescape
+        '"\\', '"a\\"', '""', "''", "''#x", '""#x', "a#b #c\nd", "\\##",  # empty words, '#'
+        "cat <<<w", "a<<<", "a<b", "<<",  # here-documents
+        "a\\xb", "a\\\nb", "a \\\n b", "a\\", "\\ b",  # backslash
+        "a$b", "$", "a$ b", "$$(x)", "$(a (b) \"c)\" d)e f", "$(a", "$((1+1))",  # '$'
+        "`a`b", "`a", "'a", '"a', "a&b & c", "a||b&&c;d|e\nf",
+        "a\xa0b\u3000c\x1cd\x85e\u2028f", "# only a comment",
+    ])
+    def test_edge_cases(self, script):
+        assert _lex(_tokenize_shell, script) == _lex(tokenize_shell_reference, script)
+
+    def test_benchmark_run_bodies(self, benchmark_corpus_dir):
+        bodies = []
+        for path in sorted(benchmark_corpus_dir.iterdir()):
+            try:
+                doc = parse_dockerfile(path.read_text(encoding="utf-8"))
+            except (UnicodeDecodeError, ParseError):
+                continue
+            bodies.extend(i.raw_arguments for i in doc.instructions_of_kind("RUN")
+                          if not i.raw_arguments.startswith("["))
+        assert len(bodies) > 8000
+        for body in bodies:
+            assert _lex(_tokenize_shell, body) == _lex(tokenize_shell_reference, body)
+
+
+def test_re_whitespace_is_str_isspace():
+    """The lexer's token classes use re's ``\\s``; the character loop it replaced
+    used str.isspace. Both agree on every code point."""
+    space = re.compile(r"\s")
+    assert [c for c in map(chr, range(sys.maxunicode + 1))
+            if bool(space.fullmatch(c)) != c.isspace()] == []
 
 
 class TestRunStatements:
