@@ -3,8 +3,9 @@
 Subcommands: ``parse``, ``infer-spec``, ``corpus build|stats``,
 ``index build``, ``generate``, ``evaluate`` (plus ``evaluate layers``).
 Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
-0 success, 1 input/parse error, 2 inference incomplete, 3 configuration or
-usage error.
+0 success, otherwise the ``exit_code`` of the error's class in ``errors``
+(1 input/parse error, 2 inference incomplete, 3 configuration error); a
+usage error or an OSError on an input or output path is also 3.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from . import corpus_pipeline as cp
 from . import evaluation as ev
 from . import retrieval_engine as re_engine
 from .dockerfile_syntax import ast_to_json, ast_to_text, build_ast, parse_dockerfile
-from .errors import (
-    ConfigError,
-    DockerspecError,
-    InferenceIncomplete,
-    ParseError,
-    SchemaError,
-)
+from .errors import ConfigError, DockerspecError, ParseError, SchemaError, read_input
 from .spec_inference import infer_spec
 from .spec_model import (
     WordLists,
@@ -57,27 +52,12 @@ def _sibling(out: Path, tag: str) -> Path:
 
 def _load_lists(os_words_path: str | None, stop_words_path: str | None) -> WordLists:
     defaults = default_word_lists()
+    os_words = load_word_list(os_words_path) if os_words_path else defaults.os_words
+    stop_words = load_word_list(stop_words_path) if stop_words_path else defaults.stop_words
     try:
-        os_words = load_word_list(os_words_path) if os_words_path else defaults.os_words
-        stop_words = load_word_list(stop_words_path) if stop_words_path else defaults.stop_words
         return WordLists(os_words, stop_words)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad word lists: {exc}") from exc
-
-
-def _read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file; undecodable bytes are a one-line ParseError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-
-
-def _read_spec_file(path: str):
-    try:
-        return deserialize_spec(_read_text(path))
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _check_config(command: click.Command, defaults, where: str) -> None:
@@ -99,8 +79,8 @@ def cli(ctx, config_path):
     """Infer Dockerfile specs, build corpora, retrieve, and evaluate."""
     if config_path:
         try:
-            defaults = json.loads(_read_text(config_path))
-        except (OSError, ParseError, json.JSONDecodeError) as exc:
+            defaults = json.loads(read_input(config_path, ConfigError))
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config file: {exc}") from exc
         _check_config(ctx.command, defaults, config_path)
         ctx.default_map = defaults
@@ -112,7 +92,7 @@ def cli(ctx, config_path):
               default="text", show_default=True)
 def parse_command(dockerfile, output_format):
     """Parse a Dockerfile and dump its tree."""
-    doc = parse_dockerfile(_read_text(dockerfile))
+    doc = parse_dockerfile(read_input(dockerfile, ParseError))
     tree = build_ast(doc)
     if output_format == "json":
         click.echo(json.dumps(ast_to_json(tree), sort_keys=True))
@@ -126,7 +106,7 @@ def parse_command(dockerfile, output_format):
 def infer_spec_command(dockerfile, os_words_path, stop_words_path):
     """Infer the spec of one Dockerfile and print it as canonical JSON."""
     lists = _load_lists(os_words_path, stop_words_path)
-    doc = parse_dockerfile(_read_text(dockerfile))
+    doc = parse_dockerfile(read_input(dockerfile, ParseError))
     spec = infer_spec(doc, lists)
     click.echo(serialize_spec(spec), nl=False)
 
@@ -241,7 +221,7 @@ def generate(spec_path, index_path, k, method):
     """
     if k < 1:
         raise ConfigError("-k must be at least 1")
-    spec = _read_spec_file(spec_path)
+    spec = deserialize_spec(read_input(spec_path, ParseError))
     index, entries = re_engine.load_index(Path(index_path))
     if method == "bm25":
         hits = re_engine.retrieve(spec, k, index)
@@ -261,7 +241,8 @@ def _pair_directories(targets_dir: Path, outputs_dir: Path) -> list[tuple[str, s
     pairs = []
     for name in sorted(target_files):
         if name in output_files:
-            pairs.append((_read_text(target_files[name]), _read_text(output_files[name])))
+            pairs.append((read_input(target_files[name], ParseError),
+                          read_input(output_files[name], ParseError)))
         else:
             click.echo(f"no output for target {name}; skipped", err=True)
     return pairs
@@ -324,17 +305,22 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
 
 
 def _read_manifest(path: str) -> tuple[list[str], str]:
+    """The layer digests and the image digest of a manifest: a JSON list of
+    layer digests, or an object with one under "layers" and an optional
+    "image_digest" (missing or null means unknown, "")."""
     try:
-        data = json.loads(_read_text(path))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(read_input(path, ParseError))
+    except json.JSONDecodeError as exc:
         raise ParseError(f"bad manifest {path}: {exc}") from exc
-    if isinstance(data, list):
-        if not all(isinstance(d, str) for d in data):
-            raise ParseError(f"manifest {path} must be a JSON list of digest strings")
-        return data, ""
-    if isinstance(data, dict) and isinstance(data.get("layers"), list):
-        return [str(d) for d in data["layers"]], str(data.get("image_digest", ""))
-    raise ParseError(f"manifest {path} must be a JSON list of digest strings")
+    if isinstance(data, dict):
+        layers, digest = data.get("layers"), data.get("image_digest")
+    else:
+        layers, digest = data, None
+    if not (isinstance(layers, list) and all(isinstance(d, str) for d in layers)
+            and isinstance(digest, (str, type(None)))):
+        raise ParseError(f"manifest {path} must be a JSON list of digest strings, or an "
+                         f"object with one as \"layers\" and a string or null \"image_digest\"")
+    return layers, digest or ""
 
 
 @evaluate_group.command("layers")
@@ -371,15 +357,12 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (ConfigError, FileNotFoundError) as exc:
+    except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
-    except InferenceIncomplete as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
     except DockerspecError as exc:
         click.echo(f"error: {exc}", err=True)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -31,9 +31,10 @@ from .errors import (
     SchemaError,
     ShellSyntaxError,
     TooFewEntries,
+    read_input,
 )
 from .spec_inference import infer_spec, install_command, split_image_reference
-from .spec_model import DockerSpec, WordLists, serialize_spec, spec_to_dict
+from .spec_model import DockerSpec, WordLists, spec_to_dict
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,11 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 def cluster_by_spec(entries: list[CorpusEntry]) -> list[SpecCluster]:
     """Group entries sharing an identical spec, preserving first-seen order."""
-    clusters: dict[str, SpecCluster] = {}
+    clusters: dict[DockerSpec, SpecCluster] = {}
     for entry in entries:
-        key = serialize_spec(entry.spec)
-        if key not in clusters:
-            clusters[key] = SpecCluster(entry.spec, [])
-        clusters[key].members.append(entry)
+        if entry.spec not in clusters:
+            clusters[entry.spec] = SpecCluster(entry.spec, [])
+        clusters[entry.spec].members.append(entry)
     return list(clusters.values())
 
 
@@ -232,8 +232,8 @@ class CorpusBuildResult:
 def _ingest_one(path: Path, lists: WordLists,
                 known_words: frozenset[str] | None) -> tuple[str, CorpusEntry | None]:
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
+        text = read_input(path, ParseError)
+    except (OSError, ParseError):
         return "unreadable", None
     try:
         doc = parse_dockerfile(text)
@@ -244,7 +244,7 @@ def _ingest_one(path: Path, lists: WordLists,
         return reason, None
     try:
         spec = infer_spec(doc, lists)
-    except (InferenceIncomplete, ShellSyntaxError):
+    except InferenceIncomplete:
         return "inference-incomplete", None
     return "eligible", CorpusEntry(spec, doc, str(path))
 
@@ -330,7 +330,7 @@ def read_corpus_records(path: Path) -> list[tuple[int, dict]]:
     """Read corpus JSONL records, each with its line number (spec left as a
     plain dict).
 
-    Raises SchemaError naming ``path:line`` on text that is not UTF-8, a
+    Raises SchemaError naming ``path:line`` on undecodable bytes, a
     line that is not a JSON object, or a record without a spec or without a
     dockerfile string."""
     records = []
@@ -349,22 +349,9 @@ def read_corpus_records(path: Path) -> list[tuple[int, dict]]:
                     raise SchemaError(
                         f"{path}:{number}: record must carry spec and a dockerfile string")
                 records.append((number, record))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(
-            f"{path}:{_undecodable_line(path)}: not UTF-8 text: {exc.reason}") from exc
+    except UnicodeDecodeError:
+        # a stream decodes ahead of the lines it has returned, so its error
+        # cannot name the line; only on this path is the file read whole
+        read_input(path, SchemaError)
+        raise
     return records
-
-
-def _undecodable_line(path: Path) -> int:
-    """Number of the first line of ``path`` that is not UTF-8 (the last line
-    if none). A text stream decodes ahead of the lines it has returned, so
-    its error cannot say; no UTF-8 sequence spans a newline byte, so each
-    line decodes alone."""
-    number = 0
-    with open(path, "rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return number

@@ -1,16 +1,21 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one reader of input files.
 
-Every error raised on purpose derives from :class:`DockerspecError` so callers
-(and the CLI) can map failures to exit codes without matching on strings.
+Every error raised on purpose derives from :class:`DockerspecError` and
+carries the CLI exit code of its class in ``exit_code``, so callers map
+failures to exit codes without matching on strings.
 """
+
+from pathlib import Path
 
 
 class DockerspecError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors: exit code 1, input or parse error."""
+
+    exit_code = 1
 
 
 class ParseError(DockerspecError):
-    """Base class for input-text problems (exit code 1 in the CLI)."""
+    """Base class for input-text problems."""
 
 
 class MalformedInstruction(ParseError):
@@ -36,12 +41,14 @@ class MalformedFrom(ParseError):
 
 
 class SchemaError(DockerspecError):
-    """A serialized spec (or word-list file) violates its schema."""
+    """A serialized spec, corpus record or index file violates its schema."""
 
 
 class InferenceIncomplete(DockerspecError):
-    """A sub-step of spec inference failed, so not all fields could be set
-    (exit code 2 in the CLI)."""
+    """A sub-step of spec inference failed, so not all fields could be set:
+    exit code 2."""
+
+    exit_code = 2
 
 
 class KindMismatch(DockerspecError):
@@ -69,5 +76,21 @@ class EmptyManifest(DockerspecError):
 
 
 class ConfigError(DockerspecError):
-    """Bad CLI configuration: missing files, invalid flag values
-    (exit code 3 in the CLI)."""
+    """Bad configuration: invalid flag values, a config file or word list
+    that cannot be used: exit code 3."""
+
+    exit_code = 3
+
+
+def read_input(path: str | Path, error: type[DockerspecError]) -> str:
+    """The text of the UTF-8 file ``path``.
+
+    Undecodable bytes raise ``error`` with one line naming where they are:
+    ``path:line: not UTF-8 text: reason at byte N``, N counted from the start
+    of the file. OSError propagates."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # a whole-file read decodes the file in one call, so exc.object is all of it
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc

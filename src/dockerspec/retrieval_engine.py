@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import ConfigError, EmptyCorpus, SchemaError
+from .errors import ConfigError, EmptyCorpus, SchemaError, read_input
 from .spec_model import SPEC_FIELDS, DockerSpec, FLAG_FIELDS, spec_from_dict, spec_to_dict
 
 INDEX_MAGIC = "dockerspec-index"
@@ -234,13 +234,11 @@ def save_index(index: RetrievalIndex, path: Path) -> None:
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:
     """Read an index file; returns the index and its own ``entries`` list.
 
-    Raises SchemaError on text that is not UTF-8, wrong magic or version,
+    Raises SchemaError on undecodable bytes, wrong magic or version,
     missing keys, a bad entry (named ``path: entry N``, N its doc id), or
     BM25 parameters that build_index rejects."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        payload = json.loads(read_input(path, SchemaError))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not an index file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:

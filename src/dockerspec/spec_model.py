@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError, read_input
 
 PKG_MANAGERS = ("apt", "apk", "yum", "any")
 
@@ -74,14 +74,12 @@ class WordLists:
 
 
 def load_word_list(path) -> frozenset[str]:
-    """Read a word list file: one lowercase word per line, # comments allowed."""
-    words = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                words.add(word)
-    return frozenset(words)
+    """Read a word list file: one lowercase word per line, # comments allowed.
+
+    Undecodable bytes are a ConfigError naming the file and line."""
+    words = (line.split("#", 1)[0].strip().lower()
+             for line in read_input(path, ConfigError).split("\n"))
+    return frozenset(word for word in words if word)
 
 
 def default_word_lists() -> WordLists:

@@ -293,6 +293,40 @@ class TestEvaluateCommand:
                          "--generated", str(generated))
         assert code == 1
 
+    @pytest.mark.parametrize("digest", [{}, {"image_digest": None}, {"image_digest": ""}])
+    @pytest.mark.parametrize("generated_layers, ratio", [(["a", "b"], 1.0), (["a"], 0.5)])
+    def test_layers_missing_or_null_digest_is_unknown(self, capsys, tmp_path, digest,
+                                                      generated_layers, ratio):
+        original = tmp_path / "m1.json"
+        generated = tmp_path / "m2.json"
+        original.write_text(json.dumps({**digest, "layers": ["a", "b"]}))
+        generated.write_text(json.dumps({**digest, "layers": generated_layers}))
+        code, out, _ = run(capsys, "evaluate", "layers", "--original", str(original),
+                           "--generated", str(generated))
+        assert code == 0
+        assert json.loads(out) == {"digest_equal": False, "matching_layer_ratio": ratio}
+
+    @pytest.mark.parametrize("manifest", [
+        {"image_digest": 5, "layers": ["a"]},
+        {"image_digest": ["sha256:x"], "layers": ["a"]},
+        {"image_digest": "sha256:x", "layers": [1, None]},
+        {"layers": ["a", None]},
+        {"image_digest": "sha256:x"},
+        [1],
+        "a",
+    ])
+    def test_layers_non_string_digest_is_one_line_error(self, capsys, tmp_path, manifest):
+        original = tmp_path / "m1.json"
+        generated = tmp_path / "m2.json"
+        original.write_text(json.dumps(manifest))
+        generated.write_text(json.dumps(["a"]))
+        code, out, err = run(capsys, "evaluate", "layers", "--original", str(original),
+                             "--generated", str(generated))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: manifest {original} must be a JSON list of digest strings")
+        assert err.count("\n") == 1
+
 
 NOT_UTF8 = b"FROM alpine\n# Install caf\xe9\nRUN apk add curl\n"
 SPEC = DockerSpec(os="alpine", pkg_manager="apk", dependencies=frozenset({"curl"}))
@@ -307,7 +341,7 @@ def write_corpus(path):
 class TestBadInput:
     @pytest.mark.parametrize("command", ["parse", "infer-spec", "evaluate", "generate-spec",
                                          "generate-index", "index-build", "evaluate-layers",
-                                         "config"])
+                                         "config", "os-words", "stop-words"])
     def test_non_utf8_file(self, capsys, tmp_path, command):
         targets, outputs = tmp_path / "targets", tmp_path / "outputs"
         for directory in (targets, outputs):
@@ -329,13 +363,80 @@ class TestBadInput:
             "evaluate-layers": ["evaluate", "layers", "--original", bad,
                                 "--generated", str(manifest)],
             "config": ["--config", bad, "parse", str(FIXTURES / "tomcat-ffmpeg.Dockerfile")],
+            "os-words": ["infer-spec", str(FIXTURES / "tomcat-ffmpeg.Dockerfile"),
+                         "--os-words", bad],
+            "stop-words": ["infer-spec", str(FIXTURES / "tomcat-ffmpeg.Dockerfile"),
+                           "--stop-words", bad],
         }.get(command, [command, bad])
         code, out, err = run(capsys, *argv)
         # the exit code that malformed content in a file of that kind gets
-        assert code == (3 if command == "config" else 1)
+        assert code == (3 if command in ("config", "os-words", "stop-words") else 1)
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not UTF-8" in err
+        assert err == f"error: {bad}:2: not UTF-8 text: invalid continuation byte at byte 25\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("command", ["parse", "infer-spec", "index-build", "os-words"])
+    def test_non_utf8_byte_past_line_one_named(self, capsys, tmp_path, newline, command):
+        good = json.dumps({"spec": spec_to_dict(SPEC), "dockerfile": "FROM alpine <nl>"})
+        head = {"index-build": [good, "", good]}.get(
+            command, ["# Install curl", "FROM alpine", "RUN apk add curl"])
+        data = newline.join(head + ["x"]).encode() + b"\xff" + newline.encode()
+        bad = tmp_path / "input"
+        bad.write_bytes(data)
+        argv = {
+            "index-build": ["index", "build", str(bad), "--out", str(tmp_path / "i.bin")],
+            "os-words": ["infer-spec", str(FIXTURES / "tomcat-ffmpeg.Dockerfile"),
+                         "--os-words", str(bad)],
+        }.get(command, [command, str(bad)])
+        code, out, err = run(capsys, *argv)
+        assert code == (3 if command == "os-words" else 1)
+        assert out == ""
+        start = data.index(b"\xff")
+        assert err == f"error: {bad}:4: not UTF-8 text: invalid start byte at byte {start}\n"
+
+    @pytest.mark.parametrize("command", ["index-build", "corpus-build", "evaluate-report"])
+    def test_output_under_a_regular_file(self, capsys, tmp_path, corpus_dir, command):
+        regular = tmp_path / "some.Dockerfile"
+        regular.write_text("FROM alpine\n")
+        out_path = str(regular / "x.out")
+        files = tmp_path / "files"
+        files.mkdir()
+        (files / "a.Dockerfile").write_bytes((FIXTURES / "tomcat-alpine.Dockerfile").read_bytes())
+        argv = {
+            "index-build": ["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                            "--out", out_path],
+            "corpus-build": ["corpus", "build", str(corpus_dir), "--out", out_path],
+            "evaluate-report": ["evaluate", "--targets", str(files), "--outputs", str(files),
+                                "--report", out_path],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Not a directory" in err and out_path in err
+
+    @pytest.mark.parametrize("command", ["infer-spec", "corpus-build", "corpus-stats",
+                                         "evaluate"])
+    @pytest.mark.parametrize("flag,words", [("--os-words", "alpine\nlatest\n"),
+                                            ("--stop-words", "ubuntu\n")],
+                             ids=["os-words", "stop-words"])
+    def test_overlapping_word_lists(self, capsys, tmp_path, corpus_dir, command, flag, words):
+        words_file = tmp_path / "words.txt"
+        words_file.write_text(words)
+        argv = {
+            "infer-spec": ["infer-spec", str(FIXTURES / "tomcat-ffmpeg.Dockerfile")],
+            "corpus-build": ["corpus", "build", str(corpus_dir),
+                             "--out", str(tmp_path / "c.jsonl")],
+            "corpus-stats": ["corpus", "stats", str(corpus_dir)],
+            "evaluate": ["evaluate", "--targets", str(corpus_dir), "--outputs", str(corpus_dir)],
+        }[command]
+        code, out, err = run(capsys, *argv, flag, str(words_file))
+        assert code == 3
+        assert out == ""
+        overlap = "latest" if flag == "--os-words" else "ubuntu"
+        assert err == f"error: bad word lists: os/stop word lists overlap: ['{overlap}']\n"
 
     @pytest.mark.parametrize("config", [[1, 2], "defaults", {"corpus": 5},
                                         {"corpus": {"build": [1]}}])

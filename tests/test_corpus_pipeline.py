@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from dockerspec.corpus_pipeline import (
 from dockerspec.dockerfile_syntax import Instruction, parse_dockerfile
 from dockerspec.errors import KindMismatch, SchemaError, TooFewEntries
 from dockerspec.spec_inference import infer_spec
-from dockerspec.spec_model import DockerSpec
+from dockerspec.spec_model import DockerSpec, serialize_spec
 from oracles import reference_instruction_jaccard, select_representative_reference
 
 
@@ -349,6 +350,21 @@ class TestPipeline:
         assert reasons["shell-syntax-error"] == 1
         assert reasons["empty-instruction"] == 1
         assert reasons["eligible"] == len(entries)
+
+    def test_non_utf8_file_is_unreadable(self, corpus_dir, word_lists):
+        _, before = ingest_directory(corpus_dir, word_lists)
+        (corpus_dir / "latin1.Dockerfile").write_bytes(b"# Install caf\xe9\nFROM alpine\n")
+        _, after = ingest_directory(corpus_dir, word_lists)
+        assert after - before == Counter({"unreadable": 1})
+
+    def test_clusters_are_those_of_equal_serialized_specs(self, corpus_dir, word_lists):
+        entries, _ = ingest_directory(corpus_dir, word_lists)
+        by_text = {}
+        for entry in dedup(entries):
+            by_text.setdefault(serialize_spec(entry.spec), []).append(entry)
+        clusters = cluster_by_spec(dedup(entries))
+        assert [c.members for c in clusters] == list(by_text.values())
+        assert all(c.spec == c.members[0].spec for c in clusters)
 
     def test_directive_and_heredoc_files_are_parse_errors(self, corpus_dir, word_lists):
         (corpus_dir / "windows.Dockerfile").write_text(

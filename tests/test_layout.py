@@ -2,7 +2,8 @@
 
 No module imports another module's ``_private`` names or reads them as
 attributes of an imported module; a helper that two modules need gets a
-public name.
+public name. Only ``errors`` words the "not UTF-8" message, since
+``errors.read_input`` is the one reader that decodes input files.
 """
 
 import ast
@@ -91,3 +92,27 @@ def test_checker_flags_private_use(source):
 ])
 def test_checker_allows_public_and_own_names(source):
     assert private_uses(source, "cli") == []
+
+
+UTF8_MESSAGE = "not UTF-8"
+
+
+def utf8_message_outside_errors(sources: dict[str, str]) -> list[str]:
+    """The modules, other than ``errors``, whose source holds the literal."""
+    return sorted(name for name, source in sources.items()
+                  if name != "errors" and UTF8_MESSAGE in source)
+
+
+def test_only_errors_words_the_utf8_message():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert UTF8_MESSAGE in sources["errors"]
+    assert utf8_message_outside_errors(sources) == []
+
+
+def test_utf8_rule_flags_another_module():
+    sources = {
+        "errors": 'raise error(f"{path}:{line}: not UTF-8 text")\n',
+        "cli": 'raise ParseError(f"{path}: not UTF-8 text: {exc.reason}")\n',
+        "spec_model": "text = read_input(path, ConfigError)\n",
+    }
+    assert utf8_message_outside_errors(sources) == ["cli"]
