@@ -10,6 +10,7 @@ usage error or an OSError on an input or output path is also 3.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -81,7 +82,7 @@ def cli(ctx, config_path):
         try:
             defaults = json.loads(read_input(config_path, ConfigError))
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad config file: {exc}") from exc
+            raise ConfigError(f"{config_path}: bad config file: {exc}") from exc
         _check_config(ctx.command, defaults, config_path)
         ctx.default_map = defaults
 
@@ -221,7 +222,10 @@ def generate(spec_path, index_path, k, method):
     """
     if k < 1:
         raise ConfigError("-k must be at least 1")
-    spec = deserialize_spec(read_input(spec_path, ParseError))
+    try:
+        spec = deserialize_spec(read_input(spec_path, ParseError))
+    except SchemaError as exc:
+        raise SchemaError(f"{spec_path}: {exc}") from exc
     index, entries = re_engine.load_index(Path(index_path))
     if method == "bm25":
         hits = re_engine.retrieve(spec, k, index)
@@ -235,30 +239,52 @@ def generate(spec_path, index_path, k, method):
              for h in hits], sort_keys=True))
 
 
-def _pair_directories(targets_dir: Path, outputs_dir: Path) -> list[tuple[str, str]]:
+def _read_pairs(targets_dir: Path, output_dirs: tuple[str, ...]) -> list[tuple[str, dict[str, str]]]:
+    """Each target that some system has an output for, read once, with the
+    output of every system that has one; a system is named by its directory
+    and targets and outputs are paired by filename."""
     target_files = {p.name: p for p in sorted(targets_dir.iterdir()) if p.is_file()}
-    output_files = {p.name: p for p in sorted(outputs_dir.iterdir()) if p.is_file()}
-    pairs = []
-    for name in sorted(target_files):
-        if name in output_files:
-            pairs.append((read_input(target_files[name], ParseError),
-                          read_input(output_files[name], ParseError)))
-        else:
-            click.echo(f"no output for target {name}; skipped", err=True)
-    return pairs
+    targets: dict[str, str] = {}
+    systems: dict[str, dict[str, str]] = {}
+    for output_dir in output_dirs:
+        output_files = {p.name: p for p in sorted(Path(output_dir).iterdir()) if p.is_file()}
+        outputs = {}
+        for name in sorted(target_files):
+            if name in output_files:
+                if name not in targets:
+                    targets[name] = read_input(target_files[name], ParseError)
+                outputs[name] = read_input(output_files[name], ParseError)
+            else:
+                click.echo(f"no output for target {name}; skipped", err=True)
+        if not outputs:
+            raise ParseError(f"no target/output pairs found for {output_dir}")
+        systems[Path(output_dir).name] = outputs  # a later directory of the same name wins
+    return [(targets[name], {system: outputs[name] for system, outputs in systems.items()
+                             if name in outputs})
+            for name in sorted(targets)]
 
 
-def _report_for_system(pairs, lists) -> tuple[dict, list[float]]:
-    report = ev.evaluate_run(pairs, lists)
-    payload = {
-        "adherence_means": report.adherence_means,
-        "distance": report.distance_summary,
-        "bleu4_mean": report.bleu_mean,
-        "evaluated_pairs": report.evaluated_pairs,
-        "failed_pairs": report.failed_pairs,
-    }
-    distances = [r.distance.normalized for r in report.pair_results if r.error is None]
-    return payload, distances
+def _report_text(reports: dict[str, ev.RunReport]) -> str:
+    systems = {}
+    distances = {}
+    for name, report in reports.items():
+        systems[name] = {
+            "adherence_means": report.adherence_means,
+            "distance": report.distance_summary,
+            "bleu4_mean": report.bleu_mean,
+            "evaluated_pairs": report.evaluated_pairs,
+            "failed_pairs": report.failed_pairs,
+        }
+        distances[name] = [r.distance.normalized for r in report.pair_results
+                           if r.error is None]
+    payload = {"systems": systems}
+    if len(systems) > 1:
+        for name in sorted(systems):
+            if not distances[name]:
+                click.echo(f"system {name}: no evaluated pairs; left out of comparisons",
+                           err=True)
+        payload["comparisons"] = ev.compare_systems(distances)
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 @cli.group("evaluate", invoke_without_command=True)
@@ -283,24 +309,13 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
     if targets_dir is None or not output_dirs:
         raise click.UsageError("evaluate requires --targets and at least one --outputs")
     lists = _load_lists(os_words_path, stop_words_path)
-    systems = {}
-    distances = {}
-    for output_dir in output_dirs:
-        name = Path(output_dir).name
-        pairs = _pair_directories(Path(targets_dir), Path(output_dir))
-        if not pairs:
-            raise ParseError(f"no target/output pairs found for {output_dir}")
-        systems[name], distances[name] = _report_for_system(pairs, lists)
-    payload = {"systems": systems}
-    if len(systems) > 1:
-        for name in sorted(systems):
-            if not distances[name]:
-                click.echo(f"system {name}: no evaluated pairs; left out of comparisons",
-                           err=True)
-        payload["comparisons"] = ev.compare_systems(distances)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if report_path:
-        Path(report_path).write_text(text + "\n", encoding="utf-8")
+    rows = _read_pairs(Path(targets_dir), output_dirs)
+    # an unusable report path fails here, before any pair is evaluated
+    report = Path(report_path).open("w", encoding="utf-8") if report_path else None
+    with report or contextlib.nullcontext():
+        text = _report_text(ev.evaluate_systems(rows, lists))
+        if report:
+            report.write(text + "\n")
     click.echo(text)
 
 

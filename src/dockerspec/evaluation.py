@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .dockerfile_syntax import DockerfileDocument, Node, ast_size, build_ast, parse_dockerfile
@@ -60,28 +60,52 @@ def adherence(target: DockerSpec, obtained: DockerSpec) -> AdherenceReport:
 # ---------------------------------------------------------------------------
 # tree edit distance (Zhang-Shasha, unit costs)
 
-def _postorder(root: Node, codes: dict[str, int]) -> tuple[list[int], list[int]]:
-    """Post-order label codes and, per node, the index of its leftmost leaf.
+class SubtreePairMemo:
+    """Forest results of Zhang-Shasha keyroot pairs, keyed by the shapes of
+    the two keyroot subtrees, for distances that measure trees against one
+    memo.
 
-    Labels are interned into ``codes``, which both trees of one distance
-    share, so comparing two labels compares two small ints.
+    A shape id is a hash-consed ``(label code, child shape ids)``, interned
+    in ``shapes``; label codes are interned in ``labels``. Two subtrees
+    measured against one memo thus get one shape id exactly when they are
+    equal as labeled ordered trees. A keyroot pair's forest reads only
+    labels and distances within the two keyroot subtrees, so the left-path
+    distances it writes depend only on the two shapes: ``pairs`` keeps them
+    and a later pair of the same shapes writes them back instead of filling
+    the forest again.
     """
+
+    def __init__(self) -> None:
+        self.labels: dict[str, int] = {}
+        self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.pairs: dict[tuple[int, int], list[list[int]]] = {}
+
+
+def _postorder(root: Node, memo: SubtreePairMemo) -> tuple[list[int], list[int], list[int]]:
+    """Post-order label codes, per node the index of its leftmost leaf, and
+    per node the shape id of its subtree, interned in ``memo``."""
+    codes, shape_ids = memo.labels, memo.shapes
     labels: list[int] = []
     leftmost: list[int] = []
+    shapes: list[int] = []
 
     def walk(node: Node) -> int:
         first = None
+        children = []
         for child in node.children:
-            child_leftmost = walk(child)
+            index = walk(child)
             if first is None:
-                first = child_leftmost
+                first = leftmost[index]
+            children.append(shapes[index])
         index = len(labels)
-        labels.append(codes.setdefault(node.label, len(codes)))
+        label = codes.setdefault(node.label, len(codes))
+        labels.append(label)
         leftmost.append(first if first is not None else index)
-        return leftmost[index]
+        shapes.append(shape_ids.setdefault((label, tuple(children)), len(shape_ids)))
+        return index
 
     walk(root)
-    return labels, leftmost
+    return labels, leftmost, shapes
 
 
 def _keyroots(leftmost: list[int]) -> list[int]:
@@ -100,7 +124,7 @@ def _leaf_distances(label: int, labels: list[int], leftmost: list[int]) -> list[
             for y, (left, after) in enumerate(zip(leftmost, seen[1:]))]
 
 
-def tree_edit_distance(a: Node, b: Node) -> int:
+def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) -> int:
     """Minimum number of unit-cost node insertions, deletions, and relabels
     turning ordered tree ``a`` into ``b``.
 
@@ -108,12 +132,14 @@ def tree_edit_distance(a: Node, b: Node) -> int:
     distance between the subtrees of ``a``'s node ``x`` and ``b``'s node
     ``y`` (post-order). A keyroot that is a leaf gets its whole row or
     column in closed form; each other keyroot pair fills a forest table
-    row by row, from column data built once per keyroot of ``b``.
+    row by row, from column data built once per keyroot of ``b``, unless
+    ``memo`` (a fresh one when None) already holds the pair's shapes.
     """
-    codes: dict[str, int] = {}
-    labels_a, left_a = _postorder(a, codes)
-    labels_b, left_b = _postorder(b, codes)
+    memo = memo if memo is not None else SubtreePairMemo()
+    labels_a, left_a, shapes_a = _postorder(a, memo)
+    labels_b, left_b, shapes_b = _postorder(b, memo)
     tree_dist = [[0] * len(labels_b) for _ in labels_a]
+    stored_pairs = memo.pairs
 
     columns = []
     for j in _keyroots(left_b):
@@ -126,58 +152,71 @@ def tree_edit_distance(a: Node, b: Node) -> int:
         # forest column y is node lj + y - 1; the forest left of that node's
         # subtree ends at column offsets[y - 1], which is 0 on j's left path
         offsets = [left_b[y] - lj for y in range(lj, j + 1)]
-        left_path = [(lj + y, y + 1) for y, offset in enumerate(offsets) if not offset]
-        columns.append((lj, j + 1, labels_b[lj:j + 1], offsets, left_path,
-                        list(range(j - lj + 2))))
+        path_ys = [y + 1 for y, offset in enumerate(offsets) if not offset]
+        columns.append((lj, j + 1, labels_b[lj:j + 1], offsets, path_ys,
+                        [lj + y - 1 for y in path_ys], list(range(j - lj + 2)), shapes_b[j]))
 
     for i in _keyroots(left_a):
         li = left_a[i]
         if li == i:
             tree_dist[i] = _leaf_distances(labels_a[i], labels_b, left_b)
             continue
-        for lj, stop, labels, offsets, left_path, first_row in columns:
-            # forest[x][y]: distance between a's nodes li..li+x-1 and b's
-            # nodes lj..lj+y-1; each cell is the cheapest of deleting the
-            # last node of a (the row above + 1), inserting the last node of
-            # b (the cell to the left + 1), and matching the two last
-            # subtrees whole (the forests left of them + tree_dist)
-            forest = [first_row]
-            above = first_row
-            for x, node in enumerate(range(li, i + 1), 1):
-                dist_row = tree_dist[node]
-                row = [x]
-                append = row.append
-                cell = x
-                p = left_a[node] - li
-                if p:
-                    before = forest[p]
-                    for q, dist, up in zip(offsets, dist_row[lj:stop], above[1:]):
-                        if up < cell:
-                            cell = up
-                        cell += 1
-                        dist += before[q]
-                        if dist < cell:
-                            cell = dist
-                        append(cell)
-                else:
-                    # node is on i's left path: forest[0][q] is q, and where
-                    # the column is on j's left path too, matching the two
-                    # subtrees is relabelling node onto the column's node
-                    label = labels_a[node]
-                    diagonal = x - 1
-                    for q, other, dist, up in zip(offsets, labels, dist_row[lj:stop], above[1:]):
-                        if up < cell:
-                            cell = up
-                        cell += 1
-                        dist = dist + q if q else diagonal + (label != other)
-                        if dist < cell:
-                            cell = dist
-                        diagonal = up
-                        append(cell)
-                    for column, y in left_path:
-                        dist_row[column] = row[y]
-                forest.append(row)
-                above = row
+        path_rows = [tree_dist[node] for node in range(li, i + 1) if left_a[node] == li]
+        shape = shapes_a[i]
+        for lj, stop, labels, offsets, path_ys, path_columns, first_row, shape_b in columns:
+            # the distances between the nodes on i's left path and those on
+            # j's, one list per row; the forest computes them on a miss
+            stored = stored_pairs.get((shape, shape_b))
+            if stored is None:
+                stored = stored_pairs[shape, shape_b] = []
+                # forest[x][y]: distance between a's nodes li..li+x-1 and
+                # b's nodes lj..lj+y-1; each cell is the cheapest of deleting
+                # the last node of a (the row above + 1), inserting the last
+                # node of b (the cell to the left + 1), and matching the two
+                # last subtrees whole (the forests left of them + tree_dist)
+                forest = [first_row]
+                above = first_row
+                for x, node in enumerate(range(li, i + 1), 1):
+                    dist_row = tree_dist[node]
+                    row = [x]
+                    append = row.append
+                    cell = x
+                    p = left_a[node] - li
+                    if p:
+                        before = forest[p]
+                        for q, dist, up in zip(offsets, dist_row[lj:stop], above[1:]):
+                            if up < cell:
+                                cell = up
+                            cell += 1
+                            dist += before[q]
+                            if dist < cell:
+                                cell = dist
+                            append(cell)
+                    else:
+                        # node is on i's left path: forest[0][q] is q, and
+                        # where the column is on j's left path too, matching
+                        # the two subtrees is relabelling node onto the
+                        # column's node
+                        label = labels_a[node]
+                        diagonal = x - 1
+                        for q, other, dist, up in zip(offsets, labels, dist_row[lj:stop],
+                                                      above[1:]):
+                            if up < cell:
+                                cell = up
+                            cell += 1
+                            dist = dist + q if q else diagonal + (label != other)
+                            if dist < cell:
+                                cell = dist
+                            diagonal = up
+                            append(cell)
+                        stored.append([row[y] for y in path_ys])
+                    forest.append(row)
+                    above = row
+            # the forest reads no cell it would write, so writing them all
+            # after it is the same as writing each as its row is done
+            for dist_row, values in zip(path_rows, stored):
+                for column, value in zip(path_columns, values):
+                    dist_row[column] = value
     return tree_dist[-1][-1]
 
 
@@ -189,9 +228,10 @@ class DistanceReport:
     size_b: int
 
 
-def normalized_distance(a: Node, b: Node) -> DistanceReport:
+def normalized_distance(a: Node, b: Node,
+                        memo: SubtreePairMemo | None = None) -> DistanceReport:
     """Edit distance divided by the sum of the two tree sizes."""
-    raw = tree_edit_distance(a, b)
+    raw = tree_edit_distance(a, b, memo)
     size_a, size_b = ast_size(a), ast_size(b)
     return DistanceReport(raw, raw / (size_a + size_b), size_a, size_b)
 
@@ -377,37 +417,53 @@ def infer_spec_for_generated(doc: DockerfileDocument, lists: WordLists,
     return infer_spec(doc, lists, target_dependencies)
 
 
-def evaluate_pair(index: int, target_text: str, generated_text: str,
+@dataclass
+class PreparedTarget:
+    """A target Dockerfile prepared once for every output scored against it:
+    its spec, tree and BLEU reference words, or the error string of the
+    parse or inference that failed. ``memo`` is shared by the tree edit
+    distances measured against this target and is dropped with it."""
+
+    words: list[str]
+    spec: DockerSpec | None = None
+    tree: Node | None = None
+    error: str | None = None
+    memo: SubtreePairMemo = field(default_factory=SubtreePairMemo)
+
+
+def prepare_target(text: str, lists: WordLists) -> PreparedTarget:
+    """The target ``text`` prepared for scoring; a failed parse or inference
+    is kept as the error string every pair against it reports."""
+    target = PreparedTarget(text.split())
+    try:
+        doc = parse_dockerfile(text)
+        target.spec = infer_spec(doc, lists)
+        # infer_spec has split every RUN body, so build_ast cannot fail here
+        target.tree = build_ast(doc)
+    except DockerspecError as exc:
+        target.error = f"{type(exc).__name__}: {exc}"
+    return target
+
+
+def evaluate_pair(index: int, target: PreparedTarget, generated_text: str,
                   lists: WordLists) -> PairResult:
+    if target.error is not None:
+        return PairResult(index, error=target.error)
     result = PairResult(index)
     try:
-        target_doc = parse_dockerfile(target_text)
-        target_spec = infer_spec(target_doc, lists)
         generated_doc = parse_dockerfile(generated_text)
         obtained_spec = infer_spec_for_generated(
-            generated_doc, lists, target_spec.dependencies)
-        result.adherence = adherence(target_spec, obtained_spec)
+            generated_doc, lists, target.spec.dependencies)
+        result.adherence = adherence(target.spec, obtained_spec)
         result.distance = normalized_distance(
-            build_ast(target_doc), build_ast(generated_doc))
-        result.bleu = bleu4(generated_text.split(), target_text.split())
+            target.tree, build_ast(generated_doc), target.memo)
+        result.bleu = bleu4(generated_text.split(), target.words)
     except DockerspecError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
     return result
 
 
-def evaluate_run(pairs: list[tuple[str, str]], lists: WordLists) -> RunReport:
-    """Evaluate (target, generated) text pairs.
-
-    Pairs where parsing or inference fails are recorded and skipped; they
-    never abort the run. Aggregates are means over the surviving pairs;
-    with none, the BLEU mean is None and the other aggregates are empty.
-    """
-    if not pairs:
-        raise EmptyInput("no pairs to evaluate")
-    results = [
-        evaluate_pair(i, target, generated, lists)
-        for i, (target, generated) in enumerate(pairs)
-    ]
+def _run_report(results: list[PairResult]) -> RunReport:
     succeeded = [r for r in results if r.error is None]
 
     adherence_means = {}
@@ -434,6 +490,36 @@ def evaluate_run(pairs: list[tuple[str, str]], lists: WordLists) -> RunReport:
         evaluated_pairs=len(succeeded),
         failed_pairs=len(results) - len(succeeded),
     )
+
+
+def evaluate_systems(rows: list[tuple[str, dict[str, str]]],
+                     lists: WordLists) -> dict[str, RunReport]:
+    """Evaluate several systems target by target.
+
+    Each row is a target text and, per system name, the text that system
+    generated for it. Each target is prepared once and scored against every
+    system's text; a system's pairs are numbered in row order. Pairs where
+    parsing or inference fails are recorded and skipped; they never abort
+    the run.
+    """
+    results: dict[str, list[PairResult]] = {}
+    for target_text, generated in rows:
+        target = prepare_target(target_text, lists)
+        for system, generated_text in generated.items():
+            pairs = results.setdefault(system, [])
+            pairs.append(evaluate_pair(len(pairs), target, generated_text, lists))
+    return {system: _run_report(pairs) for system, pairs in results.items()}
+
+
+def evaluate_run(pairs: list[tuple[str, str]], lists: WordLists) -> RunReport:
+    """Evaluate (target, generated) text pairs as one system of
+    ``evaluate_systems``, each pair's target prepared on its own. Aggregates
+    are means over the pairs that did not fail; with none, the BLEU mean is
+    None and the other aggregates are empty."""
+    if not pairs:
+        raise EmptyInput("no pairs to evaluate")
+    return evaluate_systems([(target, {"": generated}) for target, generated in pairs],
+                            lists)[""]
 
 
 def compare_systems(distances_by_system: dict[str, list[float]]) -> list[dict]:

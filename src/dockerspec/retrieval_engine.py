@@ -234,17 +234,18 @@ def save_index(index: RetrievalIndex, path: Path) -> None:
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:
     """Read an index file; returns the index and its own ``entries`` list.
 
-    Raises SchemaError on undecodable bytes, wrong magic or version,
-    missing keys, a bad entry (named ``path: entry N``, N its doc id), or
-    BM25 parameters that build_index rejects."""
+    Raises SchemaError, its message starting with ``path:``, on undecodable
+    bytes, wrong magic or version, missing keys, a bad entry (named
+    ``path: entry N``, N its doc id), or BM25 parameters that build_index
+    rejects."""
     try:
         payload = json.loads(read_input(path, SchemaError))
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"not an index file: {exc}") from exc
+        raise SchemaError(f"{path}: not an index file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:
-        raise SchemaError("not an index file (bad magic header)")
+        raise SchemaError(f"{path}: not an index file (bad magic header)")
     if payload.get("version") != INDEX_VERSION:
-        raise SchemaError(f"unsupported index version {payload.get('version')!r}")
+        raise SchemaError(f"{path}: unsupported index version {payload.get('version')!r}")
     try:
         entries = []
         for doc_id, item in enumerate(payload["entries"]):
@@ -256,7 +257,7 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
                 raise SchemaError(f"{path}: entry {doc_id}: {exc}") from exc
         index = build_index(entries, payload["k1"], payload["b"])
     except KeyError as exc:
-        raise SchemaError(f"index file lacks key {exc}") from exc
+        raise SchemaError(f"{path}: index file lacks key {exc}") from exc
     except (TypeError, ConfigError) as exc:
-        raise SchemaError(f"malformed index file: {exc}") from exc
+        raise SchemaError(f"{path}: malformed index file: {exc}") from exc
     return index, index.entries

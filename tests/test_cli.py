@@ -1,4 +1,6 @@
 import json
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
+from dockerspec.evaluation import compare_systems, evaluate_run
 from dockerspec.spec_model import DockerSpec, spec_from_dict, spec_to_dict
 from oracles import vector_retrieve_reference
 
@@ -259,6 +262,62 @@ class TestEvaluateCommand:
         assert payload["comparisons"] == []
         assert err == "system broken: no evaluated pairs; left out of comparisons\n"
 
+    def test_each_target_parsed_once(self, capsys, monkeypatch, dirs, tmp_path):
+        from dockerspec import evaluation
+
+        targets, outputs = dirs
+        (targets / "c.Dockerfile").write_text("FROM alpine:3.18\nRUN apk add curl\n")
+        (outputs / "c.Dockerfile").write_text("FROM alpine:3.18\n")
+        other = tmp_path / "other"
+        shutil.copytree(outputs, other)
+        calls = Counter()
+        for name in ("parse_dockerfile", "infer_spec"):
+            original = getattr(evaluation, name)
+            monkeypatch.setattr(evaluation, name, lambda *args, name=name, original=original:
+                                calls.update([name]) or original(*args))
+        code, out, _ = run(capsys, "evaluate", "--targets", str(targets),
+                           "--outputs", str(outputs), "--outputs", str(other))
+        assert code == 0
+        assert [s["evaluated_pairs"] for s in json.loads(out)["systems"].values()] == [3, 3]
+        assert calls == {"parse_dockerfile": 9, "infer_spec": 9}
+
+    def test_report_equals_per_system_runs(self, capsys, tmp_path, word_lists):
+        """Two systems over the fixtures, one with exact copies and one with
+        each file minus its last line, against the report built from one
+        evaluate_run per system."""
+        dirs = {name: tmp_path / name for name in ("targets", "exact", "trimmed")}
+        for directory in dirs.values():
+            directory.mkdir()
+        pairs = {"exact": [], "trimmed": []}
+        for path in sorted(FIXTURES.glob("*.Dockerfile")):
+            text = path.read_text()
+            trimmed = "".join(text.splitlines(keepends=True)[:-1])
+            for name, output in (("targets", text), ("exact", text), ("trimmed", trimmed)):
+                (dirs[name] / path.name).write_text(output)
+            pairs["exact"].append((text, text))
+            pairs["trimmed"].append((text, trimmed))
+        systems, distances = {}, {}
+        for name, system_pairs in pairs.items():
+            report = evaluate_run(system_pairs, word_lists)
+            systems[name] = {"adherence_means": report.adherence_means,
+                             "distance": report.distance_summary,
+                             "bleu4_mean": report.bleu_mean,
+                             "evaluated_pairs": report.evaluated_pairs,
+                             "failed_pairs": report.failed_pairs}
+            distances[name] = [r.distance.normalized for r in report.pair_results
+                               if r.error is None]
+        expected = json.dumps({"systems": systems,
+                               "comparisons": compare_systems(distances)},
+                              sort_keys=True, indent=2) + "\n"
+        report_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "evaluate", "--targets", str(dirs["targets"]),
+                           "--outputs", str(dirs["exact"]), "--outputs", str(dirs["trimmed"]),
+                           "--report", str(report_path))
+        assert code == 0
+        assert systems["trimmed"]["failed_pairs"] > 0 and systems["trimmed"]["evaluated_pairs"]
+        assert out == expected
+        assert report_path.read_text() == expected
+
     def test_usage_error_without_dirs(self, capsys):
         code, _, err = run(capsys, "evaluate")
         assert code == 3
@@ -416,6 +475,67 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Not a directory" in err and out_path in err
+
+    def test_report_path_checked_before_any_pair(self, capsys, monkeypatch, tmp_path):
+        from dockerspec import evaluation
+
+        calls = []
+        monkeypatch.setattr(evaluation, "evaluate_pair", lambda *args: calls.append(args))
+        regular = tmp_path / "some.Dockerfile"
+        regular.write_text("FROM alpine\n")
+        report = str(regular / "report.json")
+        code, out, err = run(capsys, "evaluate", "--targets", str(FIXTURES),
+                             "--outputs", str(FIXTURES), "--report", report)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Not a directory" in err and report in err
+        assert calls == []
+
+    def test_unreadable_pair_leaves_report_untouched(self, capsys, tmp_path):
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        (outputs / "tomcat-ffmpeg.Dockerfile").write_bytes(NOT_UTF8)
+        report = tmp_path / "report.json"
+        report.write_text("earlier report\n")
+        code, out, err = run(capsys, "evaluate", "--targets", str(FIXTURES),
+                             "--outputs", str(FIXTURES), "--outputs", str(outputs),
+                             "--report", str(report))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"error: {outputs}")
+        assert report.read_text() == "earlier report\n"
+
+    @pytest.mark.parametrize("case, content, code, message", [
+        ("spec", '{"os": "alpine"}', 1, "missing field(s): pkg_manager"),
+        ("spec", "{bad", 1, "invalid JSON: Expecting property name"),
+        ("index", "not json", 1, "not an index file: Expecting value"),
+        ("index", '{"magic": "x"}', 1, "not an index file (bad magic header)"),
+        ("index", '{"magic": "dockerspec-index", "version": 9}', 1,
+         "unsupported index version 9"),
+        ("index", '{"magic": "dockerspec-index", "version": 1}', 1,
+         "index file lacks key 'entries'"),
+        ("index", '{"magic": "dockerspec-index", "version": 1, "entries": 5}', 1,
+         "malformed index file: 'int' object is not iterable"),
+        ("config", "{bad", 3, "bad config file: Expecting property name"),
+    ])
+    def test_content_error_names_the_file(self, capsys, tmp_path, case, content, code,
+                                          message):
+        spec, index, config = (tmp_path / "query.json", tmp_path / "index.bin",
+                               tmp_path / "config.json")
+        spec.write_text(json.dumps(spec_to_dict(SPEC)))
+        assert main(["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                     "--out", str(index)]) == 0
+        capsys.readouterr()
+        bad = {"spec": spec, "index": index, "config": config}[case]
+        bad.write_text(content)
+        argv = ["generate", "--spec", str(spec), "--index", str(index)]
+        if case == "config":
+            argv = ["--config", str(config)] + argv
+        status, out, err = run(capsys, *argv)
+        assert status == code
+        assert out == ""
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["infer-spec", "corpus-build", "corpus-stats",
                                          "evaluate"])

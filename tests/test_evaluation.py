@@ -7,20 +7,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dockerspec.dockerfile_syntax import Node, ast_size, build_ast, parse_dockerfile
-from dockerspec.errors import EmptyCandidate, EmptyInput, EmptyManifest, EmptySample
+from dockerspec.errors import (
+    EmptyCandidate,
+    EmptyInput,
+    EmptyManifest,
+    EmptySample,
+    InferenceIncomplete,
+    ParseError,
+)
 from dockerspec.evaluation import (
+    SubtreePairMemo,
     adherence,
     benjamini_hochberg,
     bleu4,
     cliffs_delta,
     compare_systems,
     evaluate_run,
+    evaluate_systems,
     infer_spec_for_generated,
     layer_match,
     mann_whitney_u,
     normalized_distance,
+    prepare_target,
     tree_edit_distance,
 )
+from dockerspec.spec_inference import infer_spec
 from dockerspec.spec_model import SPEC_FIELDS, DockerSpec
 from oracles import (
     direct_cliffs_delta,
@@ -145,6 +156,19 @@ def edited(root, rng, edits, labels=("RUN", "apt-get", "curl", "x")):
     return root
 
 
+def reverse_some_children(root, rng):
+    """Reverse the children of one node that has several, in place: the
+    copy then holds subtrees equal to the original's up to child order."""
+    stack, parents = [root], []
+    while stack:
+        node = stack.pop()
+        if len(node.children) > 1:
+            parents.append(node)
+        stack.extend(node.children)
+    if parents:
+        rng.choice(parents).children.reverse()
+
+
 @st.composite
 def small_tree_pairs(draw):
     """Two random trees of 1-7 nodes over one shared alphabet of 1-2 labels."""
@@ -161,19 +185,20 @@ def small_tree_pairs(draw):
     return one_tree(), one_tree()
 
 
+@pytest.fixture(scope="module")
+def fixture_trees():
+    trees = {path.stem: build_ast(parse_dockerfile(path.read_text()))
+             for path in sorted(FIXTURES.glob("*.Dockerfile"))}
+    ffmpeg = trees["tomcat-ffmpeg"]
+    trees["merged"] = Node("dockerfile", copy.deepcopy(
+        ffmpeg.children + trees["debian-slim"].children + ffmpeg.children[:5]))
+    return trees
+
+
 class TestTreeEditDistanceExactness:
     """The tuned tree_edit_distance against the plain Zhang-Shasha of
     tests/oracles.py on real Dockerfile trees, and against the naive
     recursion on tiny ones."""
-
-    @pytest.fixture(scope="class")
-    def fixture_trees(self):
-        trees = {path.stem: build_ast(parse_dockerfile(path.read_text()))
-                 for path in sorted(FIXTURES.glob("*.Dockerfile"))}
-        ffmpeg = trees["tomcat-ffmpeg"]
-        trees["merged"] = Node("dockerfile", copy.deepcopy(
-            ffmpeg.children + trees["debian-slim"].children + ffmpeg.children[:5]))
-        return trees
 
     def test_fixtures_against_each_other(self, fixture_trees):
         for a in fixture_trees.values():
@@ -204,6 +229,77 @@ class TestTreeEditDistanceExactness:
         expected = ast_size(other) - 1 + (label not in labels_of(other))
         assert tree_edit_distance(Node(label), other) == expected
         assert tree_edit_distance(other, Node(label)) == expected
+
+
+class TestSubtreePairMemo:
+    """Distances that share one memo, as the outputs scored against one
+    target do, against the plain Zhang-Shasha and the naive recursion."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), max_nodes=st.sampled_from([7, 40]),
+           outputs=st.integers(2, 4))
+    def test_outputs_of_one_target_share_a_memo(self, seed, max_nodes, outputs):
+        rng = random.Random(seed)
+        target = random_tree(rng, max_nodes)
+        copies = [edited(target, rng, rng.randint(0, 5), labels="abcd")
+                  for _ in range(outputs)]
+        for copy_ in copies[1:]:
+            reverse_some_children(copy_, rng)
+        memo = SubtreePairMemo()
+        for copy_ in rng.sample(copies, len(copies)):
+            a, b = (target, copy_) if rng.random() < 0.75 else (copy_, target)
+            distance = tree_edit_distance(a, b, memo)
+            assert distance == zhang_shasha_reference(a, b)
+            if ast_size(a) <= 7 and ast_size(b) <= 7:
+                assert distance == naive_tree_edit_distance(a, b)
+
+    def test_memo_shared_across_unrelated_targets(self, fixture_trees):
+        rng = random.Random(3)
+        first, second = fixture_trees["tomcat-ffmpeg"], random_tree(rng, 60, "ab")
+        pairs = [(first, edited(first, rng, 6)), (second, edited(second, rng, 6, "abc")),
+                 (first, second), (second, edited(second, rng, 2, "ab")),
+                 (first, edited(first, rng, 1))]
+        memo = SubtreePairMemo()
+        for a, b in pairs + pairs[::-1]:
+            assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b)
+
+    @pytest.mark.parametrize("name", ["tomcat-ffmpeg", "merged"])
+    def test_fixture_edited_copies_share_a_memo(self, fixture_trees, name):
+        rng = random.Random(name)
+        original = fixture_trees[name]
+        assert 60 <= ast_size(original) <= 150
+        memo = SubtreePairMemo()
+        for edits in (1, 4, 12, 0, 4):
+            copy_ = edited(original, rng, edits)
+            assert tree_edit_distance(original, copy_, memo) == \
+                zhang_shasha_reference(original, copy_)
+
+    def test_child_order_is_part_of_a_shape(self):
+        a = tree("r", tree("p", tree("x"), tree("y")))
+        b = tree("r", tree("p", tree("y"), tree("x")))
+        memo = SubtreePairMemo()
+        assert tree_edit_distance(a, a, memo) == 0
+        assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b) == 2
+
+    def test_repeated_pair_fills_no_new_forest(self, fixture_trees):
+        a = fixture_trees["merged"]
+        b = edited(a, random.Random(5), 8)
+        memo = SubtreePairMemo()
+        first = tree_edit_distance(a, b, memo)
+        stored = len(memo.pairs)
+        assert stored > 0
+        assert tree_edit_distance(a, copy.deepcopy(b), memo) == first
+        assert len(memo.pairs) == stored
+
+    def test_equal_shapes_share_an_id_and_labels_tell_shapes_apart(self):
+        memo = SubtreePairMemo()
+        same = [tree("RUN", tree("apt-get", tree("curl"))) for _ in range(2)]
+        other = tree("RUN", tree("apt-get", tree("git")))
+        tree_edit_distance(tree("dockerfile", *same), other, memo)
+        # curl, apt-get(curl), RUN(apt-get(curl)) once for both copies, the
+        # root, and git, apt-get(git), RUN(apt-get(git))
+        assert len(memo.shapes) == 7
+        assert tree_edit_distance(same[0], other, memo) == 1
 
 
 class TestNormalizedDistance:
@@ -482,16 +578,38 @@ class TestEvaluateRun:
         original = evaluation.parse_dockerfile
         monkeypatch.setattr(evaluation, "parse_dockerfile",
                             lambda text: parsed.append(text) or original(text))
-        result = evaluation.evaluate_pair(0, TARGET, GENERATED_GOOD, word_lists)
+        target = evaluation.prepare_target(TARGET, word_lists)
+        result = evaluation.evaluate_pair(0, target, GENERATED_GOOD, word_lists)
         assert result.error is None
         assert parsed == [TARGET, GENERATED_GOOD]
+
+    @pytest.mark.parametrize("bad_target, error", [
+        ("this is not a Dockerfile\n", ParseError), ("RUN echo hi\n", InferenceIncomplete)])
+    def test_failed_target_gives_every_system_its_error(self, word_lists, bad_target, error):
+        with pytest.raises(error) as raised:
+            infer_spec(parse_dockerfile(bad_target), word_lists)
+        expected = f"{type(raised.value).__name__}: {raised.value}"
+        reports = evaluate_systems([(TARGET, {"a": TARGET, "b": GENERATED_GOOD}),
+                                    (bad_target, {"a": TARGET, "b": GENERATED_PARTIAL})],
+                                   word_lists)
+        for report in reports.values():
+            assert [r.error for r in report.pair_results] == [None, expected]
+            assert [r.index for r in report.pair_results] == [0, 1]
+        assert prepare_target(bad_target, word_lists).error == expected
+
+    def test_systems_score_only_the_targets_they_have(self, word_lists):
+        reports = evaluate_systems([(TARGET, {"a": GENERATED_GOOD}),
+                                    (TARGET, {"a": TARGET, "b": GENERATED_PARTIAL})],
+                                   word_lists)
+        assert reports["a"].evaluated_pairs == 2
+        assert reports["b"].evaluated_pairs == 1
+        expected = evaluate_run([(TARGET, GENERATED_PARTIAL)], word_lists)
+        assert reports["b"].pair_results == expected.pair_results
 
     def test_three_pair_composition(self, word_lists):
         pairs = [(TARGET, GENERATED_GOOD), (TARGET, GENERATED_PARTIAL),
                  (TARGET, TARGET)]
         report = evaluate_run(pairs, word_lists)
-        from dockerspec.spec_inference import infer_spec
-
         target_spec = infer_spec(parse_dockerfile(TARGET), word_lists)
         by_hand = []
         for _, generated in pairs:
