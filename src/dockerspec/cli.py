@@ -11,7 +11,10 @@ usage error or an OSError on an input or output path is also 3.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -49,6 +52,19 @@ def word_list_options(command):
 def _sibling(out: Path, tag: str) -> Path:
     base = out.name[:-len(".jsonl")] if out.name.endswith(".jsonl") else out.name
     return out.with_name(f"{base}.{tag}.jsonl")
+
+
+def _check_output_dir(out_path: str) -> None:
+    """Raise the OSError that writing OUT would, before any work: its
+    parent must be a directory (a regular file or a missing directory there
+    fails as ``open`` does, naming OUT)."""
+    try:
+        if stat.S_ISDIR(os.stat(Path(out_path).parent).st_mode):
+            return
+        code = errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    raise OSError(code, os.strerror(code), out_path)
 
 
 def _load_lists(os_words_path: str | None, stop_words_path: str | None) -> WordLists:
@@ -130,6 +146,7 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
     """
     if max_tokens < 1:
         raise ConfigError("--max-tokens must be at least 1")
+    _check_output_dir(out_path)
     lists = _load_lists(os_words_path, stop_words_path)
     entries, reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries, seed=seed, max_tokens=max_tokens)
@@ -193,6 +210,7 @@ def index_group():
 @click.option("--b", type=float, default=re_engine.DEFAULT_B, show_default=True)
 def index_build(corpus, out_path, k1, b):
     """Build a BM25 index file from a corpus JSONL."""
+    _check_output_dir(out_path)
     entries = []
     for number, record in cp.read_corpus_records(Path(corpus)):
         try:

@@ -6,10 +6,14 @@ should-style query). A TF-IDF cosine ranking over whole rendered specs is
 provided as the lexical stand-in for an embedding-based baseline. Both rank
 with one top-k, ties going to the ascending doc id.
 
-The BM25 statistics are built with the index; the TF-IDF tables (idf,
-document norms, weighted postings) on the first TF-IDF query over it, and
-reused after. Both assume the index's entries list is read-only once
-indexed.
+The BM25 statistics (postings, document frequencies, field lengths) are
+built with the index, by ``build_index`` and so by every ``load_index``.
+The BM25 impacts of a field's term (its postings' doc ids and score parts)
+are computed by the first query that reads that term and kept on the index,
+so that query pays for them and later queries reuse them. The TF-IDF tables
+(idf, document norms, weighted postings) are built on the first TF-IDF query
+over the index and reused after. All of these assume the index's entries
+list is read-only once indexed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import heapq
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -92,8 +96,9 @@ class IndexedEntries(list):
 class RetrievalIndex:
     """BM25 statistics over ``entries``; a document's id is its position there
     and in each ``lengths[field]`` list. ``entries`` is read-only once
-    indexed: the BM25 statistics, and the TF-IDF tables it builds on the
-    first TF-IDF query and reuses, describe it as it was then."""
+    indexed: the BM25 statistics, the impacts that queries add to
+    ``impacts`` and the TF-IDF tables built on the first TF-IDF query
+    describe it as it was then."""
     entries: IndexedEntries
     postings: dict[str, dict[str, list[tuple[int, int]]]]
     doc_frequency: dict[str, dict[str, int]]
@@ -101,6 +106,9 @@ class RetrievalIndex:
     average_length: dict[str, float]
     k1: float
     b: float
+    # (field, term) -> (doc ids, BM25 weights), filled by ``retrieve``
+    impacts: dict[tuple[str, str], tuple[list[int], list[float]]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -152,6 +160,28 @@ def query_terms_for(spec: DockerSpec) -> dict[str, list[str]]:
     return {f: text.split() for f, text in render_spec_fields(spec).items()}
 
 
+def _impact_postings(index: RetrievalIndex, field_name: str,
+                     term: str) -> tuple[list[int], list[float]]:
+    """A term's postings in one field as parallel (doc ids, BM25 weights)
+    lists in ascending doc id. Weights depend on the index alone, so they
+    are computed once per (tf, document length) and equal ones share a
+    float."""
+    idf = _idf(index.size, index.doc_frequency[field_name][term])
+    avgdl = index.average_length[field_name]
+    lengths = index.lengths[field_name]
+    by_shape: dict[tuple[int, int], float] = {}
+    ids, weights = [], []
+    for doc_id, tf in index.postings[field_name][term]:
+        shape = (tf, lengths[doc_id])
+        weight = by_shape.get(shape)
+        if weight is None:
+            norm = index.k1 * (1.0 - index.b + index.b * lengths[doc_id] / avgdl)
+            weight = by_shape[shape] = idf * tf * (index.k1 + 1.0) / (tf + norm)
+        ids.append(doc_id)
+        weights.append(weight)
+    return ids, weights
+
+
 def _top_k(scores: list[float], k: int) -> list[int]:
     """Ids of the k highest scores; nlargest is stable, so ties go to the
     ascending id."""
@@ -163,25 +193,25 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
 
     Every field contributes independently (disjunctive query), so zero-score
     documents are still returned when k exceeds the number of scoring ones.
+    A term's impacts are computed on its first query and kept on the index;
+    a term the index lacks adds nothing and is not kept.
     """
     if index.size == 0:
         raise EmptyCorpus("retrieval over an empty index")
     query_terms = query_terms_for(spec)
     scores = [0.0] * index.size
-    n = index.size
     for field_name in SPEC_FIELDS:
-        avgdl = index.average_length[field_name]
-        if avgdl == 0.0:
-            continue
-        lengths = index.lengths[field_name]
+        postings = index.postings[field_name]
         for term in query_terms[field_name]:
-            df = index.doc_frequency[field_name].get(term, 0)
-            if df == 0:
-                continue
-            idf = _idf(n, df)
-            for doc_id, tf in index.postings[field_name][term]:
-                norm = index.k1 * (1.0 - index.b + index.b * lengths[doc_id] / avgdl)
-                scores[doc_id] += idf * tf * (index.k1 + 1.0) / (tf + norm)
+            key = (field_name, term)
+            impacts = index.impacts.get(key)
+            if impacts is None:
+                if term not in postings:
+                    continue
+                impacts = index.impacts[key] = _impact_postings(index, field_name, term)
+            ids, weights = impacts
+            for doc_id, weight in zip(ids, weights):
+                scores[doc_id] += weight
     return [ScoredHit(i, scores[i], index.entries[i][1]) for i in _top_k(scores, k)]
 
 

@@ -5,7 +5,8 @@ the naive forest recursion over the textbook definition (plus a plain
 Zhang-Shasha for trees too big for it), representative selection
 re-tokenizes every compared instruction pair, BM25/TF-IDF scoring
 is a literal formula transcription without an inverted index (plus a
-per-query TF-IDF ranker that the engine's scores must match bit for bit),
+per-query BM25 scorer and a per-query TF-IDF ranker that the engine's
+scores must match bit for bit),
 and the Mann-Whitney p-value enumerates group assignments with itertools.
 The shell lexer's reference is the character loop that it replaced.
 """
@@ -17,8 +18,8 @@ from collections import Counter
 
 from dockerspec.dockerfile_syntax import Node
 from dockerspec.errors import EmptyCorpus, KindMismatch, ShellSyntaxError
-from dockerspec.retrieval_engine import ScoredHit, rendered_spec_text
-from dockerspec.spec_model import FLAG_FIELDS, DockerSpec
+from dockerspec.retrieval_engine import ScoredHit, query_terms_for, rendered_spec_text
+from dockerspec.spec_model import FLAG_FIELDS, SPEC_FIELDS, DockerSpec
 
 # ---------------------------------------------------------------------------
 # tree edit distance: naive recursion over ordered forests
@@ -323,6 +324,30 @@ def naive_bm25_rankings(query_spec, corpus_specs, k1=1.2, b=0.75,
                 if tf:
                     denom = tf + k1 * (1 - b + b * lengths[i] / avgdl)
                     scores[i] += idf * tf * (k1 + 1) / denom
+    return scores
+
+
+def bm25_scores_reference(spec: DockerSpec, index) -> list[float]:
+    """Per-document BM25 scores with no impacts kept: every posting's part
+    is computed on each query from the index's statistics, in field ->
+    query-term -> posting order. Its scores are the reference to the last
+    bit."""
+    query_terms = query_terms_for(spec)
+    scores = [0.0] * index.size
+    n = index.size
+    for field_name in SPEC_FIELDS:
+        avgdl = index.average_length[field_name]
+        if avgdl == 0.0:
+            continue
+        lengths = index.lengths[field_name]
+        for term in query_terms[field_name]:
+            df = index.doc_frequency[field_name].get(term, 0)
+            if df == 0:
+                continue
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            for doc_id, tf in index.postings[field_name][term]:
+                norm = index.k1 * (1.0 - index.b + index.b * lengths[doc_id] / avgdl)
+                scores[doc_id] += idf * tf * (index.k1 + 1.0) / (tf + norm)
     return scores
 
 

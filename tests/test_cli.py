@@ -492,6 +492,34 @@ class TestBadInput:
         assert "Not a directory" in err and report in err
         assert calls == []
 
+    @pytest.mark.parametrize("under, message", [
+        ("some.Dockerfile", "[Errno 20] Not a directory"),
+        ("missing-directory", "[Errno 2] No such file or directory"),
+    ])
+    @pytest.mark.parametrize("command", ["index-build", "corpus-build"])
+    def test_output_path_checked_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                 corpus_dir, command, under, message):
+        from dockerspec import corpus_pipeline, retrieval_engine
+
+        calls = []
+        for module, name in [(corpus_pipeline, "ingest_directory"),
+                             (corpus_pipeline, "read_corpus_records"),
+                             (retrieval_engine, "build_index")]:
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        (tmp_path / "some.Dockerfile").write_text("FROM alpine\n")
+        out_path = str(tmp_path / under / "x.out")
+        argv = {
+            "index-build": ["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                            "--out", out_path],
+            "corpus-build": ["corpus", "build", str(corpus_dir), "--out", out_path],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}: {out_path!r}\n"
+        assert calls == []
+
     def test_unreadable_pair_leaves_report_untouched(self, capsys, tmp_path):
         outputs = tmp_path / "outputs"
         outputs.mkdir()

@@ -9,6 +9,7 @@ from dockerspec.errors import ConfigError, EmptyCorpus, SchemaError
 from dockerspec.retrieval_engine import (
     build_index,
     load_index,
+    query_terms_for,
     render_spec_fields,
     rendered_spec_text,
     retrieve,
@@ -17,6 +18,7 @@ from dockerspec.retrieval_engine import (
 )
 from dockerspec.spec_model import DockerSpec, FLAG_FIELDS
 from oracles import (
+    bm25_scores_reference,
     naive_bm25_rankings,
     naive_cosine_scores,
     random_valid_spec,
@@ -42,6 +44,18 @@ _SPECS = st.one_of(
 
 def _hits(hits):
     return [(h.doc_id, h.score.hex(), h.dockerfile_text) for h in hits]
+
+
+def _bm25_scores(query, index):
+    """Every document's ``retrieve`` score, by doc id, as float.hex."""
+    scores = [0.0] * index.size
+    for hit in retrieve(query, index.size, index):
+        scores[hit.doc_id] = hit.score
+    return [score.hex() for score in scores]
+
+
+def _reference_scores(query, index):
+    return [score.hex() for score in bm25_scores_reference(query, index)]
 
 
 class TestRenderSpecFields:
@@ -272,11 +286,36 @@ class TestExactReferences:
         # order changes the last bit of some scores here
         rng = random.Random(11)
         entries = [(random_valid_spec(rng), f"doc{i}") for i in range(400)]
-        indexed = build_index(entries).entries
-        for _ in range(20):
-            query = random_valid_spec(rng)
-            assert _hits(vector_retrieve(query, 400, indexed)) == \
+        index = build_index(entries)
+        queries = [random_valid_spec(rng) for _ in range(20)]
+        for query in queries:
+            assert _hits(vector_retrieve(query, 400, index.entries)) == \
                 _hits(vector_retrieve_reference(query, 400, entries))
+        # the second pass reads every query term's impacts from the index
+        for query in queries + queries[::-1]:
+            assert _bm25_scores(query, index) == _reference_scores(query, index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(_SPECS, min_size=1, max_size=12),
+           queries=st.lists(_SPECS, min_size=1, max_size=5),
+           k1=st.sampled_from([0.0, 1.2, 100.0]), b=st.sampled_from([0.0, 0.75, 1.0]),
+           data=st.data())
+    def test_retrieve_scores_equal_reference(self, specs, queries, k1, b, data):
+        index = build_index([(s, f"doc{i}") for i, s in enumerate(specs)], k1=k1, b=b)
+        again = data.draw(st.permutations(queries), label="asked again")
+        for query in queries + again:
+            assert _bm25_scores(query, index) == _reference_scores(query, index)
+
+    @pytest.mark.parametrize("k1", [0.0, 1.2, 100.0])
+    @pytest.mark.parametrize("b", [0.0, 0.75, 1.0])
+    def test_term_frequency_above_one_equals_reference(self, k1, b):
+        specs = [DockerSpec(dependencies=frozenset({"git", "git lfs"})),
+                 DockerSpec(dependencies=frozenset({"git", "vim", "curl"})),
+                 DockerSpec(os="alpine", dependencies=frozenset({"lfs"}))]
+        index = build_index([(s, f"d{i}") for i, s in enumerate(specs)], k1=k1, b=b)
+        assert index.postings["dependencies"]["git"][0] == (0, 2)
+        for query in specs + specs[::-1]:
+            assert _bm25_scores(query, index) == _reference_scores(query, index)
 
 
 class TestTfidfTablesBuiltOnce:
@@ -321,6 +360,82 @@ class TestTfidfTablesBuiltOnce:
         for query in queries:
             assert _hits(vector_retrieve(query, 10, entries)) == \
                 _hits(vector_retrieve(query, 10, index.entries))
+
+
+class TestBm25ImpactsComputedOnce:
+    """A (field, term)'s impacts are computed by the first ``retrieve`` that
+    reads the term, kept on its index, and computed by nothing else."""
+
+    @pytest.fixture()
+    def computed(self, monkeypatch):
+        calls = []
+        compute = retrieval_engine._impact_postings
+
+        def counting(index, field_name, term):
+            calls.append((field_name, term))
+            return compute(index, field_name, term)
+
+        monkeypatch.setattr(retrieval_engine, "_impact_postings", counting)
+        return calls
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(8)
+        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(30)]
+        return entries, [random_valid_spec(rng) for _ in range(6)]
+
+    def test_build_and_load_compute_none(self, tmp_path, computed):
+        entries, _ = self.corpus()
+        index = build_index(entries)
+        save_index(index, tmp_path / "index.bin")
+        loaded, _ = load_index(tmp_path / "index.bin")
+        assert computed == []
+        assert index.impacts == {} and loaded.impacts == {}
+
+    def test_each_term_computed_once(self, computed):
+        entries, queries = self.corpus()
+        index = build_index(entries)
+        for query in queries + queries[::-1] + queries:
+            retrieve(query, 5, index)
+        read = {(field_name, term) for query in queries
+                for field_name, terms in query_terms_for(query).items()
+                for term in terms if term in index.postings[field_name]}
+        assert sorted(computed) == sorted(read)
+        assert set(index.impacts) == read
+        # the impacts are left out of equality
+        assert index == build_index(entries)
+
+    def test_absent_term_keeps_nothing(self):
+        entries, queries = self.corpus()
+        index = build_index(entries)
+        absent = DockerSpec(os="plan9", pkg_manager="pacman",
+                            dependencies=frozenset({"git", "no-such-package"}))
+        assert retrieve(absent, 30, index) == retrieve(absent, 30, build_index(entries))
+        assert all(term in index.postings[field_name] for field_name, term in index.impacts)
+        fresh = build_index(entries)
+        for query in queries:
+            assert _hits(retrieve(query, 30, index)) == _hits(retrieve(query, 30, fresh))
+
+    def test_vector_retrieve_computes_none(self, tmp_path, computed):
+        entries, queries = self.corpus()
+        save_index(build_index(entries), tmp_path / "index.bin")
+        index, loaded_entries = load_index(tmp_path / "index.bin")
+        for query in queries:
+            vector_retrieve(query, 5, loaded_entries)
+        assert computed == []
+        assert index.impacts == {}
+
+    def test_interleaved_rankers_equal_each_alone(self, tmp_path):
+        entries, queries = self.corpus()
+        save_index(build_index(entries), tmp_path / "index.bin")
+        bm25_index, _ = load_index(tmp_path / "index.bin")
+        alone_bm25 = [_hits(retrieve(q, 10, bm25_index)) for q in queries]
+        _, tfidf_entries = load_index(tmp_path / "index.bin")
+        alone_tfidf = [_hits(vector_retrieve(q, 10, tfidf_entries)) for q in queries]
+        index, shared = load_index(tmp_path / "index.bin")
+        for n, query in enumerate(queries):
+            assert _hits(vector_retrieve(query, 10, shared)) == alone_tfidf[n]
+            assert _hits(retrieve(query, 10, index)) == alone_bm25[n]
 
 
 class TestTopKEdges:
