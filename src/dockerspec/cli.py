@@ -209,7 +209,13 @@ def index_group():
 @click.option("--k1", type=float, default=re_engine.DEFAULT_K1, show_default=True)
 @click.option("--b", type=float, default=re_engine.DEFAULT_B, show_default=True)
 def index_build(corpus, out_path, k1, b):
-    """Build a BM25 index file from a corpus JSONL."""
+    """Build an index file, for both rankers, from a corpus JSONL.
+
+    The file holds the documents and the BM25 parameters. Loading it does no
+    ranking work: the first BM25 query on a loaded index builds the BM25
+    statistics, and the first TF-IDF query the TF-IDF tables.
+    """
+    re_engine.check_bm25_parameters(k1, b)
     _check_output_dir(out_path)
     entries = []
     for number, record in cp.read_corpus_records(Path(corpus)):

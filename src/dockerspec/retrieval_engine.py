@@ -6,14 +6,16 @@ should-style query). A TF-IDF cosine ranking over whole rendered specs is
 provided as the lexical stand-in for an embedding-based baseline. Both rank
 with one top-k, ties going to the ascending doc id.
 
-The BM25 statistics (postings, document frequencies, field lengths) are
-built with the index, by ``build_index`` and so by every ``load_index``.
-The BM25 impacts of a field's term (its postings' doc ids and score parts)
-are computed by the first query that reads that term and kept on the index,
-so that query pays for them and later queries reuse them. The TF-IDF tables
-(idf, document norms, weighted postings) are built on the first TF-IDF query
-over the index and reused after. All of these assume the index's entries
-list is read-only once indexed.
+Building, saving or loading an index does no ranking work: it checks the
+BM25 parameters and keeps the entries. The BM25 statistics (postings,
+document frequencies, field lengths) are built by the first BM25 query over
+the index, which pays for them, and kept for later ones. The BM25 impacts of
+a field's term (its postings' doc ids and score parts) are computed by the
+first query that reads that term and kept on the index, so that query pays
+for them and later queries reuse them. The TF-IDF tables (idf, document
+norms, weighted postings) are built on the first TF-IDF query over the index
+and reused after; a TF-IDF query never builds the BM25 statistics. All of
+these assume the index's entries list is read-only once indexed.
 """
 
 from __future__ import annotations
@@ -92,48 +94,17 @@ class IndexedEntries(list):
         return _tfidf_tables(self)
 
 
-@dataclass
-class RetrievalIndex:
-    """BM25 statistics over ``entries``; a document's id is its position there
-    and in each ``lengths[field]`` list. ``entries`` is read-only once
-    indexed: the BM25 statistics, the impacts that queries add to
-    ``impacts`` and the TF-IDF tables built on the first TF-IDF query
-    describe it as it was then."""
-    entries: IndexedEntries
+@dataclass(frozen=True)
+class Bm25Statistics:
+    """Per field: each term's (doc id, tf) postings in ascending doc id, its
+    document frequency, each document's length in terms, and their mean."""
     postings: dict[str, dict[str, list[tuple[int, int]]]]
     doc_frequency: dict[str, dict[str, int]]
     lengths: dict[str, list[int]]
     average_length: dict[str, float]
-    k1: float
-    b: float
-    # (field, term) -> (doc ids, BM25 weights), filled by ``retrieve``
-    impacts: dict[tuple[str, str], tuple[list[int], list[float]]] = field(
-        default_factory=dict, compare=False, repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
-@dataclass(frozen=True)
-class ScoredHit:
-    doc_id: int
-    score: float
-    dockerfile_text: str
-
-
-def build_index(entries: list[tuple[DockerSpec, str]],
-                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> RetrievalIndex:
-    """Index (spec, dockerfile) pairs; deterministic for a given entry order.
-
-    Raises ConfigError unless k1 is finite and at least 0 and b is in [0, 1].
-    """
-    if not (math.isfinite(k1) and k1 >= 0.0):
-        raise ConfigError(f"k1 must be a finite number >= 0, got {k1!r}")
-    if not 0.0 <= b <= 1.0:
-        raise ConfigError(f"b must be a number in [0, 1], got {b!r}")
-    if not entries:
-        raise EmptyCorpus("cannot index an empty corpus")
+def _bm25_statistics(entries: list[tuple[DockerSpec, str]]) -> Bm25Statistics:
     postings: dict[str, dict[str, list[tuple[int, int]]]] = {f: {} for f in SPEC_FIELDS}
     lengths: dict[str, list[int]] = {f: [] for f in SPEC_FIELDS}
     for doc_id, (spec, _) in enumerate(entries):
@@ -148,8 +119,80 @@ def build_index(entries: list[tuple[DockerSpec, str]],
     }
     n = len(entries)
     average_length = {f: sum(lengths[f]) / n for f in SPEC_FIELDS}
-    return RetrievalIndex(IndexedEntries(entries), postings, doc_frequency, lengths,
-                          average_length, k1, b)
+    return Bm25Statistics(postings, doc_frequency, lengths, average_length)
+
+
+@dataclass
+class RetrievalIndex:
+    """An index over ``entries`` with BM25 parameters ``k1`` and ``b``; a
+    document's id is its position in ``entries`` and in each
+    ``lengths[field]`` list. ``entries`` is read-only once indexed. Loading
+    does no ranking work: the first ``retrieve`` builds the BM25 statistics
+    (``postings``, ``doc_frequency``, ``lengths``, ``average_length``) and
+    the index keeps them, as it keeps the impacts that queries add to
+    ``impacts`` and the TF-IDF tables built on the first TF-IDF query. All of
+    them describe ``entries`` as it was then, and none takes part in ``==``
+    or ``repr``."""
+    entries: IndexedEntries
+    k1: float
+    b: float
+    # (field, term) -> (doc ids, BM25 weights), filled by ``retrieve``
+    impacts: dict[tuple[str, str], tuple[list[int], list[float]]] = field(
+        default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def statistics(self) -> Bm25Statistics:
+        return _bm25_statistics(self.entries)
+
+    @property
+    def postings(self) -> dict[str, dict[str, list[tuple[int, int]]]]:
+        return self.statistics.postings
+
+    @property
+    def doc_frequency(self) -> dict[str, dict[str, int]]:
+        return self.statistics.doc_frequency
+
+    @property
+    def lengths(self) -> dict[str, list[int]]:
+        return self.statistics.lengths
+
+    @property
+    def average_length(self) -> dict[str, float]:
+        return self.statistics.average_length
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+
+@dataclass(frozen=True)
+class ScoredHit:
+    doc_id: int
+    score: float
+    dockerfile_text: str
+
+
+def check_bm25_parameters(k1: float, b: float) -> None:
+    """Raise ConfigError unless k1 is a finite number at least 0 and b a
+    number in [0, 1]; a bool is not a number here."""
+    if isinstance(k1, bool) or not (math.isfinite(k1) and k1 >= 0.0):
+        raise ConfigError(f"k1 must be a finite number >= 0, got {k1!r}")
+    if isinstance(b, bool) or not 0.0 <= b <= 1.0:
+        raise ConfigError(f"b must be a number in [0, 1], got {b!r}")
+
+
+def build_index(entries: list[tuple[DockerSpec, str]],
+                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> RetrievalIndex:
+    """Index (spec, dockerfile) pairs; deterministic for a given entry order.
+    No ranking statistics are built here (see ``RetrievalIndex``).
+
+    Raises ConfigError as ``check_bm25_parameters`` does, and EmptyCorpus
+    when there are no entries.
+    """
+    check_bm25_parameters(k1, b)
+    if not entries:
+        raise EmptyCorpus("cannot index an empty corpus")
+    return RetrievalIndex(IndexedEntries(entries), k1, b)
 
 
 def _idf(n_docs: int, df: int) -> float:
@@ -233,21 +276,30 @@ def vector_retrieve(spec: DockerSpec, k: int,
     query = [(term, tf * tables.idf.get(term, default))
              for term, tf in Counter(rendered_spec_text(spec).split()).items()]
     query_norm = math.sqrt(sum(w * w for _, w in query))
-    # each document's products, in query-term order, are added by sum() as a
-    # dot product over the query's terms is: since Python 3.12 sum()
-    # compensates rounding, so a running += could differ in the last bit
-    products: list[list[float]] = [[] for _ in range(n)]
+    # One column per query term, in query-term order, holds each document's
+    # product for that term, or 0.0 where the document lacks it. sum() then
+    # adds a document's products in query-term order, as the dot product
+    # over the query's terms does. Adding 0.0 changes neither a plain float
+    # sum nor the compensated one of Python 3.12+, so each score equals, bit
+    # for bit, the sum of the document's products alone. Every product is at
+    # least 1.0 (tf >= 1, idf >= 1), so a zero sum means no shared term: it
+    # scores 0.0, whether or not the document's or the query's norm is 0.0.
+    columns = []
     for term, weight in query:
+        column = [0.0] * n
         for doc_id, doc_weight in tables.postings.get(term, ()):
-            products[doc_id].append(weight * doc_weight)
-    similarities = [sum(p) / (query_norm * norm) if p else 0.0
-                    for p, norm in zip(products, tables.norms)]
+            column[doc_id] = weight * doc_weight
+        columns.append(column)
+    dots = map(sum, zip(*columns)) if columns else [0.0] * n
+    similarities = [dot / (query_norm * norm) if dot else 0.0
+                    for dot, norm in zip(dots, tables.norms)]
     return [ScoredHit(i, similarities[i], entries[i][1]) for i in _top_k(similarities, k)]
 
 
 def save_index(index: RetrievalIndex, path: Path) -> None:
-    """Write a self-describing index file (documents plus BM25 parameters;
-    statistics are rebuilt on load, which is deterministic)."""
+    """Write a self-describing index file: the documents and the BM25
+    parameters. No statistics are stored; ``load_index`` builds none, and
+    the first query over the loaded index builds what its ranker reads."""
     payload = {
         "magic": INDEX_MAGIC,
         "version": INDEX_VERSION,
@@ -263,11 +315,12 @@ def save_index(index: RetrievalIndex, path: Path) -> None:
 
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:
     """Read an index file; returns the index and its own ``entries`` list.
+    Loading does no ranking work (see ``RetrievalIndex``).
 
     Raises SchemaError, its message starting with ``path:``, on undecodable
-    bytes, wrong magic or version, missing keys, a bad entry (named
-    ``path: entry N``, N its doc id), or BM25 parameters that build_index
-    rejects."""
+    bytes, wrong magic or version, missing keys, ``entries`` that is not a
+    non-empty list, a bad entry (named ``path: entry N``, N its doc id), or
+    BM25 parameters that ``check_bm25_parameters`` rejects."""
     try:
         payload = json.loads(read_input(path, SchemaError))
     except json.JSONDecodeError as exc:
@@ -277,9 +330,15 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
     if payload.get("version") != INDEX_VERSION:
         raise SchemaError(f"{path}: unsupported index version {payload.get('version')!r}")
     try:
+        items = payload["entries"]
+        if not isinstance(items, list):
+            raise SchemaError(f"{path}: malformed index file: {type(items).__name__!r} "
+                              "object is not iterable as a list of entries")
         entries = []
-        for doc_id, item in enumerate(payload["entries"]):
+        for doc_id, item in enumerate(items):
             try:
+                if not isinstance(item, dict):
+                    raise SchemaError("malformed index file: an entry is not an object")
                 entries.append((spec_from_dict(item["spec"]), item["dockerfile"]))
                 if not isinstance(item["dockerfile"], str):
                     raise SchemaError("malformed index file: a dockerfile is not a string")
@@ -288,6 +347,6 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
         index = build_index(entries, payload["k1"], payload["b"])
     except KeyError as exc:
         raise SchemaError(f"{path}: index file lacks key {exc}") from exc
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ConfigError, EmptyCorpus) as exc:
         raise SchemaError(f"{path}: malformed index file: {exc}") from exc
     return index, index.entries

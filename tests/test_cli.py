@@ -660,14 +660,46 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flags", [["--k1", "nan"], ["--k1", "-5"], ["--k1", "inf"],
                                        ["--b", "7"], ["--b", "-0.1"], ["--b", "nan"]])
-    def test_index_build_rejects_bad_bm25_parameters(self, capsys, tmp_path, flags):
+    def test_index_build_rejects_bad_bm25_parameters(self, capsys, monkeypatch, tmp_path,
+                                                     flags):
+        from dockerspec import corpus_pipeline
+
+        # checked before the corpus is read
+        calls = []
+        monkeypatch.setattr(corpus_pipeline, "read_corpus_records",
+                            lambda *args: calls.append(args))
         index = tmp_path / "index.bin"
         code, out, err = run(capsys, "index", "build", str(write_corpus(tmp_path / "c.jsonl")),
                              "--out", str(index), *flags)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {flags[0][2:]} must be a") and err.count("\n") == 1
         assert not index.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("method", ["bm25", "tfidf"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("entries", [], "malformed index file: cannot index an empty corpus"),
+        ("entries", {"a": 1}, "malformed index file: 'dict' object is not iterable as a list"),
+        ("k1", True, "malformed index file: k1 must be a finite number >= 0, got True"),
+        ("b", True, "malformed index file: b must be a number in [0, 1], got True"),
+    ])
+    def test_generate_names_index_with_bad_entries_or_parameters(self, capsys, tmp_path,
+                                                                 method, key, value, message):
+        index = tmp_path / "index.bin"
+        assert main(["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                     "--out", str(index)]) == 0
+        payload = json.loads(index.read_text())
+        payload[key] = value
+        index.write_text(json.dumps(payload))
+        spec_file = tmp_path / "query.json"
+        spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
+        capsys.readouterr()
+        code, out, err = run(capsys, "generate", "--spec", str(spec_file), "--index", str(index),
+                             "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {index}: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("max_tokens", ["0", "-3"])
     def test_corpus_build_rejects_max_tokens_below_one(self, capsys, corpus_dir, tmp_path,

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dockerspec import retrieval_engine
+from dockerspec.cli import main
+from dockerspec.corpus_pipeline import read_corpus_records
 from dockerspec.errors import ConfigError, EmptyCorpus, SchemaError
 from dockerspec.retrieval_engine import (
     build_index,
@@ -16,7 +18,7 @@ from dockerspec.retrieval_engine import (
     save_index,
     vector_retrieve,
 )
-from dockerspec.spec_model import DockerSpec, FLAG_FIELDS
+from dockerspec.spec_model import DockerSpec, FLAG_FIELDS, spec_from_dict, spec_to_dict
 from oracles import (
     bm25_scores_reference,
     naive_bm25_rankings,
@@ -257,6 +259,43 @@ class TestVectorRetrieve:
             vector_retrieve(DockerSpec(), 1, [])
 
 
+class TestTfidfColumns:
+    """``vector_retrieve`` sums each document's per-term column values; the
+    edges where a sum is empty or a norm is zero score 0.0."""
+
+    EMPTY = DockerSpec(os="", pkg_manager="")  # renders as empty text
+
+    def test_query_without_terms_scores_zero_in_ascending_id(self):
+        rng = random.Random(12)
+        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(7)]
+        assert rendered_spec_text(self.EMPTY) == ""
+        for ranked in (build_index(entries).entries, list(entries)):
+            hits = vector_retrieve(self.EMPTY, len(entries), ranked)
+            assert [(h.doc_id, h.score) for h in hits] == [(i, 0.0) for i in range(7)]
+
+    def test_document_with_zero_norm_scores_zero(self):
+        query = DockerSpec(os="alpine", dependencies=frozenset({"git"}))
+        entries = [(self.EMPTY, "empty"), (query, "same"), (self.EMPTY, "empty too")]
+        for ranked in (build_index(entries).entries, list(entries)):
+            hits = vector_retrieve(query, 3, ranked)
+            assert [(h.doc_id, h.score) for h in hits] == [(1, hits[0].score), (0, 0.0),
+                                                           (2, 0.0)]
+            assert hits[0].score == pytest.approx(1.0)
+
+    def test_fixture_corpus_full_k_equals_reference(self, corpus_dir, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["corpus", "build", str(corpus_dir), "--out", str(corpus)]) == 0
+        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
+                   for _, r in read_corpus_records(corpus)]
+        rng = random.Random(13)
+        queries = [spec for spec, _ in entries] + [random_valid_spec(rng) for _ in range(10)]
+        indexed = build_index(entries).entries
+        for query in queries + [self.EMPTY]:
+            expected = _hits(vector_retrieve_reference(query, len(entries), entries))
+            assert _hits(vector_retrieve(query, len(entries), indexed)) == expected
+            assert _hits(vector_retrieve(query, len(entries), list(entries))) == expected
+
+
 class TestExactReferences:
     """Both rankers against the per-query TF-IDF ranker and a full sort."""
 
@@ -265,10 +304,12 @@ class TestExactReferences:
            data=st.data())
     def test_vector_retrieve_matches_reference(self, specs, query, data):
         entries = [(s, f"doc{i}") for i, s in enumerate(specs)]
+        indexed = build_index(entries).entries
         k = data.draw(st.integers(0, len(entries) + 2), label="k")
-        expected = _hits(vector_retrieve_reference(query, k, entries))
-        assert _hits(vector_retrieve(query, k, build_index(entries).entries)) == expected
-        assert _hits(vector_retrieve(query, k, list(entries))) == expected
+        for top in (k, len(entries)):
+            expected = _hits(vector_retrieve_reference(query, top, entries))
+            assert _hits(vector_retrieve(query, top, indexed)) == expected
+            assert _hits(vector_retrieve(query, top, list(entries))) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(specs=st.lists(_SPECS, min_size=1, max_size=12), query=_SPECS,
@@ -438,6 +479,74 @@ class TestBm25ImpactsComputedOnce:
             assert _hits(retrieve(query, 10, index)) == alone_bm25[n]
 
 
+class TestBm25StatisticsBuiltLazily:
+    """An index's BM25 statistics are built by its first ``retrieve`` and
+    kept; building, saving, loading, ``index build`` and TF-IDF queries
+    build none, and the statistics stay out of ``==`` and ``repr``."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        calls = []
+        build = retrieval_engine._bm25_statistics
+
+        def counting(entries):
+            calls.append(len(entries))
+            return build(entries)
+
+        monkeypatch.setattr(retrieval_engine, "_bm25_statistics", counting)
+        return calls
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(9)
+        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(25)]
+        return entries, [random_valid_spec(rng) for _ in range(5)]
+
+    def test_build_save_load_build_none(self, tmp_path, built):
+        entries, _ = self.corpus()
+        save_index(build_index(entries), tmp_path / "index.bin")
+        load_index(tmp_path / "index.bin")
+        assert built == []
+
+    def test_index_build_command_builds_none(self, tmp_path, built):
+        entries, _ = self.corpus()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"spec": spec_to_dict(spec), "dockerfile": text})
+                                  + "\n" for spec, text in entries))
+        assert main(["index", "build", str(corpus), "--out", str(tmp_path / "index.bin")]) == 0
+        assert built == []
+
+    def test_vector_retrieve_builds_none(self, tmp_path, built):
+        entries, queries = self.corpus()
+        save_index(build_index(entries), tmp_path / "index.bin")
+        _, loaded_entries = load_index(tmp_path / "index.bin")
+        for query in queries + queries:
+            vector_retrieve(query, 5, loaded_entries)
+        assert built == []
+
+    def test_first_retrieve_builds_once(self, tmp_path, built):
+        entries, queries = self.corpus()
+        save_index(build_index(entries), tmp_path / "index.bin")
+        index, _ = load_index(tmp_path / "index.bin")
+        scores = [_bm25_scores(query, index) for query in queries + queries[::-1]]
+        assert built == [25]
+        assert scores == [_reference_scores(query, index) for query in queries + queries[::-1]]
+        assert built == [25]
+
+    def test_statistics_left_out_of_equality_and_repr(self, tmp_path):
+        entries, queries = self.corpus()
+        save_index(build_index(entries), tmp_path / "index.bin")
+        loaded, _ = load_index(tmp_path / "index.bin")
+        fresh = build_index(entries)
+        before = repr(loaded)
+        assert loaded == fresh
+        retrieve(queries[0], 5, loaded)
+        assert loaded == fresh and fresh == loaded
+        assert load_index(tmp_path / "index.bin")[0] == loaded
+        assert repr(loaded) == before
+        assert "postings" not in before and "statistics" not in before
+
+
 class TestTopKEdges:
     ENTRIES = [(DockerSpec(os="alpine", dependencies=frozenset({"vim"})), "a"),
                (DockerSpec(os="debian10", dependencies=frozenset({"git"})), "b"),
@@ -548,10 +657,29 @@ class TestIndexFile:
             load_index(path)
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("entries", [], "malformed index file: cannot index an empty corpus"),
+        ("entries", {"a": 1}, "malformed index file: 'dict' object is not iterable as a list"),
+        ("entries", [1], "entry 0: malformed index file: an entry is not an object"),
+        ("k1", True, "malformed index file: k1 must be a finite number >= 0, got True"),
+        ("b", True, "malformed index file: b must be a number in [0, 1], got True"),
+    ])
+    def test_bad_entries_and_parameters_named(self, tmp_path, key, value, message):
+        path = tmp_path / "index.bin"
+        save_index(build_index([(DockerSpec(), "doc")]), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            load_index(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+
 class TestBm25Parameters:
     @pytest.mark.parametrize("k1, b", [(float("nan"), 0.75), (float("inf"), 0.75),
                                        (-5.0, 0.75), (1.2, 7.0), (1.2, -0.1),
-                                       (1.2, float("nan"))])
+                                       (1.2, float("nan")), (True, 0.75), (1.2, True),
+                                       (1.2, False)])
     def test_rejected(self, k1, b):
         with pytest.raises(ConfigError):
             build_index([(DockerSpec(), "doc")], k1=k1, b=b)
