@@ -212,8 +212,8 @@ def index_build(corpus, out_path, k1, b):
     """Build an index file, for both rankers, from a corpus JSONL.
 
     The file holds the documents and the BM25 parameters. Loading it does no
-    ranking work: the first BM25 query on a loaded index builds the BM25
-    statistics, and the first TF-IDF query the TF-IDF tables.
+    ranking work: the first BM25 query on a loaded index builds its table of
+    BM25 impacts, and the first TF-IDF query the TF-IDF tables.
     """
     re_engine.check_bm25_parameters(k1, b)
     _check_output_dir(out_path)

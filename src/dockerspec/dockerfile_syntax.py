@@ -172,27 +172,6 @@ def parse_dockerfile(text: str) -> DockerfileDocument:
     )
 
 
-def serialize_document(doc: DockerfileDocument) -> str:
-    """Render a document back to text, one line per instruction.
-
-    Relative order of instructions, comments, and blank lines is preserved,
-    so re-parsing yields the same instruction sequence and the same comment
-    scoping.
-    """
-    events: list[tuple[int, int, str]] = []
-    for inst in doc.instructions:
-        line = f"{inst.kind} {inst.raw_arguments}".rstrip()
-        if _trailing_continuation(line):
-            line += " \\"  # as parsed from a continuation dangling at the end
-        events.append((inst.line_span[0], 1, line))
-    for comment in doc.comments:
-        events.append((comment.line, 0, f"# {comment.text}".rstrip()))
-    for blank in doc.blank_lines:
-        events.append((blank, 0, ""))
-    events.sort()
-    return "\n".join(line for _, _, line in events) + "\n"
-
-
 def _tokenize_shell(script: str) -> list[tuple[str, str]]:
     """Split a shell script into ("word", text) / ("op", connector) tokens.
 

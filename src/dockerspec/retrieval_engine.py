@@ -7,15 +7,13 @@ provided as the lexical stand-in for an embedding-based baseline. Both rank
 with one top-k, ties going to the ascending doc id.
 
 Building, saving or loading an index does no ranking work: it checks the
-BM25 parameters and keeps the entries. The BM25 statistics (postings,
-document frequencies, field lengths) are built by the first BM25 query over
-the index, which pays for them, and kept for later ones. The BM25 impacts of
-a field's term (its postings' doc ids and score parts) are computed by the
-first query that reads that term and kept on the index, so that query pays
-for them and later queries reuse them. The TF-IDF tables (idf, document
-norms, weighted postings) are built on the first TF-IDF query over the index
-and reused after; a TF-IDF query never builds the BM25 statistics. All of
-these assume the index's entries list is read-only once indexed.
+BM25 parameters and keeps the entries. The first BM25 query over the index
+builds one table of impacts, per field each term's postings' doc ids and
+score parts, pays for it, and the index keeps it for later queries. The
+TF-IDF tables (idf, document norms, weighted postings) are built on the
+first TF-IDF query over the index and reused after; a TF-IDF query never
+builds the BM25 impacts. Both assume the index's entries list is read-only
+once indexed.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import heapq
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -94,71 +92,67 @@ class IndexedEntries(list):
         return _tfidf_tables(self)
 
 
-@dataclass(frozen=True)
-class Bm25Statistics:
-    """Per field: each term's (doc id, tf) postings in ascending doc id, its
-    document frequency, each document's length in terms, and their mean."""
-    postings: dict[str, dict[str, list[tuple[int, int]]]]
-    doc_frequency: dict[str, dict[str, int]]
-    lengths: dict[str, list[int]]
-    average_length: dict[str, float]
-
-
-def _bm25_statistics(entries: list[tuple[DockerSpec, str]]) -> Bm25Statistics:
-    postings: dict[str, dict[str, list[tuple[int, int]]]] = {f: {} for f in SPEC_FIELDS}
+def _bm25_impacts(entries: list[tuple[DockerSpec, str]], k1: float,
+                  b: float) -> dict[str, dict[str, tuple[list[int], list[float]]]]:
+    """Per field, each term's postings as parallel (doc ids, BM25 weights)
+    lists in ascending doc id. A weight depends on the term's idf and the
+    posting's (tf, document length) alone, so within a term it is computed
+    once per (tf, length) and equal weights share a float."""
+    n = len(entries)
+    table: dict[str, dict] = {f: {} for f in SPEC_FIELDS}
     lengths: dict[str, list[int]] = {f: [] for f in SPEC_FIELDS}
     for doc_id, (spec, _) in enumerate(entries):
         for field_name, text in render_spec_fields(spec).items():
             terms = text.split()
             lengths[field_name].append(len(terms))
             for term, tf in Counter(terms).items():
-                postings[field_name].setdefault(term, []).append((doc_id, tf))
-    doc_frequency = {
-        f: {term: len(plist) for term, plist in terms.items()}
-        for f, terms in postings.items()
-    }
-    n = len(entries)
-    average_length = {f: sum(lengths[f]) / n for f in SPEC_FIELDS}
-    return Bm25Statistics(postings, doc_frequency, lengths, average_length)
+                table[field_name].setdefault(term, []).append((doc_id, tf))
+    for field_name, postings in table.items():
+        field_lengths = lengths[field_name]
+        avgdl = sum(field_lengths) / n
+        for term, plist in postings.items():
+            df = len(plist)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            by_shape: dict[tuple[int, int], float] = {}
+            ids, weights = [], []
+            for doc_id, tf in plist:
+                shape = (tf, field_lengths[doc_id])
+                weight = by_shape.get(shape)
+                if weight is None:
+                    norm = k1 * (1.0 - b + b * field_lengths[doc_id] / avgdl)
+                    weight = by_shape[shape] = idf * tf * (k1 + 1.0) / (tf + norm)
+                ids.append(doc_id)
+                weights.append(weight)
+            postings[term] = (ids, weights)
+    return table
 
 
 @dataclass
 class RetrievalIndex:
     """An index over ``entries`` with BM25 parameters ``k1`` and ``b``; a
-    document's id is its position in ``entries`` and in each
-    ``lengths[field]`` list. ``entries`` is read-only once indexed. Loading
-    does no ranking work: the first ``retrieve`` builds the BM25 statistics
-    (``postings``, ``doc_frequency``, ``lengths``, ``average_length``) and
-    the index keeps them, as it keeps the impacts that queries add to
-    ``impacts`` and the TF-IDF tables built on the first TF-IDF query. All of
-    them describe ``entries`` as it was then, and none takes part in ``==``
-    or ``repr``."""
+    document's id is its position in ``entries``, which is read-only once
+    indexed. Loading does no ranking work: the first ``retrieve`` builds the
+    BM25 ``impacts`` of every term, the first TF-IDF query the TF-IDF tables
+    on ``entries``, and the index keeps both. They describe ``entries`` as
+    it was then, and neither takes part in ``==`` or ``repr``."""
     entries: IndexedEntries
     k1: float
     b: float
-    # (field, term) -> (doc ids, BM25 weights), filled by ``retrieve``
-    impacts: dict[tuple[str, str], tuple[list[int], list[float]]] = field(
-        default_factory=dict, compare=False, repr=False)
 
     @cached_property
-    def statistics(self) -> Bm25Statistics:
-        return _bm25_statistics(self.entries)
-
-    @property
-    def postings(self) -> dict[str, dict[str, list[tuple[int, int]]]]:
-        return self.statistics.postings
+    def impacts(self) -> dict[str, dict[str, tuple[list[int], list[float]]]]:
+        """field -> term -> (doc ids, BM25 weights), as ``_bm25_impacts``."""
+        return _bm25_impacts(self.entries, self.k1, self.b)
 
     @property
     def doc_frequency(self) -> dict[str, dict[str, int]]:
-        return self.statistics.doc_frequency
-
-    @property
-    def lengths(self) -> dict[str, list[int]]:
-        return self.statistics.lengths
-
-    @property
-    def average_length(self) -> dict[str, float]:
-        return self.statistics.average_length
+        """field -> term -> number of documents holding it, read from
+        ``impacts`` (so it builds them). Kept only because the benchmark
+        harness (``perfbench/workloads.py``, ``perfbench/anchor.py``) reads
+        it; it goes when the harness counts postings itself (ROADMAP item
+        2(a))."""
+        return {f: {term: len(ids) for term, (ids, _) in terms.items()}
+                for f, terms in self.impacts.items()}
 
     @property
     def size(self) -> int:
@@ -175,7 +169,11 @@ class ScoredHit:
 def check_bm25_parameters(k1: float, b: float) -> None:
     """Raise ConfigError unless k1 is a finite number at least 0 and b a
     number in [0, 1]; a bool is not a number here."""
-    if isinstance(k1, bool) or not (math.isfinite(k1) and k1 >= 0.0):
+    try:
+        finite = math.isfinite(k1)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if isinstance(k1, bool) or not (finite and k1 >= 0.0):
         raise ConfigError(f"k1 must be a finite number >= 0, got {k1!r}")
     if isinstance(b, bool) or not 0.0 <= b <= 1.0:
         raise ConfigError(f"b must be a number in [0, 1], got {b!r}")
@@ -184,7 +182,7 @@ def check_bm25_parameters(k1: float, b: float) -> None:
 def build_index(entries: list[tuple[DockerSpec, str]],
                 k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> RetrievalIndex:
     """Index (spec, dockerfile) pairs; deterministic for a given entry order.
-    No ranking statistics are built here (see ``RetrievalIndex``).
+    Nothing that a ranker reads is built here (see ``RetrievalIndex``).
 
     Raises ConfigError as ``check_bm25_parameters`` does, and EmptyCorpus
     when there are no entries.
@@ -195,34 +193,8 @@ def build_index(entries: list[tuple[DockerSpec, str]],
     return RetrievalIndex(IndexedEntries(entries), k1, b)
 
 
-def _idf(n_docs: int, df: int) -> float:
-    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-
-
 def query_terms_for(spec: DockerSpec) -> dict[str, list[str]]:
     return {f: text.split() for f, text in render_spec_fields(spec).items()}
-
-
-def _impact_postings(index: RetrievalIndex, field_name: str,
-                     term: str) -> tuple[list[int], list[float]]:
-    """A term's postings in one field as parallel (doc ids, BM25 weights)
-    lists in ascending doc id. Weights depend on the index alone, so they
-    are computed once per (tf, document length) and equal ones share a
-    float."""
-    idf = _idf(index.size, index.doc_frequency[field_name][term])
-    avgdl = index.average_length[field_name]
-    lengths = index.lengths[field_name]
-    by_shape: dict[tuple[int, int], float] = {}
-    ids, weights = [], []
-    for doc_id, tf in index.postings[field_name][term]:
-        shape = (tf, lengths[doc_id])
-        weight = by_shape.get(shape)
-        if weight is None:
-            norm = index.k1 * (1.0 - index.b + index.b * lengths[doc_id] / avgdl)
-            weight = by_shape[shape] = idf * tf * (index.k1 + 1.0) / (tf + norm)
-        ids.append(doc_id)
-        weights.append(weight)
-    return ids, weights
 
 
 def _top_k(scores: list[float], k: int) -> list[int]:
@@ -236,23 +208,19 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
 
     Every field contributes independently (disjunctive query), so zero-score
     documents are still returned when k exceeds the number of scoring ones.
-    A term's impacts are computed on its first query and kept on the index;
-    a term the index lacks adds nothing and is not kept.
+    The first query over an index builds the impacts of every term (see
+    ``RetrievalIndex``); each query then adds its terms' weights in field ->
+    query-term -> ascending doc id order, and a term the index lacks adds
+    nothing.
     """
     if index.size == 0:
         raise EmptyCorpus("retrieval over an empty index")
     query_terms = query_terms_for(spec)
     scores = [0.0] * index.size
     for field_name in SPEC_FIELDS:
-        postings = index.postings[field_name]
+        impacts = index.impacts[field_name]
         for term in query_terms[field_name]:
-            key = (field_name, term)
-            impacts = index.impacts.get(key)
-            if impacts is None:
-                if term not in postings:
-                    continue
-                impacts = index.impacts[key] = _impact_postings(index, field_name, term)
-            ids, weights = impacts
+            ids, weights = impacts.get(term, ((), ()))
             for doc_id, weight in zip(ids, weights):
                 scores[doc_id] += weight
     return [ScoredHit(i, scores[i], index.entries[i][1]) for i in _top_k(scores, k)]
@@ -342,6 +310,8 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
                 entries.append((spec_from_dict(item["spec"]), item["dockerfile"]))
                 if not isinstance(item["dockerfile"], str):
                     raise SchemaError("malformed index file: a dockerfile is not a string")
+            except KeyError as exc:
+                raise SchemaError(f"{path}: entry {doc_id}: lacks key {exc}") from exc
             except SchemaError as exc:
                 raise SchemaError(f"{path}: entry {doc_id}: {exc}") from exc
         index = build_index(entries, payload["k1"], payload["b"])

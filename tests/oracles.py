@@ -8,7 +8,9 @@ is a literal formula transcription without an inverted index (plus a
 per-query BM25 scorer and a per-query TF-IDF ranker that the engine's
 scores must match bit for bit),
 and the Mann-Whitney p-value enumerates group assignments with itertools.
-The shell lexer's reference is the character loop that it replaced.
+The shell lexer's reference is the character loop that it replaced, and
+the parser's round-trip checks re-parse the text that ``serialize_document``
+renders here.
 """
 
 import itertools
@@ -18,7 +20,12 @@ from collections import Counter
 
 from dockerspec.dockerfile_syntax import Node
 from dockerspec.errors import EmptyCorpus, KindMismatch, ShellSyntaxError
-from dockerspec.retrieval_engine import ScoredHit, query_terms_for, rendered_spec_text
+from dockerspec.retrieval_engine import (
+    ScoredHit,
+    query_terms_for,
+    render_spec_fields,
+    rendered_spec_text,
+)
 from dockerspec.spec_model import FLAG_FIELDS, SPEC_FIELDS, DockerSpec
 
 # ---------------------------------------------------------------------------
@@ -292,6 +299,32 @@ def tokenize_shell_reference(script: str) -> list[tuple[str, str]]:
     return tokens
 
 
+# ---------------------------------------------------------------------------
+# Dockerfile text from a parsed document, for the parser's round-trip checks
+
+
+def serialize_document(doc) -> str:
+    """Render a parsed document back to text, one line per instruction.
+
+    Relative order of instructions, comments, and blank lines is preserved,
+    so re-parsing yields the same instruction sequence and the same comment
+    scoping.
+    """
+    events = []
+    for inst in doc.instructions:
+        line = f"{inst.kind} {inst.raw_arguments}".rstrip()
+        if (len(line) - len(line.rstrip("\\"))) % 2 == 1:
+            # an odd backslash run, as parsed from a continuation dangling
+            # at the end, would continue the line into the next one
+            line += " \\"
+        events.append((inst.line_span[0], 1, line))
+    for comment in doc.comments:
+        events.append((comment.line, 0, f"# {comment.text}".rstrip()))
+    for blank in doc.blank_lines:
+        events.append((blank, 0, ""))
+    events.sort()
+    return "\n".join(line for _, _, line in events) + "\n"
+
 
 # ---------------------------------------------------------------------------
 # retrieval scoring oracles
@@ -328,24 +361,29 @@ def naive_bm25_rankings(query_spec, corpus_specs, k1=1.2, b=0.75,
 
 
 def bm25_scores_reference(spec: DockerSpec, index) -> list[float]:
-    """Per-document BM25 scores with no impacts kept: every posting's part
-    is computed on each query from the index's statistics, in field ->
-    query-term -> posting order. Its scores are the reference to the last
-    bit."""
+    """Per-document BM25 scores with nothing kept and nothing read from the
+    index but its entries and parameters: each query counts the postings and
+    field lengths from ``index.entries`` again, and computes every posting's
+    part in field -> query-term -> ascending doc id order. Its scores are the
+    reference to the last bit."""
     query_terms = query_terms_for(spec)
-    scores = [0.0] * index.size
     n = index.size
+    scores = [0.0] * n
+    rendered = [render_spec_fields(doc_spec) for doc_spec, _ in index.entries]
     for field_name in SPEC_FIELDS:
-        avgdl = index.average_length[field_name]
+        docs = [Counter(texts[field_name].split()) for texts in rendered]
+        lengths = [len(texts[field_name].split()) for texts in rendered]
+        avgdl = sum(lengths) / n
         if avgdl == 0.0:
             continue
-        lengths = index.lengths[field_name]
         for term in query_terms[field_name]:
-            df = index.doc_frequency[field_name].get(term, 0)
-            if df == 0:
+            postings = [(doc_id, counts[term]) for doc_id, counts in enumerate(docs)
+                        if term in counts]
+            if not postings:
                 continue
+            df = len(postings)
             idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            for doc_id, tf in index.postings[field_name][term]:
+            for doc_id, tf in postings:
                 norm = index.k1 * (1.0 - index.b + index.b * lengths[doc_id] / avgdl)
                 scores[doc_id] += idf * tf * (index.k1 + 1.0) / (tf + norm)
     return scores

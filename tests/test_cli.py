@@ -681,7 +681,9 @@ class TestBadInput:
     @pytest.mark.parametrize("key, value, message", [
         ("entries", [], "malformed index file: cannot index an empty corpus"),
         ("entries", {"a": 1}, "malformed index file: 'dict' object is not iterable as a list"),
+        ("entries", [{"spec": spec_to_dict(SPEC)}], "entry 0: lacks key 'dockerfile'"),
         ("k1", True, "malformed index file: k1 must be a finite number >= 0, got True"),
+        ("k1", 10 ** 400, "malformed index file: k1 must be a finite number >= 0, got 1000"),
         ("b", True, "malformed index file: b must be a number in [0, 1], got True"),
     ])
     def test_generate_names_index_with_bad_entries_or_parameters(self, capsys, tmp_path,

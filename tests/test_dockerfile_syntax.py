@@ -15,10 +15,9 @@ from dockerspec.dockerfile_syntax import (
     parse_dockerfile,
     parse_shell,
     run_statements,
-    serialize_document,
 )
 from dockerspec.errors import EmptyInput, MalformedInstruction, ParseError, ShellSyntaxError
-from oracles import tokenize_shell_reference
+from oracles import serialize_document, tokenize_shell_reference
 
 
 class TestParseDockerfile:

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,13 @@ from dockerspec.retrieval_engine import (
     save_index,
     vector_retrieve,
 )
-from dockerspec.spec_model import DockerSpec, FLAG_FIELDS, spec_from_dict, spec_to_dict
+from dockerspec.spec_model import (
+    DockerSpec,
+    FLAG_FIELDS,
+    SPEC_FIELDS,
+    spec_from_dict,
+    spec_to_dict,
+)
 from oracles import (
     bm25_scores_reference,
     naive_bm25_rankings,
@@ -90,31 +98,42 @@ class TestBuildIndex:
         assert index.doc_frequency["dependencies"]["git"] == 2
         assert index.doc_frequency["dependencies"]["vim"] == 1
 
-    def test_average_length(self):
+    def test_document_of_average_length_has_unit_norm(self):
+        # dependency lengths 2, 4 and 6: the mean is 4, so with b = 0.75 the
+        # second document's length norm is 1.0 and its weight for "a" is idf
         entries = [
             (DockerSpec(dependencies=frozenset({"a", "b"})), "1"),
             (DockerSpec(dependencies=frozenset({"a", "b", "c", "d"})), "2"),
             (DockerSpec(dependencies=frozenset({"a", "b", "c", "d", "e", "f"})), "3"),
         ]
-        index = build_index(entries)
-        assert index.average_length["dependencies"] == 4.0
+        ids, weights = build_index(entries).impacts["dependencies"]["a"]
+        idf = math.log(1.0 + (3 - 3 + 0.5) / (3 + 0.5))
+        assert ids == [0, 1, 2]
+        assert weights[1] == pytest.approx(idf, rel=1e-15)
+        assert weights[0] > weights[1] > weights[2]
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             build_index([])
 
-    def test_length_equals_term_frequency_sum(self):
+    def test_length_counts_repeated_terms(self):
+        # "a b" renders as two tokens, so the second document's dependencies
+        # text is "a a b": length 3 with tf 2 for "a"; a true flag is one term
         entries = [(DockerSpec(dependencies=frozenset({"a", "b"})), "d"),
                    (DockerSpec(os="alpine", dependencies=frozenset({"a", "a b"}),
                                uses_env=True), "e")]
-        index = build_index(entries)
-        for field_name, terms in index.postings.items():
-            for doc_id in range(len(entries)):
-                tf_sum = sum(tf for plist in terms.values()
-                             for posting_id, tf in plist if posting_id == doc_id)
-                assert index.lengths[field_name][doc_id] == tf_sum
-        assert index.lengths["dependencies"] == [2, 3]
-        assert index.lengths["uses_env"] == [0, 1]
+        impacts = build_index(entries, k1=1.0, b=1.0).impacts
+
+        def weight(df, tf, length, avgdl):
+            idf = math.log(1.0 + (2 - df + 0.5) / (df + 0.5))
+            return idf * tf * 2.0 / (tf + 1.0 * (1.0 - 1.0 + 1.0 * length / avgdl))
+
+        assert impacts["dependencies"] == {
+            "a": ([0, 1], [weight(2, 1, 2, 2.5), weight(2, 2, 3, 2.5)]),
+            "b": ([0, 1], [weight(2, 1, 2, 2.5), weight(2, 1, 3, 2.5)]),
+        }
+        assert impacts["uses_env"] == {"uses_env": ([1], [weight(1, 1, 1, 0.5)])}
+        assert impacts["uses_arg"] == {}
 
 
 class TestBm25Score:
@@ -148,7 +167,7 @@ class TestBm25Score:
                  DockerSpec(dependencies=frozenset({"git", "vim"})),
                  DockerSpec(os="alpine", dependencies=frozenset({"lfs"}))]
         index = build_index([(s, f"d{i}") for i, s in enumerate(specs)])
-        assert index.postings["dependencies"]["git"][0] == (0, 2)
+        assert render_spec_fields(specs[0])["dependencies"].split().count("git") == 2
         for query in specs + [DockerSpec(dependencies=frozenset({"git"}))]:
             oracle = naive_bm25_rankings(query, specs, render=render_spec_fields)
             scores = self.scores(query, index)
@@ -160,7 +179,8 @@ class TestBm25Score:
         entries = [(DockerSpec(dependencies=frozenset({"git", "git lfs"})), "a"),
                    (DockerSpec(dependencies=frozenset({"git", "pad fill"})), "b")]
         index = build_index(entries)
-        assert index.lengths["dependencies"] == [3, 3]
+        assert [len(render_spec_fields(s)["dependencies"].split()) for s, _ in entries] == \
+            [3, 3]
         scores = self.scores(DockerSpec(dependencies=frozenset({"git"})), index)
         assert scores[0] > scores[1]
 
@@ -332,7 +352,7 @@ class TestExactReferences:
         for query in queries:
             assert _hits(vector_retrieve(query, 400, index.entries)) == \
                 _hits(vector_retrieve_reference(query, 400, entries))
-        # the second pass reads every query term's impacts from the index
+        # the second pass reads the impacts that the first query built
         for query in queries + queries[::-1]:
             assert _bm25_scores(query, index) == _reference_scores(query, index)
 
@@ -354,7 +374,7 @@ class TestExactReferences:
                  DockerSpec(dependencies=frozenset({"git", "vim", "curl"})),
                  DockerSpec(os="alpine", dependencies=frozenset({"lfs"}))]
         index = build_index([(s, f"d{i}") for i, s in enumerate(specs)], k1=k1, b=b)
-        assert index.postings["dependencies"]["git"][0] == (0, 2)
+        assert render_spec_fields(specs[0])["dependencies"].split().count("git") == 2
         for query in specs + specs[::-1]:
             assert _bm25_scores(query, index) == _reference_scores(query, index)
 
@@ -403,97 +423,22 @@ class TestTfidfTablesBuiltOnce:
                 _hits(vector_retrieve(query, 10, index.entries))
 
 
-class TestBm25ImpactsComputedOnce:
-    """A (field, term)'s impacts are computed by the first ``retrieve`` that
-    reads the term, kept on its index, and computed by nothing else."""
-
-    @pytest.fixture()
-    def computed(self, monkeypatch):
-        calls = []
-        compute = retrieval_engine._impact_postings
-
-        def counting(index, field_name, term):
-            calls.append((field_name, term))
-            return compute(index, field_name, term)
-
-        monkeypatch.setattr(retrieval_engine, "_impact_postings", counting)
-        return calls
-
-    @staticmethod
-    def corpus():
-        rng = random.Random(8)
-        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(30)]
-        return entries, [random_valid_spec(rng) for _ in range(6)]
-
-    def test_build_and_load_compute_none(self, tmp_path, computed):
-        entries, _ = self.corpus()
-        index = build_index(entries)
-        save_index(index, tmp_path / "index.bin")
-        loaded, _ = load_index(tmp_path / "index.bin")
-        assert computed == []
-        assert index.impacts == {} and loaded.impacts == {}
-
-    def test_each_term_computed_once(self, computed):
-        entries, queries = self.corpus()
-        index = build_index(entries)
-        for query in queries + queries[::-1] + queries:
-            retrieve(query, 5, index)
-        read = {(field_name, term) for query in queries
-                for field_name, terms in query_terms_for(query).items()
-                for term in terms if term in index.postings[field_name]}
-        assert sorted(computed) == sorted(read)
-        assert set(index.impacts) == read
-        # the impacts are left out of equality
-        assert index == build_index(entries)
-
-    def test_absent_term_keeps_nothing(self):
-        entries, queries = self.corpus()
-        index = build_index(entries)
-        absent = DockerSpec(os="plan9", pkg_manager="pacman",
-                            dependencies=frozenset({"git", "no-such-package"}))
-        assert retrieve(absent, 30, index) == retrieve(absent, 30, build_index(entries))
-        assert all(term in index.postings[field_name] for field_name, term in index.impacts)
-        fresh = build_index(entries)
-        for query in queries:
-            assert _hits(retrieve(query, 30, index)) == _hits(retrieve(query, 30, fresh))
-
-    def test_vector_retrieve_computes_none(self, tmp_path, computed):
-        entries, queries = self.corpus()
-        save_index(build_index(entries), tmp_path / "index.bin")
-        index, loaded_entries = load_index(tmp_path / "index.bin")
-        for query in queries:
-            vector_retrieve(query, 5, loaded_entries)
-        assert computed == []
-        assert index.impacts == {}
-
-    def test_interleaved_rankers_equal_each_alone(self, tmp_path):
-        entries, queries = self.corpus()
-        save_index(build_index(entries), tmp_path / "index.bin")
-        bm25_index, _ = load_index(tmp_path / "index.bin")
-        alone_bm25 = [_hits(retrieve(q, 10, bm25_index)) for q in queries]
-        _, tfidf_entries = load_index(tmp_path / "index.bin")
-        alone_tfidf = [_hits(vector_retrieve(q, 10, tfidf_entries)) for q in queries]
-        index, shared = load_index(tmp_path / "index.bin")
-        for n, query in enumerate(queries):
-            assert _hits(vector_retrieve(query, 10, shared)) == alone_tfidf[n]
-            assert _hits(retrieve(query, 10, index)) == alone_bm25[n]
-
-
-class TestBm25StatisticsBuiltLazily:
-    """An index's BM25 statistics are built by its first ``retrieve`` and
-    kept; building, saving, loading, ``index build`` and TF-IDF queries
-    build none, and the statistics stay out of ``==`` and ``repr``."""
+class TestBm25ImpactsBuiltOnce:
+    """An index's BM25 impacts, for every term, are built by its first
+    ``retrieve`` and kept; building, saving, loading, ``index build`` and
+    TF-IDF queries build none, and the impacts stay out of ``==`` and
+    ``repr``."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
         calls = []
-        build = retrieval_engine._bm25_statistics
+        build = retrieval_engine._bm25_impacts
 
-        def counting(entries):
+        def counting(entries, k1, b):
             calls.append(len(entries))
-            return build(entries)
+            return build(entries, k1, b)
 
-        monkeypatch.setattr(retrieval_engine, "_bm25_statistics", counting)
+        monkeypatch.setattr(retrieval_engine, "_bm25_impacts", counting)
         return calls
 
     @staticmethod
@@ -528,12 +473,27 @@ class TestBm25StatisticsBuiltLazily:
         entries, queries = self.corpus()
         save_index(build_index(entries), tmp_path / "index.bin")
         index, _ = load_index(tmp_path / "index.bin")
-        scores = [_bm25_scores(query, index) for query in queries + queries[::-1]]
+        absent = DockerSpec(os="plan9", pkg_manager="pacman",
+                            dependencies=frozenset({"git", "no-such-package"}))
+        asked = queries + [absent] + queries[::-1]
+        scores = [_bm25_scores(query, index) for query in asked]
         assert built == [25]
-        assert scores == [_reference_scores(query, index) for query in queries + queries[::-1]]
+        assert scores == [_reference_scores(query, index) for query in asked]
         assert built == [25]
 
-    def test_statistics_left_out_of_equality_and_repr(self, tmp_path):
+    def test_interleaved_rankers_equal_each_alone(self, tmp_path):
+        entries, queries = self.corpus()
+        save_index(build_index(entries), tmp_path / "index.bin")
+        bm25_index, _ = load_index(tmp_path / "index.bin")
+        alone_bm25 = [_hits(retrieve(q, 10, bm25_index)) for q in queries]
+        _, tfidf_entries = load_index(tmp_path / "index.bin")
+        alone_tfidf = [_hits(vector_retrieve(q, 10, tfidf_entries)) for q in queries]
+        index, shared = load_index(tmp_path / "index.bin")
+        for n, query in enumerate(queries):
+            assert _hits(vector_retrieve(query, 10, shared)) == alone_tfidf[n]
+            assert _hits(retrieve(query, 10, index)) == alone_bm25[n]
+
+    def test_impacts_left_out_of_equality_and_repr(self, tmp_path):
         entries, queries = self.corpus()
         save_index(build_index(entries), tmp_path / "index.bin")
         loaded, _ = load_index(tmp_path / "index.bin")
@@ -544,7 +504,16 @@ class TestBm25StatisticsBuiltLazily:
         assert loaded == fresh and fresh == loaded
         assert load_index(tmp_path / "index.bin")[0] == loaded
         assert repr(loaded) == before
-        assert "postings" not in before and "statistics" not in before
+        assert "impacts" not in before
+
+    def test_doc_frequency_counts_entries(self):
+        entries, _ = self.corpus()
+        expected = {field_name: Counter() for field_name in SPEC_FIELDS}
+        for spec, _ in entries:
+            for field_name, text in render_spec_fields(spec).items():
+                expected[field_name].update(set(text.split()))
+        assert build_index(entries).doc_frequency == \
+            {field_name: dict(counts) for field_name, counts in expected.items()}
 
 
 class TestTopKEdges:
@@ -635,13 +604,18 @@ class TestIndexFile:
     @pytest.mark.parametrize("key, value, message", [
         ("spec", {"os": "alpine"}, "missing field(s): pkg_manager"),
         ("dockerfile", 3, "malformed index file: a dockerfile is not a string"),
+        ("spec", None, "lacks key 'spec'"),
+        ("dockerfile", None, "lacks key 'dockerfile'"),
     ])
     def test_bad_entry_named(self, tmp_path, key, value, message):
         path = tmp_path / "index.bin"
         save_index(build_index([(DockerSpec(), "doc0"), (DockerSpec(), "doc1"),
                                 (DockerSpec(), "doc2")]), path)
         payload = json.loads(path.read_text())
-        payload["entries"][1][key] = value
+        if value is None:
+            del payload["entries"][1][key]
+        else:
+            payload["entries"][1][key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as info:
             load_index(path)
@@ -662,6 +636,7 @@ class TestIndexFile:
         ("entries", {"a": 1}, "malformed index file: 'dict' object is not iterable as a list"),
         ("entries", [1], "entry 0: malformed index file: an entry is not an object"),
         ("k1", True, "malformed index file: k1 must be a finite number >= 0, got True"),
+        ("k1", 10 ** 400, "malformed index file: k1 must be a finite number >= 0, got 1000"),
         ("b", True, "malformed index file: b must be a number in [0, 1], got True"),
     ])
     def test_bad_entries_and_parameters_named(self, tmp_path, key, value, message):
@@ -679,7 +654,7 @@ class TestBm25Parameters:
     @pytest.mark.parametrize("k1, b", [(float("nan"), 0.75), (float("inf"), 0.75),
                                        (-5.0, 0.75), (1.2, 7.0), (1.2, -0.1),
                                        (1.2, float("nan")), (True, 0.75), (1.2, True),
-                                       (1.2, False)])
+                                       (1.2, False), (10 ** 400, 0.75), (-10 ** 400, 0.75)])
     def test_rejected(self, k1, b):
         with pytest.raises(ConfigError):
             build_index([(DockerSpec(), "doc")], k1=k1, b=b)
