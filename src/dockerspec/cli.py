@@ -150,7 +150,7 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
     lists = _load_lists(os_words_path, stop_words_path)
     entries, reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries, seed=seed, max_tokens=max_tokens)
-    reasons.update(result.reasons)
+    reasons += result.reasons
     if not result.finetune:
         over = result.reasons["over-token-limit"]
         if over:

@@ -277,11 +277,13 @@ def build_corpus(entries: list[CorpusEntry], seed: int = 42,
     Cluster members not chosen as representative, and representatives whose
     spec has no dependencies, end up in the pre-training stream; everything
     else is the fine-tuning set that gets the 80/10/10 split (left unsplit
-    when fewer than 10 entries remain).
+    when fewer than 10 entries remain). ``reasons`` counts only the
+    outcomes that happened.
     """
     result = CorpusBuildResult()
     deduped = dedup(entries)
-    result.reasons["duplicate"] = len(entries) - len(deduped)
+    if len(deduped) < len(entries):
+        result.reasons["duplicate"] = len(entries) - len(deduped)
 
     for cluster in cluster_by_spec(deduped):
         representative = select_representative(cluster)

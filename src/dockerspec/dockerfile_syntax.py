@@ -109,6 +109,8 @@ def _trailing_continuation(line: str) -> bool:
 def parse_dockerfile(text: str) -> DockerfileDocument:
     """Parse Dockerfile text into instructions, comments, and blank lines.
 
+    Lines break at line feeds only, and one leading byte-order mark is ignored;
+    ``raw_text`` and ``content_hash`` are those of ``text`` as given.
     Backslash line continuations are joined into one logical line per
     instruction; comments inside a continuation block are recorded as
     standalone comment lines. Raises MalformedInstruction for a line that
@@ -135,9 +137,13 @@ def parse_dockerfile(text: str) -> DockerfileDocument:
         instructions.append(Instruction(head.upper(), rest.strip(), (start_line, end_line)))
         segments.clear()
 
+    # lines as BuildKit reads them; a "\r" before a "\n" goes with the edge whitespace
+    lines = text.removeprefix("\ufeff").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final "\n" ends the last line; it opens no blank one
     directive = True  # still inside the parser directives that open the file
     last_content_line = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         directive = directive and _DIRECTIVE.fullmatch(stripped)
         if directive and directive[1].lower() == "escape" and directive[2] != "\\":

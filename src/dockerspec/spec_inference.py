@@ -2,7 +2,9 @@
 
 Three steps: read the OS from the base-image reference, collect dependencies
 from the image name and from install-comment scopes, then derive the package
-manager and the capability flags from the instruction stream.
+manager and the capability flags from the instruction stream. One walk over
+the lines in line order finds each comment's scope: the RUN instructions up to
+the next comment line or blank line. Each install recognizer is a table.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ _VCS_PREFIXES = ("git+", "hg+", "svn+", "bzr+")
 _INSTALLERS = {"apt": ("apt", "install"), "apt-get": ("apt", "install"),
                "yum": ("yum", "install"), "apk": ("apk", "add"),
                "pip": ("pip", "install"), "pip3": ("pip", "install"), "npm": ("npm", None)}
+# command -> (long options, short-option letters) that install a local package
+# file; a short-option cluster holding "q" is a query (rpm -qi is --info)
+_LOCAL_INSTALLERS = {"dpkg": (("--install",), "i"), "rpm": (("--install", "--upgrade"), "iU")}
 
 _FLAG_FOR_KIND = {
     "ENV": "uses_env",
@@ -53,16 +58,6 @@ class ImageReference:
     tag: str | None
     name_words: tuple[str, ...]
     tag_words: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CommentScope:
-    """A candidate-bearing comment plus the RUN statements it covers
-    (everything up to the next comment line or blank line)."""
-
-    comment: CommentLine
-    candidate_dependencies: tuple[str, ...]
-    run_statements: tuple[ShellStatement, ...]
 
 
 def _split_words(text: str) -> tuple[str, ...]:
@@ -211,36 +206,32 @@ def extract_installable_args(statements: list[ShellStatement]) -> set[str]:
     return words
 
 
-def comment_scopes(doc: DockerfileDocument, lists: WordLists,
-                   runs: list[tuple[Instruction, list[ShellStatement]]]) -> list[CommentScope]:
-    """Build the install-comment scopes of a document.
+def infer_comment_dependencies(doc: DockerfileDocument, lists: WordLists,
+                               runs: list[tuple[Instruction, list[ShellStatement]]]) -> set[str]:
+    """Comment candidates confirmed by an install argument in their scope.
 
-    ``runs`` pairs each RUN instruction with its statements. A scope covers
-    the RUN instructions starting after the comment and before the next
-    comment line or blank line, whichever comes first.
+    ``runs`` pairs each RUN instruction with its statements. One walk over
+    comment, blank and RUN start lines in line order: a RUN adds its
+    statements to the open scope; a comment or a blank line closes it, and a
+    comment opens the next one with its own candidates.
     """
-    boundary_lines = sorted(
-        {c.line for c in doc.comments} | set(doc.blank_lines))
-    scopes = []
-    for comment in doc.comments:
-        candidates = extract_comment_candidates(comment, lists.stop_words)
-        if not candidates:
-            continue
-        terminator = next(
-            (b for b in boundary_lines if b > comment.line), float("inf"))
-        statements = tuple(
-            stmt for inst, body in runs
-            if comment.line < inst.line_span[0] < terminator for stmt in body)
-        scopes.append(CommentScope(comment, tuple(candidates), statements))
-    return scopes
-
-
-def infer_comment_dependencies(scopes: list[CommentScope]) -> set[str]:
-    """Comment candidates confirmed by an install argument in their scope."""
+    events = sorted([(c.line, c, None) for c in doc.comments]
+                    + [(line, None, None) for line in doc.blank_lines]
+                    + [(inst.line_span[0], None, body) for inst, body in runs],
+                    key=lambda event: event[0])
     accepted: set[str] = set()
-    for scope in scopes:
-        installable = extract_installable_args(list(scope.run_statements))
-        accepted.update(c for c in scope.candidate_dependencies if c in installable)
+    candidates: list[str] = []
+    scope: list[ShellStatement] = []
+    # a blank line after the last line closes the scope still open there
+    for _, comment, body in events + [(None, None, None)]:
+        if body is not None:
+            scope += body
+            continue
+        if candidates:
+            installable = extract_installable_args(scope)
+            accepted.update(c for c in candidates if c in installable)
+        candidates = extract_comment_candidates(comment, lists.stop_words) if comment else []
+        scope = []
     return accepted
 
 
@@ -277,16 +268,11 @@ def infer_downloads_external(statements: list[ShellStatement]) -> bool:
                 return True
             if tool == "apk" and any(a.endswith(".apk") for a in packages):
                 return True
-        command, args = stmt.command, stmt.arguments
-        if command == "dpkg" and any(a == "--install" or
-                                     (a.startswith("-") and not a.startswith("--") and "i" in a)
-                                     for a in args):
-            return True
-        if command == "rpm" and any(a in ("--install", "--upgrade") or
-                                    (a.startswith("-") and not a.startswith("--")
-                                     and ("i" in a or "U" in a))
-                                    for a in args):
-            return True
+        long_options, letters = _LOCAL_INSTALLERS.get(stmt.command, ((), ""))
+        for arg in stmt.arguments:
+            short = arg.startswith("-") and not arg.startswith("--") and "q" not in arg
+            if arg in long_options or (short and any(letter in arg for letter in letters)):
+                return True
     return False
 
 
@@ -295,7 +281,8 @@ def infer_spec(doc: DockerfileDocument, lists: WordLists,
     """Run the full inference: OS, dependencies, package manager, and flags.
 
     Each RUN body is split into statements once. By default dependencies
-    come from the image name and from install-comment scopes. Given
+    come from the image name and from install-comment scopes, found in one
+    walk over the comment, blank and RUN start lines in line order. Given
     ``target_dependencies`` (for generated files, which carry no comments),
     the comment step is skipped: a target dependency counts as met when it
     is an installable argument of some RUN statement or a word of the FROM
@@ -318,7 +305,7 @@ def infer_spec(doc: DockerfileDocument, lists: WordLists,
     os_name = infer_os(ref, lists)
     if target_dependencies is None:
         dependencies = infer_from_dependencies(ref, lists)
-        dependencies |= infer_comment_dependencies(comment_scopes(doc, lists, runs))
+        dependencies |= infer_comment_dependencies(doc, lists, runs)
         dependencies = {
             d for d in dependencies
             if d[0].isalpha() and d not in lists.os_words and d not in lists.stop_words

@@ -8,9 +8,10 @@ is a literal formula transcription without an inverted index (plus a
 per-query BM25 scorer and a per-query TF-IDF ranker that the engine's
 scores must match bit for bit),
 and the Mann-Whitney p-value enumerates group assignments with itertools.
-The shell lexer's reference is the character loop that it replaced, and
-the parser's round-trip checks re-parse the text that ``serialize_document``
-renders here.
+The shell lexer's reference is the character loop that it replaced, the
+install-comment scopes' reference scans every boundary line and RUN once
+per comment, and the parser's round-trip checks re-parse the text that
+``serialize_document`` renders here.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from dockerspec.retrieval_engine import (
     render_spec_fields,
     rendered_spec_text,
 )
+from dockerspec.spec_inference import extract_comment_candidates, extract_installable_args
 from dockerspec.spec_model import FLAG_FIELDS, SPEC_FIELDS, DockerSpec
 
 # ---------------------------------------------------------------------------
@@ -324,6 +326,31 @@ def serialize_document(doc) -> str:
         events.append((blank, 0, ""))
     events.sort()
     return "\n".join(line for _, _, line in events) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# install-comment scopes: each comment scans every boundary line and RUN
+
+
+def comment_dependencies_reference(doc, lists, runs) -> set[str]:
+    """Comment candidates confirmed by an install argument in their scope.
+
+    ``runs`` pairs each RUN instruction with its statements. A comment's
+    scope is every RUN that starts after it and before the next comment line
+    or blank line, found by scanning all of them for each comment.
+    """
+    boundary_lines = sorted({c.line for c in doc.comments} | set(doc.blank_lines))
+    accepted = set()
+    for comment in doc.comments:
+        candidates = extract_comment_candidates(comment, lists.stop_words)
+        if not candidates:
+            continue
+        terminator = next((b for b in boundary_lines if b > comment.line), float("inf"))
+        statements = [stmt for inst, body in runs
+                      if comment.line < inst.line_span[0] < terminator for stmt in body]
+        installable = extract_installable_args(statements)
+        accepted.update(c for c in candidates if c in installable)
+    return accepted
 
 
 # ---------------------------------------------------------------------------

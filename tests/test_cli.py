@@ -31,6 +31,13 @@ class TestInferSpecCommand:
         assert spec["dependencies"] == ["ffmpeg", "tomcat", "x265"]
         assert spec["downloads_external"] is True
 
+    def test_byte_order_mark_ignored(self, capsys, tmp_path):
+        original = FIXTURES / "tomcat-ffmpeg.Dockerfile"
+        with_bom = tmp_path / "bom.Dockerfile"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        assert run(capsys, "infer-spec", str(with_bom)) == \
+            run(capsys, "infer-spec", str(original))
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "infer-spec", "does-not-exist.Dockerfile")
         assert code == 3
@@ -101,6 +108,20 @@ class TestCorpusCommands:
         assert stats["reasons"]["no-comments"] == 1
         assert stats["reasons"]["multi-stage"] == 1
         assert stats["eligible"] > 0
+
+    def test_build_and_stats_print_the_same_reasons(self, capsys, tmp_path):
+        directory = tmp_path / "fixtures"
+        directory.mkdir()
+        for path in FIXTURES.glob("*.Dockerfile"):
+            (directory / path.name).write_bytes(path.read_bytes())
+        code, built, _ = run(capsys, "corpus", "build", str(directory),
+                             "--out", str(tmp_path / "corpus.jsonl"))
+        assert code == 0
+        code, stats, _ = run(capsys, "corpus", "stats", str(directory))
+        assert code == 0
+        reasons = json.loads(built)["reasons"]
+        assert reasons == json.loads(stats)["reasons"]
+        assert "duplicate" not in reasons
 
     def test_build_empty_directory(self, capsys, tmp_path):
         empty = tmp_path / "empty"

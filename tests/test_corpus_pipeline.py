@@ -390,6 +390,12 @@ class TestPipeline:
                        + len(result.split.test))
         assert split_total == len(result.finetune)
 
+    def test_reasons_hold_only_outcomes_that_happened(self, corpus_dir, word_lists):
+        entries, _ = ingest_directory(corpus_dir, word_lists)
+        reasons = build_corpus(dedup(entries), seed=3).reasons
+        assert "duplicate" not in reasons and "over-token-limit" not in reasons
+        assert all(reasons.values())
+
     def test_jsonl_roundtrip(self, corpus_dir, word_lists, tmp_path):
         entries, _ = ingest_directory(corpus_dir, word_lists)
         result = build_corpus(entries)

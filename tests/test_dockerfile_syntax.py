@@ -83,6 +83,30 @@ class TestParseDockerfile:
         assert doc.content_hash == hashlib.sha1(text.encode()).hexdigest()
         assert parse_dockerfile(text).content_hash == doc.content_hash
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    @pytest.mark.parametrize("kind, arguments", [("RUN", 'echo "a{}b"'), ("LABEL", 'note="a{}b"')],
+                             ids=["RUN", "LABEL"])
+    def test_only_line_feeds_break_lines(self, char, kind, arguments):
+        arguments = arguments.format(char)
+        doc = parse_dockerfile(f"FROM alpine\n{kind} {arguments}\n\n# done\n")
+        assert [(i.kind, i.raw_arguments, i.line_span) for i in doc.instructions] == [
+            ("FROM", "alpine", (1, 1)), (kind, arguments, (2, 2))]
+        assert doc.blank_lines == {3}
+        assert [(c.text, c.line) for c in doc.comments] == [("done", 4)]
+
+    def test_leading_byte_order_mark_ignored(self):
+        import hashlib
+
+        text = "\ufeff# install curl\nFROM alpine\r\n"
+        doc = parse_dockerfile(text)
+        assert [(c.text, c.line) for c in doc.comments] == [("install curl", 1)]
+        assert [(i.kind, i.raw_arguments) for i in doc.instructions] == [("FROM", "alpine")]
+        assert doc.raw_text == text
+        assert doc.content_hash == hashlib.sha1(text.encode()).hexdigest()
+        with pytest.raises(MalformedInstruction):
+            parse_dockerfile("\ufeff\ufeffFROM alpine\n")
+
     def test_tomcat_ffmpeg_instruction_sequence(self, tomcat_ffmpeg_text):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
         kinds = [i.kind for i in doc.instructions]

@@ -1,7 +1,8 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import comment_dependencies_reference
 
 from dockerspec import dockerfile_syntax
 from dockerspec.dockerfile_syntax import (
@@ -11,9 +12,8 @@ from dockerspec.dockerfile_syntax import (
     parse_shell,
     run_statements,
 )
-from dockerspec.errors import InferenceIncomplete, MalformedFrom
+from dockerspec.errors import InferenceIncomplete, MalformedFrom, ParseError, read_input
 from dockerspec.spec_inference import (
-    comment_scopes,
     extract_comment_candidates,
     extract_installable_args,
     infer_comment_dependencies,
@@ -38,7 +38,7 @@ def statements_of(doc):
 
 
 def comment_dependencies(doc, word_lists):
-    return infer_comment_dependencies(comment_scopes(doc, word_lists, runs_of(doc)))
+    return infer_comment_dependencies(doc, word_lists, runs_of(doc))
 
 
 class TestSplitImageReference:
@@ -250,9 +250,6 @@ class TestParseOnce:
 class TestCommentDependencies:
     def test_tomcat_ffmpeg_scopes(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        scopes = comment_scopes(doc, word_lists, runs_of(doc))
-        assert [s.candidate_dependencies for s in scopes] == [("x265",), ("ffmpeg",)]
-        assert all(s.run_statements for s in scopes)
         assert comment_dependencies(doc, word_lists) == {"x265", "ffmpeg"}
 
     def test_unmatched_candidate(self, word_lists):
@@ -281,6 +278,51 @@ class TestCommentDependencies:
         truncated = comment_dependencies(parse_dockerfile(prefix), word_lists)
         assert truncated == {"foo"}
         assert full == {"foo", "bar"}
+
+
+# Dockerfile lines for the scope property: install comments and other
+# comments, blank lines, shell-form and exec-form RUNs (one with a comment
+# and one with a blank line inside a continuation), and other instructions
+_PACKAGES = st.lists(st.sampled_from(["curl", "git", "vim", "x265", "the", "and"]),
+                     min_size=1, max_size=3).map(" ".join)
+_SCOPE_LINE = st.one_of(
+    _PACKAGES.map("# Install {}".format),
+    _PACKAGES.map("# install: {}.".format),
+    _PACKAGES.map("# set up {}".format),
+    st.just(""),
+    _PACKAGES.map("RUN apt-get update && apt-get install -y {}".format),
+    _PACKAGES.map("RUN apk add --no-cache {} > /dev/null".format),
+    st.sampled_from(['RUN ["pip", "install", "vim"]', "RUN []", "RUN echo hi",
+                     "RUN wget https://example.com/x265.tar.gz"]),
+    _PACKAGES.map("RUN apt-get install -y \\\n# Install {}\n    curl git".format),
+    _PACKAGES.map("RUN apt-get install -y \\\n\n    {}".format),
+    st.sampled_from(["ENV A=1", "LABEL k=v", "COPY . /app", "FROM alpine:3.14"]),
+)
+
+
+class TestCommentDependenciesReference:
+    """The scope walk against the per-comment scan in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SCOPE_LINE, max_size=12))
+    def test_generated_documents(self, word_lists, lines):
+        doc = parse_dockerfile("\n".join(["FROM ubuntu:20.04"] + lines) + "\n")
+        assert comment_dependencies(doc, word_lists) == \
+            comment_dependencies_reference(doc, word_lists, runs_of(doc))
+
+    def test_benchmark_corpus(self, benchmark_corpus_dir, word_lists):
+        compared = accepted = 0
+        for path in sorted(p for p in benchmark_corpus_dir.rglob("*") if p.is_file()):
+            try:
+                doc = parse_dockerfile(read_input(path, ParseError))
+                runs = runs_of(doc)
+            except ParseError:
+                continue
+            expected = comment_dependencies_reference(doc, word_lists, runs)
+            assert comment_dependencies(doc, word_lists) == expected, path.name
+            compared += 1
+            accepted += bool(expected)
+        assert compared > 1000 and accepted > 1000
 
 
 class TestInferFlags:
@@ -349,6 +391,19 @@ class TestInferDownloadsExternal:
     def test_dpkg_local_file(self):
         doc = parse_dockerfile("FROM x\nRUN dpkg -i ./package.deb\n")
         assert infer_downloads_external(statements_of(doc)) is True
+
+    @pytest.mark.parametrize("script, expected", [
+        ("dpkg --install ./package.deb", True), ("dpkg -Ei ./package.deb", True),
+        ("rpm -ivh ./package.rpm", True),
+        ("rpm -U ./package.rpm", True), ("rpm --upgrade ./package.rpm", True),
+        ("dpkg -I ./package.deb", False), ("dpkg -l", False),
+        ("dpkg --info ./package.deb", False), ("rpm -qa", False),
+        ("rpm --query curl", False), ("rpm --import ./key.asc", False),
+        # in rpm's query mode -i is --info
+        ("rpm -qi curl", False), ("rpm -qip ./package.rpm", False),
+    ])
+    def test_low_level_package_tool(self, script, expected):
+        assert infer_downloads_external(parse_shell(script)) is expected
 
     def test_apk_local_file(self):
         doc = parse_dockerfile("FROM x\nRUN apk add ./custom.apk\n")
