@@ -2,7 +2,8 @@
 
 Filtering, deduplication, clustering by identical spec, representative
 selection by instruction-level Jaccard similarity, normalization for
-training, and the 80/10/10 split.
+training, and the 80/10/10 split. Ingest splits each RUN body once, at the
+filter's shell rule, and builds each entry's training text once from it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .dockerfile_syntax import (
     join_statements,
     parse_dockerfile,
     parse_exec_form,
-    parse_shell,
-    run_statements,
 )
 from .errors import (
     InferenceIncomplete,
@@ -33,15 +32,18 @@ from .errors import (
     TooFewEntries,
     read_input,
 )
-from .spec_inference import infer_spec, install_command, split_image_reference
+from .spec_inference import Runs, infer_spec, install_command, split_image_reference, split_runs
 from .spec_model import DockerSpec, WordLists, spec_to_dict
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """An eligible Dockerfile with its spec, source and training text (built once)."""
+
     spec: DockerSpec
     document: DockerfileDocument
     source: str
+    training_text: str
 
     @property
     def content_hash(self) -> str:
@@ -70,12 +72,13 @@ def filter_eligible(
     doc: DockerfileDocument,
     lists: WordLists,
     known_words: frozenset[str] | None = None,
-) -> tuple[bool, str | None]:
+) -> tuple[str | None, Runs | None]:
     """Decide whether a Dockerfile can enter the corpus.
 
-    Rejects (first failing rule wins): documents without comments,
-    multi-stage builds, FROM references with unvocabularied words, RUN
-    bodies with shell syntax errors, and empty-argument instructions.
+    Returns the reason of the first failing rule, or None with the RUN split
+    (``split_runs``) that the shell rule made. Rules in order: no comments,
+    a multi-stage build, a malformed FROM, FROM words outside the
+    vocabulary, a shell syntax error in a RUN body, an empty instruction.
 
     The vocabulary rule only applies when ``known_words`` is given (pass an
     empty set to restrict FROM words to the OS/stop lists alone); by default
@@ -83,27 +86,26 @@ def filter_eligible(
     the starter word lists.
     """
     if not doc.comments:
-        return False, "no-comments"
+        return "no-comments", None
     if doc.from_count > 1:
-        return False, "multi-stage"
+        return "multi-stage", None
     if doc.from_count == 1:
         try:
             ref = split_image_reference(doc.instructions_of_kind("FROM")[0].raw_arguments)
         except MalformedFrom:
-            return False, "malformed-from"
+            return "malformed-from", None
         if known_words is not None:
             vocabulary = lists.os_words | lists.stop_words | known_words
             for word in ref.name_words + ref.tag_words:
                 if word not in vocabulary and not _is_numericish(word) and len(word) >= 3:
-                    return False, "unevaluated-from-word"
-    for inst in doc.instructions_of_kind("RUN"):
-        try:
-            run_statements(inst)
-        except ShellSyntaxError:
-            return False, "shell-syntax-error"
+                    return "unevaluated-from-word", None
+    try:
+        runs = split_runs(doc)
+    except ShellSyntaxError:
+        return "shell-syntax-error", None
     if any(not inst.raw_arguments for inst in doc.instructions):
-        return False, "empty-instruction"
-    return True, None
+        return "empty-instruction", None
+    return None, runs
 
 
 def dedup(entries: list[CorpusEntry]) -> list[CorpusEntry]:
@@ -178,21 +180,20 @@ def _sorted_statement(stmt: ShellStatement) -> ShellStatement:
                           stmt.connector_to_next)
 
 
-def normalize_for_training(doc: DockerfileDocument) -> str:
+def normalize_for_training(doc: DockerfileDocument, runs: Runs | None = None) -> str:
     """Training-ready text: comment lines dropped, one logical line per
-    instruction terminated by the ``<nl>`` marker, package arguments of
-    install statements sorted lexicographically (flags stay in place,
-    before packages)."""
+    instruction terminated by the ``<nl>`` marker, literal ``<nl>`` words
+    dropped. A shell-form RUN is rebuilt from its statements in ``runs``
+    (``split_runs(doc)`` if not given), install packages sorted after the
+    flags; any other instruction, an exec-form RUN too, keeps its tokens."""
+    bodies = dict(split_runs(doc) if runs is None else runs)
     lines = []
     for inst in doc.instructions:
         if inst.kind == "RUN" and parse_exec_form(inst.raw_arguments) is None:
-            statements = [_sorted_statement(s) for s in parse_shell(inst.raw_arguments)]
-            statements = [
+            body = join_statements([
                 ShellStatement(s.command, tuple(a for a in s.arguments if a != "<nl>"),
                                s.connector_to_next)
-                for s in statements if s.command != "<nl>"
-            ]
-            body = join_statements(statements)
+                for s in map(_sorted_statement, bodies[inst]) if s.command != "<nl>"])
         else:
             body = " ".join(t for t in inst.argument_tokens() if t != "<nl>")
         lines.append(" ".join([inst.kind] + ([body] if body else []) + ["<nl>"]))
@@ -239,14 +240,14 @@ def _ingest_one(path: Path, lists: WordLists,
         doc = parse_dockerfile(text)
     except ParseError:
         return "parse-error", None
-    eligible, reason = filter_eligible(doc, lists, known_words)
-    if not eligible:
+    reason, runs = filter_eligible(doc, lists, known_words)
+    if reason is not None:
         return reason, None
     try:
-        spec = infer_spec(doc, lists)
+        spec = infer_spec(doc, lists, runs=runs)
     except InferenceIncomplete:
         return "inference-incomplete", None
-    return "eligible", CorpusEntry(spec, doc, str(path))
+    return "eligible", CorpusEntry(spec, doc, str(path), normalize_for_training(doc, runs))
 
 
 def ingest_directory(
@@ -297,12 +298,9 @@ def build_corpus(entries: list[CorpusEntry], seed: int = 42,
         else:
             result.finetune.append(representative)
 
-    within_cap = []
-    for entry in result.finetune:
-        if token_length(normalize_for_training(entry.document)) <= max_tokens:
-            within_cap.append(entry)
-        else:
-            result.reasons["over-token-limit"] += 1
+    within_cap = [e for e in result.finetune if token_length(e.training_text) <= max_tokens]
+    if len(within_cap) < len(result.finetune):
+        result.reasons["over-token-limit"] = len(result.finetune) - len(within_cap)
     result.finetune = within_cap
 
     try:
@@ -312,20 +310,12 @@ def build_corpus(entries: list[CorpusEntry], seed: int = 42,
     return result
 
 
-def entry_record(entry: CorpusEntry) -> dict:
-    """The JSONL record for one corpus entry."""
-    return {
-        "spec": spec_to_dict(entry.spec),
-        "dockerfile": normalize_for_training(entry.document),
-        "sha1": entry.content_hash,
-        "source": entry.source,
-    }
-
-
 def write_jsonl(path: Path, entries: list[CorpusEntry]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for entry in entries:
-            handle.write(json.dumps(entry_record(entry), sort_keys=True) + "\n")
+            record = {"spec": spec_to_dict(entry.spec), "dockerfile": entry.training_text,
+                      "sha1": entry.content_hash, "source": entry.source}
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def read_corpus_records(path: Path) -> list[tuple[int, dict]]:

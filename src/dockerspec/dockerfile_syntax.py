@@ -27,8 +27,8 @@ _HEREDOC_SCAN = re.compile(r"""'[^']*'|"(?:\\.|[^"\\])*"|\\.|<<<|<<""")
 
 # the shell lexer's token classes, tried in this order at each position
 _SHELL_TOKEN = re.compile(r"""
-      (?P<blank>[^\S\n]+)
-    | (?P<plain>[^\s'"\\$`<#&|;]+)
+      (?P<blank>[ \t]+)
+    | (?P<plain>[^ \t\n'"\\$`<#&|;]+)
     | (?P<op>&&|\|\||[;|\n])
     | '(?P<single>[^']*)'
     | "(?P<double>[^"\\]*(?:\\.[^"\\]*)*)"
@@ -182,17 +182,18 @@ def _tokenize_shell(script: str) -> list[tuple[str, str]]:
     """Split a shell script into ("word", text) / ("op", connector) tokens.
 
     At each position the first of these token classes that matches is taken:
-    a blank run (ends the word); a run of plain characters; an operator
-    (``&&``, ``||``, ``;``, ``|``, newline); a single-quoted string (quotes
-    stripped); a double-quoted string (quotes stripped, ``\\`` kept except
-    before ``"``, ``\\``, ``$`` and a backquote); a backslash escape (the
-    next character; an escaped newline or a final backslash is dropped); a
-    backquoted substitution (kept whole); ``$(``; ``<<``; a comment (only
-    where no word has started; inside a word ``#`` is literal); any other
-    single character. A ``$(`` substitution is kept whole up to the
-    parenthesis that brings the count of every ``(`` and ``)`` after the
-    ``$``, quoted or escaped ones included, back to zero. An unterminated
-    quote or substitution, and a here-document, raise ShellSyntaxError.
+    spaces and tabs (end the word; as in sh, other whitespace is plain); a
+    run of plain characters; an operator (``&&``, ``||``, ``;``, ``|``,
+    newline); a single-quoted string (quotes stripped); a double-quoted
+    string (quotes stripped, ``\\`` kept except before ``"``, ``\\``, ``$``
+    and a backquote); a backslash escape (the next character; an escaped
+    newline or a final backslash is dropped); a backquoted substitution (kept
+    whole); ``$(``; ``<<``; a comment (only where no word has started; inside
+    a word ``#`` is literal); any other single character. A ``$(``
+    substitution is kept whole up to the parenthesis that brings the count of
+    every ``(`` and ``)`` after the ``$``, quoted or escaped ones included,
+    back to zero. An unterminated quote or substitution, and a here-document,
+    raise ShellSyntaxError.
     """
     tokens: list[tuple[str, str]] = []
     word: list[str] = []  # non-empty while a word is open, even as [""]

@@ -49,6 +49,8 @@ _FLAG_FOR_KIND = {
     "ENTRYPOINT": "uses_entrypoint",
 }
 
+Runs = list[tuple[Instruction, list[ShellStatement]]]
+
 
 @dataclass(frozen=True)
 class ImageReference:
@@ -206,11 +208,15 @@ def extract_installable_args(statements: list[ShellStatement]) -> set[str]:
     return words
 
 
-def infer_comment_dependencies(doc: DockerfileDocument, lists: WordLists,
-                               runs: list[tuple[Instruction, list[ShellStatement]]]) -> set[str]:
+def split_runs(doc: DockerfileDocument) -> Runs:
+    """Each RUN instruction with its ``run_statements``; propagates ShellSyntaxError."""
+    return [(inst, run_statements(inst)) for inst in doc.instructions_of_kind("RUN")]
+
+
+def infer_comment_dependencies(doc: DockerfileDocument, lists: WordLists, runs: Runs) -> set[str]:
     """Comment candidates confirmed by an install argument in their scope.
 
-    ``runs`` pairs each RUN instruction with its statements. One walk over
+    ``runs`` is the RUN split of ``doc`` (``split_runs``). One walk over
     comment, blank and RUN start lines in line order: a RUN adds its
     statements to the open scope; a comment or a blank line closes it, and a
     comment opens the next one with its own candidates.
@@ -277,16 +283,18 @@ def infer_downloads_external(statements: list[ShellStatement]) -> bool:
 
 
 def infer_spec(doc: DockerfileDocument, lists: WordLists,
-               target_dependencies: frozenset[str] | None = None) -> DockerSpec:
+               target_dependencies: frozenset[str] | None = None,
+               runs: Runs | None = None) -> DockerSpec:
     """Run the full inference: OS, dependencies, package manager, and flags.
 
-    Each RUN body is split into statements once. By default dependencies
-    come from the image name and from install-comment scopes, found in one
-    walk over the comment, blank and RUN start lines in line order. Given
-    ``target_dependencies`` (for generated files, which carry no comments),
-    the comment step is skipped: a target dependency counts as met when it
-    is an installable argument of some RUN statement or a word of the FROM
-    image name or tag.
+    Every step reads ``runs``, the RUN split of ``doc`` (``split_runs(doc)``
+    when not given; corpus ingest passes the one its filter made). By default
+    dependencies come from the image name and from install-comment scopes,
+    found in one walk over the comment, blank and RUN start lines in line
+    order. Given ``target_dependencies`` (for generated files, which carry no
+    comments), the comment step is skipped: a target dependency counts as
+    met when it is an installable argument of some RUN statement or a word of
+    the FROM image name or tag.
 
     Raises InferenceIncomplete when a sub-step cannot produce its field
     (no FROM instruction, unusable image reference); shell syntax errors
@@ -300,7 +308,7 @@ def infer_spec(doc: DockerfileDocument, lists: WordLists,
     except MalformedFrom as exc:
         raise InferenceIncomplete(str(exc)) from exc
 
-    runs = [(inst, run_statements(inst)) for inst in doc.instructions_of_kind("RUN")]
+    runs = split_runs(doc) if runs is None else runs
     statements = [stmt for _, body in runs for stmt in body]
     os_name = infer_os(ref, lists)
     if target_dependencies is None:

@@ -290,7 +290,7 @@ def tokenize_shell_reference(script: str) -> list[tuple[str, str]]:
             flush()
             tokens.append(("op", c))
             i += 1
-        elif c.isspace():
+        elif c in " \t":
             flush()
             i += 1
         else:

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import FIXTURES
+from dockerspec import cli, corpus_pipeline, dockerfile_syntax, spec_inference
 from dockerspec.corpus_pipeline import (
     CorpusEntry,
     SpecCluster,
@@ -21,56 +23,85 @@ from dockerspec.corpus_pipeline import (
     token_length,
     write_jsonl,
 )
-from dockerspec.dockerfile_syntax import Instruction, parse_dockerfile
-from dockerspec.errors import KindMismatch, SchemaError, TooFewEntries
-from dockerspec.spec_inference import infer_spec
+from dockerspec.dockerfile_syntax import (
+    Instruction,
+    parse_dockerfile,
+    parse_exec_form,
+    parse_shell,
+)
+from dockerspec.errors import KindMismatch, SchemaError, ShellSyntaxError, TooFewEntries
+from dockerspec.spec_inference import infer_spec, split_runs
 from dockerspec.spec_model import DockerSpec, serialize_spec
 from oracles import reference_instruction_jaccard, select_representative_reference
 
 
 def entry_from_text(text, word_lists, source="mem"):
     doc = parse_dockerfile(text)
-    return CorpusEntry(infer_spec(doc, word_lists), doc, source)
+    return entry_of(doc, infer_spec(doc, word_lists), source)
+
+
+def entry_of(doc, spec, source):
+    return CorpusEntry(spec, doc, source, normalize_for_training(doc))
 
 
 class TestFilterEligible:
     def test_tomcat_ffmpeg_eligible(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        assert filter_eligible(doc, word_lists) == (True, None)
+        assert filter_eligible(doc, word_lists) == (None, split_runs(doc))
 
     def test_multi_stage_rejected(self, word_lists):
         doc = parse_dockerfile("# c\nFROM a\nFROM b\n")
-        assert filter_eligible(doc, word_lists) == (False, "multi-stage")
+        assert filter_eligible(doc, word_lists) == ("multi-stage", None)
 
     def test_no_comments_rejected(self, word_lists):
         doc = parse_dockerfile("FROM a\nRUN echo hi\n")
-        assert filter_eligible(doc, word_lists) == (False, "no-comments")
+        assert filter_eligible(doc, word_lists) == ("no-comments", None)
 
     def test_shell_error_rejected(self, word_lists):
         doc = parse_dockerfile("# c\nFROM a\nRUN echo hi &&\n")
-        assert filter_eligible(doc, word_lists) == (False, "shell-syntax-error")
+        assert filter_eligible(doc, word_lists) == ("shell-syntax-error", None)
 
     def test_empty_instruction_rejected(self, word_lists):
         doc = parse_dockerfile("# c\nFROM a\nLABEL\n")
-        assert filter_eligible(doc, word_lists) == (False, "empty-instruction")
+        assert filter_eligible(doc, word_lists) == ("empty-instruction", None)
 
     def test_first_failing_rule_wins(self, word_lists):
         doc = parse_dockerfile("FROM a\nFROM b\nLABEL\n")
-        assert filter_eligible(doc, word_lists)[1] == "no-comments"
+        assert filter_eligible(doc, word_lists)[0] == "no-comments"
 
     def test_strict_vocabulary_rejects_unknown_from_word(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        eligible, reason = filter_eligible(doc, word_lists, known_words=frozenset())
-        assert (eligible, reason) == (False, "unevaluated-from-word")
+        assert filter_eligible(doc, word_lists, known_words=frozenset()) == \
+            ("unevaluated-from-word", None)
 
     def test_strict_vocabulary_accepts_known_words(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
         known = frozenset({"tomcat", "jre8"})
-        assert filter_eligible(doc, word_lists, known_words=known) == (True, None)
+        assert filter_eligible(doc, word_lists, known_words=known)[0] is None
 
     def test_numeric_and_short_from_words_always_pass(self, word_lists):
         doc = parse_dockerfile("# c\nFROM debian:10-go\n")
-        assert filter_eligible(doc, word_lists, known_words=frozenset()) == (True, None)
+        assert filter_eligible(doc, word_lists, known_words=frozenset()) == (None, [])
+
+
+class TestIngestReasons:
+    """The reason a rejected file is counted under, through ingest_directory."""
+
+    def reasons(self, tmp_path, text, word_lists):
+        (tmp_path / "a.Dockerfile").write_text(text, encoding="utf-8")
+        return ingest_directory(tmp_path, word_lists)[1]
+
+    def test_shell_error_beats_empty_instruction(self, tmp_path, word_lists):
+        reasons = self.reasons(tmp_path, "# c\nFROM a\nRUN echo hi &&\nLABEL\n", word_lists)
+        assert reasons == Counter({"shell-syntax-error": 1})
+
+    def test_shell_error_beats_missing_from(self, tmp_path, word_lists):
+        reasons = self.reasons(tmp_path, "# c\nRUN echo 'open\n", word_lists)
+        assert reasons == Counter({"shell-syntax-error": 1})
+
+    def test_missing_from_is_inference_incomplete(self, tmp_path, word_lists):
+        reasons = self.reasons(tmp_path, "# c\nRUN echo hi\n", word_lists)
+        assert reasons == Counter({"inference-incomplete": 1})
 
 
 class TestDedup:
@@ -199,7 +230,7 @@ def _cluster_from_bodies(bodies):
     members = []
     for i, lines in enumerate(bodies):
         doc = parse_dockerfile("\n".join(["# c", "FROM alpine:3.18"] + lines) + "\n")
-        members.append(CorpusEntry(DockerSpec(), doc, f"m{i}"))
+        members.append(entry_of(doc, DockerSpec(), f"m{i}"))
     return SpecCluster(DockerSpec(), members)
 
 
@@ -229,7 +260,7 @@ class TestSelectRepresentativeMatchesReference:
     def test_tie_breaks_by_fewer_instructions_before_hash(self):
         short = "# a\nFROM alpine:3.18\nRUN echo a\n"
         long = short + "RUN echo a\n"
-        members = [CorpusEntry(DockerSpec(), parse_dockerfile(t), t) for t in (long, short)]
+        members = [entry_of(parse_dockerfile(t), DockerSpec(), t) for t in (long, short)]
         assert members[0].content_hash < members[1].content_hash
         cluster = SpecCluster(DockerSpec(), members)
         assert select_representative(cluster) is members[1]
@@ -240,7 +271,7 @@ class TestSelectRepresentativeMatchesReference:
         # the floats tie and the hash picks 3; summed in member order,
         # member 1 would win by the last bit
         bodies = ["b k d c h e f", "e i f k c g a b", "l f b h c", "i b d k c g a", "g d i j b"]
-        members = [CorpusEntry(DockerSpec(), parse_dockerfile(f"RUN {body}\n"), body)
+        members = [entry_of(parse_dockerfile(f"RUN {body}\n"), DockerSpec(), body)
                    for body in bodies]
         cluster = SpecCluster(DockerSpec(), members)
         assert select_representative(cluster) is members[3]
@@ -287,6 +318,16 @@ class TestNormalize:
     def test_flags_stay_before_packages(self):
         doc = parse_dockerfile("FROM x\nRUN apk add --no-cache zlib curl\n")
         assert "apk add --no-cache curl zlib" in normalize_for_training(doc)
+
+    def test_exec_form_run_keeps_raw_tokens(self):
+        doc = parse_dockerfile('FROM x\nRUN ["apk",  "add", "zlib", "curl"]\n')
+        assert normalize_for_training(doc) == \
+            'FROM x <nl>\nRUN ["apk", "add", "zlib", "curl"] <nl>\n'
+
+    def test_literal_marker_word_dropped(self):
+        doc = parse_dockerfile("FROM x\nRUN echo <nl> a && ls <nl>\nLABEL a=1 <nl> b=2\n")
+        assert normalize_for_training(doc) == \
+            "FROM x <nl>\nRUN echo a && ls <nl>\nLABEL a=1 b=2 <nl>\n"
 
 
 class TestTokenLength:
@@ -342,7 +383,62 @@ class TestSplitDataset:
         assert abs(len(split.test) - 0.1 * n) <= 1
 
 
+class TestSharedSplit:
+    """Ingest hands the filter's RUN split to inference and normalization.
+    That is not a setting: each eligible entry's spec and training text
+    equal those built from its document alone."""
+
+    def check(self, directory, word_lists):
+        entries, reasons = ingest_directory(directory, word_lists)
+        for entry in entries:
+            assert entry.spec == infer_spec(entry.document, word_lists)
+            assert entry.training_text == normalize_for_training(entry.document)
+        return reasons
+
+    def test_benchmark_corpus(self, benchmark_corpus_dir, word_lists):
+        assert self.check(benchmark_corpus_dir, word_lists)["eligible"] > 1000
+
+    def test_fixtures(self, word_lists):
+        # the two other Dockerfiles have no comments; corpus.jsonl does not parse
+        assert self.check(FIXTURES, word_lists) == \
+            Counter({"eligible": 1, "no-comments": 2, "parse-error": 1})
+
+
 class TestPipeline:
+    def test_corpus_build_splits_each_run_body_once(self, corpus_dir, word_lists, tmp_path,
+                                                    monkeypatch, capsys):
+        """corpus build tokenizes each shell-form RUN body of a file that
+        reaches the filter's shell rule once (up to the first body with a
+        syntax error), and normalizes each eligible file once."""
+        expected = 0
+        for path in sorted(corpus_dir.iterdir()):
+            doc = parse_dockerfile(path.read_text(encoding="utf-8"))
+            if not doc.comments or doc.from_count > 1:
+                continue  # rejected before the shell rule (no FROM here is malformed)
+            for inst in doc.instructions_of_kind("RUN"):
+                if parse_exec_form(inst.raw_arguments) is None:
+                    expected += 1
+                    try:
+                        parse_shell(inst.raw_arguments)
+                    except ShellSyntaxError:
+                        break
+        calls = Counter()
+
+        def counted(name, original):
+            return lambda *args, **kwargs: calls.update([name]) or original(*args, **kwargs)
+
+        for module in (cli, corpus_pipeline, dockerfile_syntax, spec_inference):
+            if hasattr(module, "parse_shell"):
+                monkeypatch.setattr(module, "parse_shell",
+                                    counted("parse_shell", dockerfile_syntax.parse_shell))
+        monkeypatch.setattr(corpus_pipeline, "normalize_for_training",
+                            counted("normalize_for_training", normalize_for_training))
+        assert cli.main(["corpus", "build", str(corpus_dir),
+                         "--out", str(tmp_path / "corpus.jsonl")]) == 0
+        reasons = json.loads(capsys.readouterr().out)["reasons"]
+        assert expected > 60 and reasons["shell-syntax-error"] == 1
+        assert calls == {"parse_shell": expected, "normalize_for_training": reasons["eligible"]}
+
     def test_ingest_reasons(self, corpus_dir, word_lists):
         entries, reasons = ingest_directory(corpus_dir, word_lists)
         assert reasons["no-comments"] == 1
@@ -395,6 +491,15 @@ class TestPipeline:
         reasons = build_corpus(dedup(entries), seed=3).reasons
         assert "duplicate" not in reasons and "over-token-limit" not in reasons
         assert all(reasons.values())
+
+    def test_token_cap_keeps_entries_at_the_cap(self, corpus_dir, word_lists):
+        entries, _ = ingest_directory(corpus_dir, word_lists)
+        lengths = [token_length(e.training_text) for e in build_corpus(entries).finetune]
+        cap = sorted(lengths)[len(lengths) // 2]
+        result = build_corpus(entries, max_tokens=cap)
+        assert [token_length(e.training_text) for e in result.finetune] == \
+            [n for n in lengths if n <= cap]
+        assert 0 < result.reasons["over-token-limit"] == sum(n > cap for n in lengths)
 
     def test_jsonl_roundtrip(self, corpus_dir, word_lists, tmp_path):
         entries, _ = ingest_directory(corpus_dir, word_lists)

@@ -1,4 +1,3 @@
-import re
 import sys
 
 import pytest
@@ -267,6 +266,16 @@ class TestParseShell:
     def test_empty_script(self):
         assert parse_shell("") == []
 
+    @pytest.mark.parametrize("char", ["\x0c", "\r", "\xa0", "\u3000"])
+    def test_other_whitespace_stays_in_word(self, char):
+        """sh splits unquoted words at space and tab only."""
+        assert parse_shell(f"apt-get install -y curl{char}git") == \
+            [ShellStatement("apt-get", ("install", "-y", f"curl{char}git"))]
+
+    def test_tab_splits_words(self):
+        assert parse_shell("apt-get\tinstall -y\tcurl \t git") == \
+            [ShellStatement("apt-get", ("install", "-y", "curl", "git"))]
+
 
 _word = st.text(alphabet="abcdefg./-", min_size=1, max_size=6).filter(
     lambda w: not w.startswith("-") and "--" not in w and "<" not in w)
@@ -294,7 +303,8 @@ def _lex(tokenize, script):
 
 
 # every character the lexer treats specially, plain ones, and whitespace
-# that str.isspace knows beyond ASCII; then the multi-character tokens
+# other than space and tab, which stays inside a word; then the
+# multi-character tokens
 _SHELL_CHARS = list("ab()>\\'\"$`<#&|; \t\n\r\x0b\x0c") + [
     "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "\xe9"]
 _SHELL_TEXT = st.one_of(
@@ -339,12 +349,14 @@ class TestTokenizeShellMatchesReference:
             assert _lex(_tokenize_shell, body) == _lex(tokenize_shell_reference, body)
 
 
-def test_re_whitespace_is_str_isspace():
-    """The lexer's token classes use re's ``\\s``; the character loop it replaced
-    used str.isspace. Both agree on every code point."""
-    space = re.compile(r"\s")
-    assert [c for c in map(chr, range(sys.maxunicode + 1))
-            if bool(space.fullmatch(c)) != c.isspace()] == []
+@pytest.mark.parametrize("tokenize", [_tokenize_shell, tokenize_shell_reference])
+def test_words_split_at_space_and_tab_only(tokenize):
+    """Of the code points that str.isspace knows, only tab and space end a
+    word, in the lexer and in the character loop it replaced, as in sh; a
+    line feed is an operator."""
+    whitespace = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c != "\n"]
+    assert len(whitespace) > 20
+    assert [c for c in whitespace if tokenize(f"a{c}b") != [("word", f"a{c}b")]] == ["\t", " "]
 
 
 class TestRunStatements:
