@@ -127,7 +127,9 @@ def instruction_jaccard(a: Instruction, b: Instruction) -> float:
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 1.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    # the union's size without building the union
+    return shared / (len(a) + len(b) - shared)
 
 
 def cluster_by_spec(entries: list[CorpusEntry]) -> list[SpecCluster]:
@@ -142,23 +144,46 @@ def cluster_by_spec(entries: list[CorpusEntry]) -> list[SpecCluster]:
 
 def select_representative(cluster: SpecCluster) -> CorpusEntry:
     """The member with the highest mean best-counterpart Jaccard similarity
-    to the other members; ties broken by fewer instructions, then hash."""
+    to the other members; ties broken by fewer instructions, then hash.
+
+    Each distinct ``(kind, token set)`` in the cluster gets one row, built
+    on first use: per member, 1.0 if the member holds the same set (an equal
+    set scores 1.0 and no set scores more), else the best Jaccard against
+    the member's distinct sets of that kind, else 0.0. A member's score for one of its
+    instructions is the mean of the row without the member's own column,
+    summed in sorted order. These are the floats the per-instruction,
+    per-member comparison gives, summed in the same order, so every score
+    and every tie is the same bit for bit."""
     members = cluster.members
     if len(members) == 1:
         return members[0]
-    token_sets = [[(inst.kind, frozenset(inst.argument_tokens()))
-                   for inst in member.document.instructions] for member in members]
+    items = [[(inst.kind, frozenset(inst.argument_tokens()))
+              for inst in member.document.instructions] for member in members]
+    sets_by_kind: list[dict[str, set[frozenset[str]]]] = []
+    for member_items in items:
+        kinds: dict[str, set[frozenset[str]]] = {}
+        for kind, tokens in member_items:
+            kinds.setdefault(kind, set()).add(tokens)
+        sets_by_kind.append(kinds)
+    rows: dict[tuple[str, frozenset[str]], list[float]] = {}
+
+    def row(item: tuple[str, frozenset[str]]) -> list[float]:
+        if item not in rows:
+            kind, tokens = item
+            rows[item] = [
+                1.0 if tokens in same_kind
+                else max((_jaccard(tokens, other) for other in same_kind), default=0.0)
+                for same_kind in (kinds.get(kind, ()) for kinds in sets_by_kind)]
+        return rows[item]
 
     def key(idx: int) -> tuple[float, int, str]:
         scores = []
-        for kind, tokens in token_sets[idx]:
-            best_matches = [
-                max((_jaccard(tokens, other_tokens)
-                     for other_kind, other_tokens in other if other_kind == kind), default=0.0)
-                for other_idx, other in enumerate(token_sets) if other_idx != idx]
+        for item in items[idx]:
+            matches = row(item)
+            best_matches = matches[:idx] + matches[idx + 1:]
             # summing in sorted order keeps the score independent of member order
             scores.append(sum(sorted(best_matches)) / len(best_matches))
-        return -(sum(scores) / len(scores)), len(token_sets[idx]), members[idx].content_hash
+        return -(sum(scores) / len(scores)), len(items[idx]), members[idx].content_hash
 
     return members[min(range(len(members)), key=key)]
 

@@ -312,14 +312,26 @@ def run_statements(inst: Instruction) -> list[ShellStatement]:
     return [ShellStatement(elements[0], tuple(elements[1:]))] if elements else []
 
 
-def build_ast(doc: DockerfileDocument) -> Node:
+Runs = list[tuple[Instruction, list[ShellStatement]]]
+
+
+def split_runs(doc: DockerfileDocument) -> Runs:
+    """Each RUN instruction with its ``run_statements``; propagates ShellSyntaxError."""
+    return [(inst, run_statements(inst)) for inst in doc.instructions_of_kind("RUN")]
+
+
+def build_ast(doc: DockerfileDocument, runs: Runs | None = None) -> Node:
     """Build the comparison tree: a ``dockerfile`` root, one child per
     instruction labeled by kind, RUN children labeled by shell command with
     argument-word leaves, and plain word leaves elsewhere.
 
-    Exec-form argument lists become one leaf per element. Comments are not
-    represented. Propagates ShellSyntaxError from RUN bodies.
+    Exec-form argument lists become one leaf per element. A shell-form RUN
+    takes its statements from ``runs``, the RUN split of ``doc``
+    (``split_runs(doc)`` if not given), so a caller that has split the
+    document once passes that split. Comments are not represented.
+    Propagates ShellSyntaxError from RUN bodies.
     """
+    bodies = dict(split_runs(doc) if runs is None else runs)
     root = Node("dockerfile")
     for inst in doc.instructions:
         inst_node = Node(inst.kind)
@@ -328,7 +340,7 @@ def build_ast(doc: DockerfileDocument) -> Node:
         if elements is not None:
             inst_node.children.extend(Node(e) for e in elements)
         elif inst.kind == "RUN":
-            for stmt in parse_shell(inst.raw_arguments):
+            for stmt in bodies[inst]:
                 stmt_node = Node(stmt.command)
                 stmt_node.children.extend(Node(a) for a in stmt.arguments)
                 inst_node.children.append(stmt_node)

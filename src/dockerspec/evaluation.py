@@ -14,7 +14,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .dockerfile_syntax import DockerfileDocument, Node, ast_size, build_ast, parse_dockerfile
+from .dockerfile_syntax import (
+    DockerfileDocument,
+    Node,
+    Runs,
+    ast_size,
+    build_ast,
+    parse_dockerfile,
+    split_runs,
+)
 from .errors import (
     DockerspecError,
     EmptyCandidate,
@@ -411,10 +419,11 @@ class RunReport:
 
 
 def infer_spec_for_generated(doc: DockerfileDocument, lists: WordLists,
-                             target_dependencies: frozenset[str]) -> DockerSpec:
+                             target_dependencies: frozenset[str],
+                             runs: Runs | None = None) -> DockerSpec:
     """Spec of a parsed generated Dockerfile: ``infer_spec`` in its
-    ``target_dependencies`` mode."""
-    return infer_spec(doc, lists, target_dependencies)
+    ``target_dependencies`` mode, reading ``runs`` when given."""
+    return infer_spec(doc, lists, target_dependencies, runs)
 
 
 @dataclass
@@ -437,9 +446,9 @@ def prepare_target(text: str, lists: WordLists) -> PreparedTarget:
     target = PreparedTarget(text.split())
     try:
         doc = parse_dockerfile(text)
-        target.spec = infer_spec(doc, lists)
-        # infer_spec has split every RUN body, so build_ast cannot fail here
-        target.tree = build_ast(doc)
+        runs = split_runs(doc)
+        target.spec = infer_spec(doc, lists, None, runs)
+        target.tree = build_ast(doc, runs)
     except DockerspecError as exc:
         target.error = f"{type(exc).__name__}: {exc}"
     return target
@@ -452,11 +461,12 @@ def evaluate_pair(index: int, target: PreparedTarget, generated_text: str,
     result = PairResult(index)
     try:
         generated_doc = parse_dockerfile(generated_text)
+        runs = split_runs(generated_doc)
         obtained_spec = infer_spec_for_generated(
-            generated_doc, lists, target.spec.dependencies)
+            generated_doc, lists, target.spec.dependencies, runs)
         result.adherence = adherence(target.spec, obtained_spec)
         result.distance = normalized_distance(
-            target.tree, build_ast(generated_doc), target.memo)
+            target.tree, build_ast(generated_doc, runs), target.memo)
         result.bleu = bleu4(generated_text.split(), target.words)
     except DockerspecError as exc:
         result.error = f"{type(exc).__name__}: {exc}"

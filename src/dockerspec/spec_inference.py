@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .dockerfile_syntax import (
     CommentLine,
     DockerfileDocument,
-    Instruction,
+    Runs,
     ShellStatement,
-    run_statements,
+    split_runs,
 )
 from .errors import InferenceIncomplete, MalformedFrom
 from .spec_model import PKG_MANAGERS, DockerSpec, WordLists, allowed_managers
@@ -48,9 +48,6 @@ _FLAG_FOR_KIND = {
     "CMD": "uses_cmd",
     "ENTRYPOINT": "uses_entrypoint",
 }
-
-Runs = list[tuple[Instruction, list[ShellStatement]]]
-
 
 @dataclass(frozen=True)
 class ImageReference:
@@ -206,11 +203,6 @@ def extract_installable_args(statements: list[ShellStatement]) -> set[str]:
             words.add(url.lower())
             add(_url_final_segment(url))
     return words
-
-
-def split_runs(doc: DockerfileDocument) -> Runs:
-    """Each RUN instruction with its ``run_statements``; propagates ShellSyntaxError."""
-    return [(inst, run_statements(inst)) for inst in doc.instructions_of_kind("RUN")]
 
 
 def infer_comment_dependencies(doc: DockerfileDocument, lists: WordLists, runs: Runs) -> set[str]:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
+from dockerspec.errors import ShellSyntaxError
 from dockerspec.evaluation import compare_systems, evaluate_run
 from dockerspec.spec_model import DockerSpec, spec_from_dict, spec_to_dict
 from oracles import vector_retrieve_reference
@@ -301,6 +302,44 @@ class TestEvaluateCommand:
         assert code == 0
         assert [s["evaluated_pairs"] for s in json.loads(out)["systems"].values()] == [3, 3]
         assert calls == {"parse_dockerfile": 9, "infer_spec": 9}
+
+    def test_each_run_body_split_once(self, capsys, monkeypatch, tmp_path):
+        """evaluate over the fixtures, with exact and trimmed copies as two
+        systems, tokenizes each shell-form RUN body of each parsed document
+        once (up to the first body with a syntax error)."""
+        from dockerspec import dockerfile_syntax, evaluation
+
+        dirs = {name: tmp_path / name for name in ("targets", "exact", "trimmed")}
+        for directory in dirs.values():
+            directory.mkdir()
+        for path in sorted(FIXTURES.glob("*.Dockerfile")):
+            text = path.read_text()
+            trimmed = "".join(text.splitlines(keepends=True)[:-1])
+            for name, output in (("targets", text), ("exact", text), ("trimmed", trimmed)):
+                (dirs[name] / path.name).write_text(output)
+        parsed = []
+        parse = evaluation.parse_dockerfile
+        monkeypatch.setattr(evaluation, "parse_dockerfile",
+                            lambda text: parsed.append(parse(text)) or parsed[-1])
+        calls = []
+        parse_shell = dockerfile_syntax.parse_shell
+        monkeypatch.setattr(dockerfile_syntax, "parse_shell",
+                            lambda script: calls.append(script) or parse_shell(script))
+        code, out, _ = run(capsys, "evaluate", "--targets", str(dirs["targets"]),
+                           "--outputs", str(dirs["exact"]), "--outputs", str(dirs["trimmed"]))
+        assert code == 0
+        assert [s["evaluated_pairs"] for s in json.loads(out)["systems"].values()] == [3, 1]
+        expected = []
+        for doc in parsed:
+            for inst in doc.instructions_of_kind("RUN"):
+                if dockerfile_syntax.parse_exec_form(inst.raw_arguments) is None:
+                    expected.append(inst.raw_arguments)
+                    try:
+                        parse_shell(inst.raw_arguments)
+                    except ShellSyntaxError:
+                        break
+        assert expected
+        assert calls == expected
 
     def test_report_equals_per_system_runs(self, capsys, tmp_path, word_lists):
         """Two systems over the fixtures, one with exact copies and one with

@@ -234,6 +234,29 @@ def _cluster_from_bodies(bodies):
     return SpecCluster(DockerSpec(), members)
 
 
+@st.composite
+def _large_clusters(draw):
+    """Up to 20 member bodies, among them one that repeats an instruction
+    and one that lacks that instruction's kind."""
+    body = st.lists(st.sampled_from(_CLUSTER_LINES), max_size=6)
+    bodies = draw(st.lists(body, min_size=1, max_size=18))
+    line = draw(st.sampled_from(_CLUSTER_LINES))
+    kind = line.split()[0]
+    bodies.append([line] + draw(body) + [line])
+    bodies.append([other for other in draw(body) if other.split()[0] != kind])
+    return draw(st.permutations(bodies))
+
+
+def _distinct_pairs(cluster):
+    """For each distinct (kind, token set) item of the cluster and each member
+    that does not hold it, the member's distinct token sets of that kind."""
+    items = [{(inst.kind, frozenset(inst.argument_tokens()))
+              for inst in member.document.instructions} for member in cluster.members]
+    return sum(sum(other_kind == kind for other_kind, _ in member_items)
+               for kind, tokens in set().union(*items) for member_items in items
+               if (kind, tokens) not in member_items)
+
+
 class TestSelectRepresentativeMatchesReference:
     """The representative is the one today's per-triple reference picks,
     as the same object."""
@@ -286,6 +309,31 @@ class TestSelectRepresentativeMatchesReference:
                             lambda inst: calls.append(inst) or tokens(inst))
         select_representative(cluster)
         assert len(calls) == sum(len(m.document.instructions) for m in cluster.members)
+
+    def count_similarities(self, monkeypatch, cluster):
+        calls = []
+        jaccard = corpus_pipeline._jaccard
+        monkeypatch.setattr(corpus_pipeline, "_jaccard",
+                            lambda a, b: calls.append((a, b)) or jaccard(a, b))
+        select_representative(cluster)
+        return len(calls)
+
+    def test_identical_members_compute_no_similarity(self, monkeypatch):
+        cluster = _cluster_from_bodies([_CLUSTER_LINES[:6]] * 4)
+        assert self.count_similarities(monkeypatch, cluster) == 0
+
+    def test_similarity_computed_once_per_distinct_pair(self, monkeypatch):
+        # repeated members and instructions, and a member without RUN
+        bodies = [_CLUSTER_LINES[:4], _CLUSTER_LINES[2:7], _CLUSTER_LINES[:4],
+                  _CLUSTER_LINES[4:] + _CLUSTER_LINES[4:6], _CLUSTER_LINES[1:5] * 2]
+        cluster = _cluster_from_bodies(bodies)
+        assert 0 < self.count_similarities(monkeypatch, cluster) <= _distinct_pairs(cluster)
+
+    @given(_large_clusters())
+    @settings(max_examples=100, deadline=None)
+    def test_large_random_clusters(self, bodies):
+        cluster = _cluster_from_bodies(bodies)
+        assert select_representative(cluster) is select_representative_reference(cluster)
 
     def test_benchmark_clusters(self, benchmark_corpus_dir, word_lists):
         entries, _ = ingest_directory(benchmark_corpus_dir, word_lists)

@@ -3,6 +3,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dockerspec import dockerfile_syntax
 from dockerspec.dockerfile_syntax import (
     ShellStatement,
     _tokenize_shell,
@@ -14,6 +15,7 @@ from dockerspec.dockerfile_syntax import (
     parse_dockerfile,
     parse_shell,
     run_statements,
+    split_runs,
 )
 from dockerspec.errors import EmptyInput, MalformedInstruction, ParseError, ShellSyntaxError
 from oracles import serialize_document, tokenize_shell_reference
@@ -407,6 +409,23 @@ class TestBuildAst:
         cmd_node = tree.children[0]
         assert [c.label for c in cmd_node.children] == ["nginx", "-g", "daemon off;"]
         assert all(not c.children for c in cmd_node.children)
+
+    def test_given_split_gives_the_same_tree(self, tomcat_ffmpeg_text):
+        text = tomcat_ffmpeg_text + 'RUN ["apk", "add", "curl"]\nRUN []\n'
+        doc = parse_dockerfile(text)
+        tree = build_ast(doc, split_runs(doc))
+        assert ast_to_json(tree) == ast_to_json(build_ast(doc))
+        # exec-form RUNs stay one leaf per element, not a statement node
+        assert [c.label for c in tree.children[-2].children] == ["apk", "add", "curl"]
+        assert tree.children[-1].children == []
+
+    def test_given_split_is_not_split_again(self, monkeypatch):
+        doc = parse_dockerfile("FROM alpine\nRUN a b && c\n")
+        runs = split_runs(doc)
+        monkeypatch.setattr(dockerfile_syntax, "parse_shell",
+                            lambda script: pytest.fail("RUN body split again"))
+        run_node = build_ast(doc, runs).children[1]
+        assert [c.label for c in run_node.children] == ["a", "c"]
 
     def test_comments_not_represented(self):
         with_comment = build_ast(parse_dockerfile("# hello\nFROM alpine\n"))

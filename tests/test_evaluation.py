@@ -22,6 +22,7 @@ from dockerspec.evaluation import (
     bleu4,
     cliffs_delta,
     compare_systems,
+    evaluate_pair,
     evaluate_run,
     evaluate_systems,
     infer_spec_for_generated,
@@ -596,6 +597,13 @@ class TestEvaluateRun:
             assert [r.error for r in report.pair_results] == [None, expected]
             assert [r.index for r in report.pair_results] == [0, 1]
         assert prepare_target(bad_target, word_lists).error == expected
+
+    def test_shell_error_reported_before_missing_from(self, word_lists):
+        # the RUN split comes first, as in corpus ingest's filter
+        text = "RUN echo 'open\n"
+        assert prepare_target(text, word_lists).error.startswith("ShellSyntaxError: ")
+        target = prepare_target(TARGET, word_lists)
+        assert evaluate_pair(0, target, text, word_lists).error.startswith("ShellSyntaxError: ")
 
     def test_systems_score_only_the_targets_they_have(self, word_lists):
         reports = evaluate_systems([(TARGET, {"a": GENERATED_GOOD}),
