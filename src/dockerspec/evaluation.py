@@ -12,7 +12,6 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .dockerfile_syntax import (
     DockerfileDocument,
@@ -89,31 +88,32 @@ class SubtreePairMemo:
         self.pairs: dict[tuple[int, int], list[list[int]]] = {}
 
 
-def _postorder(root: Node, memo: SubtreePairMemo) -> tuple[list[int], list[int], list[int]]:
-    """Post-order label codes, per node the index of its leftmost leaf, and
-    per node the shape id of its subtree, interned in ``memo``."""
+def _postorder(root: Node, memo: SubtreePairMemo
+               ) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Post-order label codes, per node the index of its leftmost leaf, per
+    node the shape id of its subtree, interned in ``memo``, and per node the
+    index of its parent (-1 for the root)."""
     codes, shape_ids = memo.labels, memo.shapes
     labels: list[int] = []
     leftmost: list[int] = []
     shapes: list[int] = []
+    parents: list[int] = []
 
     def walk(node: Node) -> int:
-        first = None
-        children = []
-        for child in node.children:
-            index = walk(child)
-            if first is None:
-                first = leftmost[index]
-            children.append(shapes[index])
+        children = [walk(child) for child in node.children]
         index = len(labels)
+        for child in children:
+            parents[child] = index
         label = codes.setdefault(node.label, len(codes))
         labels.append(label)
-        leftmost.append(first if first is not None else index)
-        shapes.append(shape_ids.setdefault((label, tuple(children)), len(shape_ids)))
+        leftmost.append(leftmost[children[0]] if children else index)
+        shape = (label, tuple(shapes[child] for child in children))
+        shapes.append(shape_ids.setdefault(shape, len(shape_ids)))
+        parents.append(-1)
         return index
 
     walk(root)
-    return labels, leftmost, shapes
+    return labels, leftmost, shapes, parents
 
 
 def _keyroots(leftmost: list[int]) -> list[int]:
@@ -123,13 +123,86 @@ def _keyroots(leftmost: list[int]) -> list[int]:
     return sorted(last_with_leftmost.values())
 
 
-def _leaf_distances(label: int, labels: list[int], leftmost: list[int]) -> list[int]:
-    """Distance from one node labeled ``label`` to each subtree T(y) of a
-    post-order tree: |T(y)| - 1 + (label not in T(y)), because the node can
-    be kept as any node of T(y) and every other node is inserted."""
-    seen = list(accumulate((other == label for other in labels), initial=0))
-    return [y - left + (after == seen[left])
-            for y, (left, after) in enumerate(zip(leftmost, seen[1:]))]
+def _leaf_rows(wanted: set[int], labels: list[int], leftmost: list[int],
+               parents: list[int]) -> dict[int, list[int]]:
+    """Per label in ``wanted``, the distance from one node of that label to
+    each subtree T(y) of a post-order tree: |T(y)| - 1 + (label not in
+    T(y)), because the node can be kept as any node of T(y) and every other
+    node is inserted. Each row starts as the sizes |T(y)| and loses 1 on
+    each node with the label and its ancestors, up to the first one already
+    lowered."""
+    sizes = [y - left + 1 for y, left in enumerate(leftmost)]
+    rows = {label: sizes.copy() for label in wanted}
+    for y, label in enumerate(labels):
+        row = rows.get(label)
+        if row is not None:
+            while y >= 0 and row[y] == sizes[y]:
+                row[y] -= 1
+                y = parents[y]
+    return rows
+
+
+def _column(lj: int, j: int, labels_b: list[int], left_b: list[int]) -> tuple:
+    """What a forest over ``b``'s nodes ``lj..j`` reads of ``b``, built once
+    per keyroot: the nodes' bounds and labels, per node the offset of its
+    leftmost leaf, the forest columns on ``j``'s left path, and the
+    forest's first row."""
+    # forest column y is node lj + y - 1; the forest left of that node's
+    # subtree ends at column offsets[y - 1], which is 0 on j's left path
+    offsets = [left_b[y] - lj for y in range(lj, j + 1)]
+    path_ys = [y + 1 for y, offset in enumerate(offsets) if not offset]
+    return lj, j + 1, labels_b[lj:j + 1], offsets, path_ys, list(range(j - lj + 2))
+
+
+def _forest(li: int, i: int, labels_a: list[int], left_a: list[int],
+            tree_dist: list[list[int]], column: tuple) -> tuple[list[list[int]], list[int]]:
+    """Fill the forest table of ``a``'s nodes ``li..i`` against the nodes of
+    ``column``, row by row. Returns the distances between the nodes on the
+    two left paths, one list per row of ``a``'s path, and the last row."""
+    lj, stop, labels, offsets, path_ys, first_row = column
+    path_values = []
+    # forest[x][y]: distance between a's nodes li..li+x-1 and b's nodes
+    # lj..lj+y-1; each cell is the cheapest of deleting the last node of a
+    # (the row above + 1), inserting the last node of b (the cell to the
+    # left + 1), and matching the two last subtrees whole (the forests left
+    # of them + tree_dist)
+    forest = [first_row]
+    above = first_row
+    for x, node in enumerate(range(li, i + 1), 1):
+        dist_row = tree_dist[node]
+        row = [x]
+        append = row.append
+        cell = x
+        p = left_a[node] - li
+        if p:
+            before = forest[p]
+            for q, dist, up in zip(offsets, dist_row[lj:stop], above[1:]):
+                if up < cell:
+                    cell = up
+                cell += 1
+                dist += before[q]
+                if dist < cell:
+                    cell = dist
+                append(cell)
+        else:
+            # node is on i's left path: forest[0][q] is q, and where the
+            # column is on j's left path too, matching the two subtrees is
+            # relabelling node onto the column's node
+            label = labels_a[node]
+            diagonal = x - 1
+            for q, other, dist, up in zip(offsets, labels, dist_row[lj:stop], above[1:]):
+                if up < cell:
+                    cell = up
+                cell += 1
+                dist = dist + q if q else diagonal + (label != other)
+                if dist < cell:
+                    cell = dist
+                diagonal = up
+                append(cell)
+            path_values.append([row[y] for y in path_ys])
+        forest.append(row)
+        above = row
+    return path_values, above
 
 
 def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) -> int:
@@ -138,94 +211,71 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
 
     Zhang & Shasha (SIAM J. Comput. 1989). ``tree_dist[x][y]`` is the
     distance between the subtrees of ``a``'s node ``x`` and ``b``'s node
-    ``y`` (post-order). A keyroot that is a leaf gets its whole row or
-    column in closed form; each other keyroot pair fills a forest table
-    row by row, from column data built once per keyroot of ``b``, unless
-    ``memo`` (a fresh one when None) already holds the pair's shapes.
+    ``y`` (post-order). When the two roots have equal labels, some optimal
+    mapping maps root to root (a root mapped elsewhere or not at all can be
+    remapped to the other root at no extra cost), so the distance is that
+    of the two child forests: the keyroots are those of the forests (each
+    root's first child instead of the root), no pair involving a root is
+    filled, and one last forest table over all non-root nodes, stored in no
+    memo, gives the answer. Otherwise the keyroots are the trees' and the
+    answer is ``tree_dist`` of the two roots.
+
+    A keyroot that is a leaf gets its whole row or column in closed form,
+    from one row per distinct label built over the other tree. Each other
+    keyroot pair fills a forest table row by row, from column data built
+    once per keyroot of ``b``, unless ``memo`` (a fresh one when None)
+    already holds the pair's shapes.
     """
     memo = memo if memo is not None else SubtreePairMemo()
-    labels_a, left_a, shapes_a = _postorder(a, memo)
-    labels_b, left_b, shapes_b = _postorder(b, memo)
-    tree_dist = [[0] * len(labels_b) for _ in labels_a]
+    labels_a, left_a, shapes_a, parents_a = _postorder(a, memo)
+    labels_b, left_b, shapes_b, parents_b = _postorder(b, memo)
+    size_a, size_b = len(labels_a), len(labels_b)
+    forests = labels_a[-1] == labels_b[-1]
+    keyroots_a = _keyroots(left_a[:-1] if forests else left_a)
+    keyroots_b = _keyroots(left_b[:-1] if forests else left_b)
+    rows_over_b = _leaf_rows({labels_a[i] for i in keyroots_a if left_a[i] == i},
+                             labels_b, left_b, parents_b)
+    rows_over_a = _leaf_rows({labels_b[j] for j in keyroots_b if left_b[j] == j},
+                             labels_a, left_a, parents_a)
+    tree_dist = [[0] * size_b for _ in labels_a]
     stored_pairs = memo.pairs
 
     columns = []
-    for j in _keyroots(left_b):
+    for j in keyroots_b:
         lj = left_b[j]
         if lj == j:
-            leaf_column = _leaf_distances(labels_b[j], labels_a, left_a)
-            for row, value in zip(tree_dist, leaf_column):
+            for row, value in zip(tree_dist, rows_over_a[labels_b[j]]):
                 row[j] = value
-            continue
-        # forest column y is node lj + y - 1; the forest left of that node's
-        # subtree ends at column offsets[y - 1], which is 0 on j's left path
-        offsets = [left_b[y] - lj for y in range(lj, j + 1)]
-        path_ys = [y + 1 for y, offset in enumerate(offsets) if not offset]
-        columns.append((lj, j + 1, labels_b[lj:j + 1], offsets, path_ys,
-                        [lj + y - 1 for y in path_ys], list(range(j - lj + 2)), shapes_b[j]))
+        else:
+            column = _column(lj, j, labels_b, left_b)
+            path_columns = [lj + y - 1 for y in column[4]]
+            columns.append((column, path_columns, shapes_b[j]))
 
-    for i in _keyroots(left_a):
+    for i in keyroots_a:
         li = left_a[i]
         if li == i:
-            tree_dist[i] = _leaf_distances(labels_a[i], labels_b, left_b)
+            # no keyroot pair writes a leaf keyroot's row, so rows of one
+            # label can be one list
+            tree_dist[i] = rows_over_b[labels_a[i]]
             continue
         path_rows = [tree_dist[node] for node in range(li, i + 1) if left_a[node] == li]
         shape = shapes_a[i]
-        for lj, stop, labels, offsets, path_ys, path_columns, first_row, shape_b in columns:
+        for column, path_columns, shape_b in columns:
             # the distances between the nodes on i's left path and those on
             # j's, one list per row; the forest computes them on a miss
             stored = stored_pairs.get((shape, shape_b))
             if stored is None:
-                stored = stored_pairs[shape, shape_b] = []
-                # forest[x][y]: distance between a's nodes li..li+x-1 and
-                # b's nodes lj..lj+y-1; each cell is the cheapest of deleting
-                # the last node of a (the row above + 1), inserting the last
-                # node of b (the cell to the left + 1), and matching the two
-                # last subtrees whole (the forests left of them + tree_dist)
-                forest = [first_row]
-                above = first_row
-                for x, node in enumerate(range(li, i + 1), 1):
-                    dist_row = tree_dist[node]
-                    row = [x]
-                    append = row.append
-                    cell = x
-                    p = left_a[node] - li
-                    if p:
-                        before = forest[p]
-                        for q, dist, up in zip(offsets, dist_row[lj:stop], above[1:]):
-                            if up < cell:
-                                cell = up
-                            cell += 1
-                            dist += before[q]
-                            if dist < cell:
-                                cell = dist
-                            append(cell)
-                    else:
-                        # node is on i's left path: forest[0][q] is q, and
-                        # where the column is on j's left path too, matching
-                        # the two subtrees is relabelling node onto the
-                        # column's node
-                        label = labels_a[node]
-                        diagonal = x - 1
-                        for q, other, dist, up in zip(offsets, labels, dist_row[lj:stop],
-                                                      above[1:]):
-                            if up < cell:
-                                cell = up
-                            cell += 1
-                            dist = dist + q if q else diagonal + (label != other)
-                            if dist < cell:
-                                cell = dist
-                            diagonal = up
-                            append(cell)
-                        stored.append([row[y] for y in path_ys])
-                    forest.append(row)
-                    above = row
+                stored = stored_pairs[shape, shape_b] = _forest(
+                    li, i, labels_a, left_a, tree_dist, column)[0]
             # the forest reads no cell it would write, so writing them all
             # after it is the same as writing each as its row is done
             for dist_row, values in zip(path_rows, stored):
-                for column, value in zip(path_columns, values):
-                    dist_row[column] = value
-    return tree_dist[-1][-1]
+                for y, value in zip(path_columns, values):
+                    dist_row[y] = value
+    if not forests:
+        return tree_dist[-1][-1]
+    return _forest(0, size_a - 2, labels_a, left_a, tree_dist,
+                   _column(0, size_b - 2, labels_b, left_b))[1][-1]
 
 
 @dataclass(frozen=True)

@@ -100,17 +100,30 @@ def write_corpus_files(directory: Path, families: int = 16, variants: int = 4,
     return paths
 
 
-def write_benchmark_corpus(directory: Path, seed: int) -> None:
-    """Write the benchmark's corpus workload input for ``seed`` (1,500
-    Dockerfiles) with ``perfbench/generate.py``."""
+def _run_benchmark_generator(function: str, *args):
+    """Call ``function`` of ``perfbench/generate.py`` with ``args``."""
     spec = importlib.util.spec_from_file_location("benchmark_generate", BENCHMARK_GENERATOR)
     generate = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = generate  # dataclasses look their module up
     try:
         spec.loader.exec_module(generate)
-        generate.write_corpus(directory, seed)
+        return getattr(generate, function)(*args)
     finally:
         del sys.modules[spec.name]
+
+
+def write_benchmark_corpus(directory: Path, seed: int) -> None:
+    """Write the benchmark's corpus workload input for ``seed`` (1,500
+    Dockerfiles) with ``perfbench/generate.py``."""
+    _run_benchmark_generator("write_corpus", directory, seed)
+
+
+def write_benchmark_evaluate(directory: Path, seed: int) -> None:
+    """Write the benchmark's evaluate workload input for ``seed`` with
+    ``perfbench/generate.py``: 50 targets in ``targets/`` of about 60, 130
+    or 230 tree nodes, and the ``<nl>`` outputs of systems ``a`` and ``b``
+    under the same file names."""
+    _run_benchmark_generator("write_evaluate", directory, seed)
 
 
 @pytest.fixture(scope="session", params=[1, 2])

@@ -34,6 +34,7 @@ from dockerspec.evaluation import (
 )
 from dockerspec.spec_inference import infer_spec
 from dockerspec.spec_model import SPEC_FIELDS, DockerSpec
+from conftest import write_benchmark_evaluate
 from oracles import (
     direct_cliffs_delta,
     naive_tree_edit_distance,
@@ -223,13 +224,80 @@ class TestTreeEditDistanceExactness:
         a, b = pair
         assert tree_edit_distance(a, b) == naive_tree_edit_distance(a, b)
 
-    @settings(max_examples=100)
-    @given(seed=st.integers(0, 10 ** 6), label=st.sampled_from("abcd"))
-    def test_leaf_identity(self, seed, label):
-        other = random_tree(random.Random(seed), 30, "abc")
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), label=st.sampled_from("abcd"),
+           alphabet=st.sampled_from(["a", "ab", "abc"]), max_nodes=st.sampled_from([30, 80]))
+    def test_leaf_identity(self, seed, label, alphabet, max_nodes):
+        # one-letter alphabets repeat a leaf label all over the tree, and
+        # "d" (and often "c" or "b") is absent from it
+        other = random_tree(random.Random(seed), max_nodes, alphabet)
         expected = ast_size(other) - 1 + (label not in labels_of(other))
-        assert tree_edit_distance(Node(label), other) == expected
-        assert tree_edit_distance(other, Node(label)) == expected
+        memo = SubtreePairMemo()
+        assert tree_edit_distance(Node(label), other, memo) == expected
+        assert tree_edit_distance(other, Node(label), memo) == expected
+        assert tree_edit_distance(Node(label), other, memo) == expected
+
+
+def shape_id(memo, node):
+    """The shape id that ``memo`` interned for the subtree of ``node``."""
+    return memo.shapes[memo.labels[node.label],
+                       tuple(shape_id(memo, child) for child in node.children)]
+
+
+def with_root_label(node, label):
+    node.label = label
+    return node
+
+
+class TestRootLabels:
+    """Equal root labels take the child-forest branch, any other pair the
+    whole-tree one: both against the plain Zhang-Shasha."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), sizes=st.sampled_from([1, 7, 40]).flatmap(
+        lambda size: st.tuples(st.just(size), st.sampled_from([1, 7, 40]))),
+        roots=st.sampled_from([("r", "r"), ("r", "s"), ("a", "a"), ("a", "b")]))
+    def test_both_branches_match_reference(self, seed, sizes, roots):
+        # roots "a" and "b" also label inner nodes, "r" and "s" never do
+        rng = random.Random(seed)
+        a = with_root_label(random_tree(rng, sizes[0], "abc"), roots[0])
+        b = with_root_label(random_tree(rng, sizes[1], "abc"), roots[1])
+        memo = SubtreePairMemo()
+        expected = zhang_shasha_reference(a, b)
+        assert tree_edit_distance(a, b, memo) == expected
+        assert tree_edit_distance(b, a, memo) == expected
+        assert tree_edit_distance(a, b) == expected
+
+    @pytest.mark.parametrize("root", ["r", None])
+    def test_one_node_tree_on_either_side(self, root):
+        rng = random.Random(11)
+        for _ in range(40):
+            other = with_root_label(random_tree(rng, 40, "abc"), "r")
+            single = Node(root or rng.choice("abc"))
+            expected = zhang_shasha_reference(single, other)
+            assert tree_edit_distance(single, other) == expected
+            assert tree_edit_distance(other, single) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_equal_roots_store_no_whole_tree_pair(self, seed):
+        rng = random.Random(seed)
+        a = Node("r", [random_tree(rng, 13, "abc") for _ in range(rng.randint(1, 3))])
+        b = with_root_label(edited(a, rng, rng.randint(0, 5), labels="abc"), "r")
+        if not b.children:
+            b.children.append(Node("a"))
+        for x, y in ((a, b), (b, a)):
+            memo = SubtreePairMemo()
+            assert tree_edit_distance(x, y, memo) == zhang_shasha_reference(x, y)
+            roots = {shape_id(memo, x), shape_id(memo, y)}
+            assert not any(roots.intersection(key) for key in memo.pairs)
+
+    def test_different_roots_store_the_whole_tree_pair(self):
+        a = tree("r", tree("a", tree("b")), tree("c"))
+        b = tree("s", tree("a", tree("c")), tree("b"))
+        memo = SubtreePairMemo()
+        assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b)
+        assert (shape_id(memo, a), shape_id(memo, b)) in memo.pairs
 
 
 class TestSubtreePairMemo:
@@ -282,7 +350,9 @@ class TestSubtreePairMemo:
         assert tree_edit_distance(a, a, memo) == 0
         assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b) == 2
 
-    def test_repeated_pair_fills_no_new_forest(self, fixture_trees):
+    def test_repeated_pair_stores_no_new_pair(self, fixture_trees):
+        """A pair measured again against the same memo gives the same
+        distance and adds no memo entry."""
         a = fixture_trees["merged"]
         b = edited(a, random.Random(5), 8)
         memo = SubtreePairMemo()
@@ -301,6 +371,38 @@ class TestSubtreePairMemo:
         # root, and git, apt-get(git), RUN(apt-get(git))
         assert len(memo.shapes) == 7
         assert tree_edit_distance(same[0], other, memo) == 1
+
+
+@pytest.fixture(scope="module")
+def benchmark_evaluate_trees(tmp_path_factory):
+    """The first 8 targets of the benchmark's seed-1 evaluate input, each
+    with the trees of its two systems' ``<nl>`` outputs."""
+    directory = tmp_path_factory.mktemp("benchmark_evaluate")
+    write_benchmark_evaluate(directory, 1)
+
+    def tree_of(path):
+        return build_ast(parse_dockerfile(path.read_text(encoding="utf-8")))
+
+    return [(tree_of(path), [tree_of(directory / system / path.name) for system in "ab"])
+            for path in sorted((directory / "targets").iterdir())[:8]]
+
+
+class TestBenchmarkTrees:
+    """Trees of the benchmark's shape: one root label, depth up to 4,
+    60-280 nodes."""
+
+    def test_outputs_share_a_memo_as_in_evaluate(self, benchmark_evaluate_trees):
+        sizes = [ast_size(target) for target, _ in benchmark_evaluate_trees]
+        # the three size classes, of about 60, 130 and 230 nodes
+        assert min(sizes) < 90 and any(100 < size < 180 for size in sizes) \
+            and max(sizes) > 200
+        for target, outputs in benchmark_evaluate_trees:
+            memo = SubtreePairMemo()
+            for output in outputs:
+                assert tree_edit_distance(target, output, memo) == \
+                    zhang_shasha_reference(target, output)
+                roots = {shape_id(memo, target), shape_id(memo, output)}
+                assert not any(roots.intersection(key) for key in memo.pairs)
 
 
 class TestNormalizedDistance:
