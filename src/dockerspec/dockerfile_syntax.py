@@ -350,8 +350,14 @@ def build_ast(doc: DockerfileDocument, runs: Runs | None = None) -> Node:
 
 
 def ast_size(node: Node) -> int:
-    """Total node count of the tree rooted at ``node``."""
-    return 1 + sum(ast_size(c) for c in node.children)
+    """Total node count of the tree rooted at ``node``, counted with an
+    explicit stack, so depth is not bounded by the recursion limit."""
+    size = 0
+    stack = [node]
+    while stack:
+        size += 1
+        stack.extend(stack.pop().children)
+    return size
 
 
 def ast_to_text(node: Node, indent: int = 0) -> str:

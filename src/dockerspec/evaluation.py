@@ -68,40 +68,54 @@ def adherence(target: DockerSpec, obtained: DockerSpec) -> AdherenceReport:
 # tree edit distance (Zhang-Shasha, unit costs)
 
 class SubtreePairMemo:
-    """Forest results of Zhang-Shasha keyroot pairs, keyed by the shapes of
-    the two keyroot subtrees, for distances that measure trees against one
-    memo.
+    """Finished tree-distance columns of ``b``'s Zhang-Shasha keyroots,
+    keyed by shapes, for distances that measure trees against one memo.
 
     A shape id is a hash-consed ``(label code, child shape ids)``, interned
     in ``shapes``; label codes are interned in ``labels``. Two subtrees
     measured against one memo thus get one shape id exactly when they are
-    equal as labeled ordered trees. A keyroot pair's forest reads only
-    labels and distances within the two keyroot subtrees, so the left-path
-    distances it writes depend only on the two shapes: ``pairs`` keeps them
-    and a later pair of the same shapes writes them back instead of filling
-    the forest again.
+    equal as labeled ordered trees. Once every keyroot of ``a`` has met a
+    keyroot of ``b``, the distances from each subtree of ``a`` to the nodes
+    on that keyroot's left path are final, and they depend only on ``a`` and
+    the keyroot's shape: ``columns`` keeps them, one list per left-path node
+    of one value per row of ``a``, under ``(a's root shape, whether the root
+    rule applies, the keyroot's shape)``, and a later keyroot of that shape
+    copies them instead of filling any forest. The root rule is part of the
+    key because under it ``a``'s root has no row.
     """
 
     def __init__(self) -> None:
         self.labels: dict[str, int] = {}
         self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.pairs: dict[tuple[int, int], list[list[int]]] = {}
+        self.columns: dict[tuple[int, bool, int], list[list[int]]] = {}
 
 
 def _postorder(root: Node, memo: SubtreePairMemo
                ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Post-order label codes, per node the index of its leftmost leaf, per
     node the shape id of its subtree, interned in ``memo``, and per node the
-    index of its parent (-1 for the root)."""
+    index of its parent (-1 for the root). Walks with an explicit stack, so
+    depth is not bounded by the recursion limit."""
     codes, shape_ids = memo.labels, memo.shapes
     labels: list[int] = []
     leftmost: list[int] = []
     shapes: list[int] = []
     parents: list[int] = []
-
-    def walk(node: Node) -> int:
-        children = [walk(child) for child in node.children]
+    # popping the last child first visits the tree in reverse post-order
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    # the indices of walked subtrees whose parent is not walked yet; a
+    # node's children are the last of them
+    pending: list[int] = []
+    for node in reversed(order):
         index = len(labels)
+        first = len(pending) - len(node.children)
+        children = pending[first:]
+        del pending[first:]
         for child in children:
             parents[child] = index
         label = codes.setdefault(node.label, len(codes))
@@ -110,9 +124,7 @@ def _postorder(root: Node, memo: SubtreePairMemo
         shape = (label, tuple(shapes[child] for child in children))
         shapes.append(shape_ids.setdefault(shape, len(shape_ids)))
         parents.append(-1)
-        return index
-
-    walk(root)
+        pending.append(index)
     return labels, leftmost, shapes, parents
 
 
@@ -215,16 +227,25 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
     mapping maps root to root (a root mapped elsewhere or not at all can be
     remapped to the other root at no extra cost), so the distance is that
     of the two child forests: the keyroots are those of the forests (each
-    root's first child instead of the root), no pair involving a root is
-    filled, and one last forest table over all non-root nodes, stored in no
-    memo, gives the answer. Otherwise the keyroots are the trees' and the
-    answer is ``tree_dist`` of the two roots.
+    root's first child instead of the root), ``a``'s root gets no row, no
+    pair involving a root is filled, and one last forest table over all
+    non-root nodes, stored in no memo, gives the answer. Otherwise the
+    keyroots are the trees' and the answer is ``tree_dist`` of the two
+    roots.
 
-    A keyroot that is a leaf gets its whole row or column in closed form,
-    from one row per distinct label built over the other tree. Each other
-    keyroot pair fills a forest table row by row, from column data built
-    once per keyroot of ``b``, unless ``memo`` (a fresh one when None)
-    already holds the pair's shapes.
+    ``b``'s keyroots are the outer loop and ``a``'s the inner one: a pair
+    reads only pairs inside its two subtrees with an earlier keyroot of
+    ``b``, or the same one and an earlier keyroot of ``a``, so once a
+    keyroot of ``b`` is done, the columns on its left path are final.
+    Subtree distances depend only on shapes, so each distinct shape of
+    ``a`` gets one row, shared by its nodes, and a keyroot of ``a`` whose
+    shape lies on the left path of an earlier keyroot is skipped: that
+    keyroot's pairs already filled the rows. A keyroot of ``b`` whose shape
+    ``memo`` (a fresh one when None) holds copies its finished columns and
+    fills no forest; otherwise each pair with it fills a forest table row
+    by row, from column data built once for the keyroot, and the columns
+    are stored. A keyroot that is a leaf gets its whole row or column in
+    closed form, from one row per distinct label built over the other tree.
     """
     memo = memo if memo is not None else SubtreePairMemo()
     labels_a, left_a, shapes_a, parents_a = _postorder(a, memo)
@@ -237,41 +258,57 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
                              labels_b, left_b, parents_b)
     rows_over_a = _leaf_rows({labels_b[j] for j in keyroots_b if left_b[j] == j},
                              labels_a, left_a, parents_a)
-    tree_dist = [[0] * size_b for _ in labels_a]
-    stored_pairs = memo.pairs
 
-    columns = []
+    # one row per distinct shape, in the order the shapes first occur; no
+    # keyroot pair writes a leaf keyroot's row, so a leaf whose label has
+    # one takes the closed form
+    row_of_shape: dict[int, list[int]] = {}
+    tree_dist = []
+    for x in range(size_a - forests):
+        row = row_of_shape.get(shapes_a[x])
+        if row is None:
+            row = rows_over_b.get(labels_a[x]) if left_a[x] == x else None
+            row_of_shape[shapes_a[x]] = row = row if row is not None else [0] * size_b
+        tree_dist.append(row)
+    rows = list(row_of_shape.values())
+
+    # the keyroots of a that fill forests: not a leaf, and a shape on no
+    # left path of an earlier one, whose forests fill the rows first (a
+    # shape first seen on the left path of a later keyroot does not count:
+    # its row is filled only after the forests in between read it)
+    runs = []
+    seen = set()
+    for i in keyroots_a:
+        li = left_a[i]
+        if li != i and shapes_a[i] not in seen:
+            path = [x for x in range(li, i + 1) if left_a[x] == li]
+            seen.update(shapes_a[x] for x in path)
+            runs.append((li, i, [tree_dist[x] for x in path]))
+
+    stored_columns = memo.columns
     for j in keyroots_b:
         lj = left_b[j]
         if lj == j:
             for row, value in zip(tree_dist, rows_over_a[labels_b[j]]):
                 row[j] = value
-        else:
-            column = _column(lj, j, labels_b, left_b)
-            path_columns = [lj + y - 1 for y in column[4]]
-            columns.append((column, path_columns, shapes_b[j]))
-
-    for i in keyroots_a:
-        li = left_a[i]
-        if li == i:
-            # no keyroot pair writes a leaf keyroot's row, so rows of one
-            # label can be one list
-            tree_dist[i] = rows_over_b[labels_a[i]]
             continue
-        path_rows = [tree_dist[node] for node in range(li, i + 1) if left_a[node] == li]
-        shape = shapes_a[i]
-        for column, path_columns, shape_b in columns:
-            # the distances between the nodes on i's left path and those on
-            # j's, one list per row; the forest computes them on a miss
-            stored = stored_pairs.get((shape, shape_b))
-            if stored is None:
-                stored = stored_pairs[shape, shape_b] = _forest(
-                    li, i, labels_a, left_a, tree_dist, column)[0]
+        path_columns = [y for y in range(lj, j + 1) if left_b[y] == lj]
+        key = (shapes_a[-1], forests, shapes_b[j])
+        stored = stored_columns.get(key)
+        if stored is not None:
+            for y, values in zip(path_columns, stored):
+                for row, value in zip(rows, values):
+                    row[y] = value
+            continue
+        column = _column(lj, j, labels_b, left_b)
+        for li, i, path_rows in runs:
             # the forest reads no cell it would write, so writing them all
             # after it is the same as writing each as its row is done
-            for dist_row, values in zip(path_rows, stored):
+            for dist_row, values in zip(path_rows, _forest(
+                    li, i, labels_a, left_a, tree_dist, column)[0]):
                 for y, value in zip(path_columns, values):
                     dist_row[y] = value
+        stored_columns[key] = [[row[y] for row in rows] for y in path_columns]
     if not forests:
         return tree_dist[-1][-1]
     return _forest(0, size_a - 2, labels_a, left_a, tree_dist,
@@ -481,7 +518,9 @@ class PreparedTarget:
     """A target Dockerfile prepared once for every output scored against it:
     its spec, tree and BLEU reference words, or the error string of the
     parse or inference that failed. ``memo`` is shared by the tree edit
-    distances measured against this target and is dropped with it."""
+    distances measured against this target, so an output keyroot whose
+    shape an earlier output (or an earlier keyroot of the same output) had
+    copies its finished columns; it is dropped with the target."""
 
     words: list[str]
     spec: DockerSpec | None = None

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dockerspec import evaluation
 from dockerspec.dockerfile_syntax import Node, ast_size, build_ast, parse_dockerfile
 from dockerspec.errors import (
     EmptyCandidate,
@@ -280,7 +281,7 @@ class TestRootLabels:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
-    def test_equal_roots_store_no_whole_tree_pair(self, seed):
+    def test_equal_roots_store_no_root_column(self, seed):
         rng = random.Random(seed)
         a = Node("r", [random_tree(rng, 13, "abc") for _ in range(rng.randint(1, 3))])
         b = with_root_label(edited(a, rng, rng.randint(0, 5), labels="abc"), "r")
@@ -290,14 +291,63 @@ class TestRootLabels:
             memo = SubtreePairMemo()
             assert tree_edit_distance(x, y, memo) == zhang_shasha_reference(x, y)
             roots = {shape_id(memo, x), shape_id(memo, y)}
-            assert not any(roots.intersection(key) for key in memo.pairs)
+            assert not roots.intersection(shape for _, _, shape in memo.columns)
 
-    def test_different_roots_store_the_whole_tree_pair(self):
+    def test_different_roots_store_the_root_column(self):
         a = tree("r", tree("a", tree("b")), tree("c"))
         b = tree("s", tree("a", tree("c")), tree("b"))
         memo = SubtreePairMemo()
         assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b)
-        assert (shape_id(memo, a), shape_id(memo, b)) in memo.pairs
+        assert (shape_id(memo, a), False, shape_id(memo, b)) in memo.columns
+
+
+def chain(length, label="a"):
+    """A tree of ``length`` nodes of one label, each the only child of the
+    one before."""
+    root = node = Node(label)
+    for _ in range(length - 1):
+        node.children.append(Node(label))
+        node = node.children[0]
+    return root
+
+
+class TestDeepTrees:
+    def test_chains_deeper_than_the_recursion_limit(self):
+        report = normalized_distance(chain(1200), chain(1199))
+        assert (report.raw_distance, report.size_a, report.size_b) == (1, 1200, 1199)
+
+
+class TestSkippedKeyroots:
+    """A keyroot of ``a`` is skipped when its shape lies on the left path
+    of an earlier keyroot, whose pairs fill the shared rows first. A shape
+    first seen on the left path of a later keyroot must not skip one: its
+    rows are filled only after the forests of the keyroots between read
+    them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), alphabet=st.sampled_from(["a", "ab", "abc"]),
+           roots=st.sampled_from(["r", "s"]), copy_output=st.booleans())
+    def test_shape_first_seen_on_a_later_left_path(self, seed, alphabet, roots, copy_output):
+        rng = random.Random(seed)
+
+        def some(count):
+            return [random_tree(rng, 6, alphabet) for _ in range(count)]
+
+        shape = Node("s", some(rng.randint(1, 2)))
+        # postorder: the first copy of ``shape``, on ``outer``'s left path
+        # (and the root's), then ``middle``'s first child, then the second
+        # copy, a keyroot off ``middle``'s left path, then ``middle`` and
+        # ``outer``, the keyroots that come after it
+        middle = Node(rng.choice(alphabet), some(1) + some(rng.randint(0, 1))
+                      + [copy.deepcopy(shape)] + some(rng.randint(0, 1)))
+        outer = Node(rng.choice(alphabet), [shape] + some(rng.randint(0, 1)) + [middle])
+        a = Node("r", [outer] + some(rng.randint(0, 2)))
+        b = (edited(a, rng, rng.randint(1, 5), labels=alphabet) if copy_output
+             else random_tree(rng, 40, alphabet))
+        b.label = roots
+        memo = SubtreePairMemo()
+        for x, y in ((a, b), (b, a), (a, b)):
+            assert tree_edit_distance(x, y, memo) == zhang_shasha_reference(x, y)
 
 
 class TestSubtreePairMemo:
@@ -350,17 +400,55 @@ class TestSubtreePairMemo:
         assert tree_edit_distance(a, a, memo) == 0
         assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b) == 2
 
-    def test_repeated_pair_stores_no_new_pair(self, fixture_trees):
+    def test_repeated_pair_stores_no_new_column(self, fixture_trees):
         """A pair measured again against the same memo gives the same
         distance and adds no memo entry."""
         a = fixture_trees["merged"]
         b = edited(a, random.Random(5), 8)
         memo = SubtreePairMemo()
         first = tree_edit_distance(a, b, memo)
-        stored = len(memo.pairs)
+        stored = len(memo.columns)
         assert stored > 0
         assert tree_edit_distance(a, copy.deepcopy(b), memo) == first
-        assert len(memo.pairs) == stored
+        assert len(memo.columns) == stored
+
+    def test_repeated_output_fills_only_the_last_table(self, fixture_trees, monkeypatch):
+        """Every keyroot of an output measured again finds its columns in
+        the memo: the one forest filled is the child-forest table of the
+        equal roots, which no memo stores."""
+        forests = []
+
+        def counted(*args):
+            forests.append(args[:2])
+            return forest(*args)
+
+        forest = evaluation._forest
+        monkeypatch.setattr(evaluation, "_forest", counted)
+        a = fixture_trees["merged"]
+        b = with_root_label(edited(a, random.Random(6), 8), a.label)
+        memo = SubtreePairMemo()
+        first = tree_edit_distance(a, b, memo)
+        assert len(forests) > 1
+        forests.clear()
+        assert tree_edit_distance(a, copy.deepcopy(b), memo) == first
+        assert forests == [(0, ast_size(a) - 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_equal_and_different_roots_share_a_memo(self, seed):
+        """Outputs equal but for the root label, one of them with the
+        target's: under the root rule the target's root has no row, so a
+        column stored without it must not serve the whole-tree pair, nor
+        the other way round."""
+        rng = random.Random(seed)
+        a = Node("r", [random_tree(rng, 13, "abc") for _ in range(rng.randint(1, 3))])
+        same = with_root_label(edited(a, rng, rng.randint(0, 5), labels="abc"), "r")
+        other = with_root_label(copy.deepcopy(same), "s")
+        for outputs in ((same, other), (other, same)):
+            memo = SubtreePairMemo()
+            for b in outputs + outputs:
+                assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b)
+                assert tree_edit_distance(b, a, memo) == zhang_shasha_reference(b, a)
 
     def test_equal_shapes_share_an_id_and_labels_tell_shapes_apart(self):
         memo = SubtreePairMemo()
@@ -402,7 +490,7 @@ class TestBenchmarkTrees:
                 assert tree_edit_distance(target, output, memo) == \
                     zhang_shasha_reference(target, output)
                 roots = {shape_id(memo, target), shape_id(memo, output)}
-                assert not any(roots.intersection(key) for key in memo.pairs)
+                assert not roots.intersection(shape for _, _, shape in memo.columns)
 
 
 class TestNormalizedDistance:
