@@ -17,10 +17,12 @@ from pathlib import Path
 from .dockerfile_syntax import (
     DockerfileDocument,
     Instruction,
+    Runs,
     ShellStatement,
     join_statements,
     parse_dockerfile,
     parse_exec_form,
+    split_runs,
 )
 from .errors import (
     InferenceIncomplete,
@@ -32,7 +34,7 @@ from .errors import (
     TooFewEntries,
     read_input,
 )
-from .spec_inference import Runs, infer_spec, install_command, split_image_reference, split_runs
+from .spec_inference import classify_statement, infer_spec, split_image_reference
 from .spec_model import DockerSpec, WordLists, spec_to_dict
 
 
@@ -189,8 +191,7 @@ def select_representative(cluster: SpecCluster) -> CorpusEntry:
 
 
 def _sorted_statement(stmt: ShellStatement) -> ShellStatement:
-    install = install_command(stmt)
-    packages = Counter(install[1] if install else ())
+    packages = Counter(classify_statement(stmt).packages)
     if not packages:
         return stmt
     anchored = []

@@ -361,11 +361,26 @@ def ast_size(node: Node) -> int:
 
 
 def ast_to_text(node: Node, indent: int = 0) -> str:
-    lines = ["  " * indent + node.label]
-    for child in node.children:
-        lines.append(ast_to_text(child, indent + 1))
+    """One line per node in preorder, indented two spaces per level below
+    ``node`` (itself at ``indent``); walked with an explicit stack, so depth
+    is not bounded by the recursion limit."""
+    lines = []
+    stack = [(node, indent)]
+    while stack:
+        node, depth = stack.pop()
+        lines.append("  " * depth + node.label)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 
 def ast_to_json(node: Node) -> dict:
-    return {"label": node.label, "children": [ast_to_json(c) for c in node.children]}
+    """``{"label": ..., "children": [...]}`` for ``node`` and every node below
+    it, built with an explicit stack like ``ast_to_text``."""
+    root = {"label": node.label, "children": []}
+    stack = [(node, root)]
+    while stack:
+        node, out = stack.pop()
+        for child in node.children:
+            out["children"].append({"label": child.label, "children": []})
+            stack.append((child, out["children"][-1]))
+    return root

@@ -150,7 +150,7 @@ class RetrievalIndex:
         ``impacts`` (so it builds them). Kept only because the benchmark
         harness (``perfbench/workloads.py``, ``perfbench/anchor.py``) reads
         it; it goes when the harness counts postings itself (ROADMAP item
-        2(a))."""
+        1)."""
         return {f: {term: len(ids) for term, (ids, _) in terms.items()}
                 for f, terms in self.impacts.items()}
 

@@ -4,18 +4,21 @@ Three steps: read the OS from the base-image reference, collect dependencies
 from the image name and from install-comment scopes, then derive the package
 manager and the capability flags from the instruction stream. One walk over
 the lines in line order finds each comment's scope: the RUN instructions up to
-the next comment line or blank line. Each install recognizer is a table.
+the next comment line or blank line. One classifier, ``classify_statement``,
+reads each RUN statement once for every field that RUN statements decide.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .dockerfile_syntax import (
     CommentLine,
     DockerfileDocument,
+    Instruction,
     Runs,
     ShellStatement,
     split_runs,
@@ -40,14 +43,8 @@ _INSTALLERS = {"apt": ("apt", "install"), "apt-get": ("apt", "install"),
 # file; a short-option cluster holding "q" is a query (rpm -qi is --info)
 _LOCAL_INSTALLERS = {"dpkg": (("--install",), "i"), "rpm": (("--install", "--upgrade"), "iU")}
 
-_FLAG_FOR_KIND = {
-    "ENV": "uses_env",
-    "ARG": "uses_arg",
-    "LABEL": "uses_label",
-    "EXPOSE": "uses_expose",
-    "CMD": "uses_cmd",
-    "ENTRYPOINT": "uses_entrypoint",
-}
+_FLAG_FOR_KIND = {"ENV": "uses_env", "ARG": "uses_arg", "LABEL": "uses_label",
+                  "EXPOSE": "uses_expose", "CMD": "uses_cmd", "ENTRYPOINT": "uses_entrypoint"}
 
 @dataclass(frozen=True)
 class ImageReference:
@@ -144,49 +141,67 @@ def _strip_redirections(arguments: tuple[str, ...]) -> list[str]:
     return kept
 
 
-def install_command(stmt: ShellStatement) -> tuple[str, list[str]] | None:
-    """The tool and package arguments of an install statement, or None.
+@dataclass(frozen=True)
+class StatementRecord:
+    """What one shell statement installs or fetches (``classify_statement``)."""
 
-    Recognizes ``apt``/``apt-get``/``yum`` install, ``apk add``,
-    ``pip``/``pip3`` install and ``npm install``/``npm i``; the tool is one
-    of apt, apk, yum, pip, npm. The decision and the packages use the
-    arguments without redirections; packages exclude flags, variable
-    references and the subcommand itself.
-    """
-    if stmt.command not in _INSTALLERS:
-        return None
-    tool, subcommand = _INSTALLERS[stmt.command]
-    args = _strip_redirections(stmt.arguments)
-    if tool == "npm":
-        subcommand = args[0] if args and args[0] in ("install", "i") else None
-    if subcommand not in args:
-        return None
-    args.remove(subcommand)
-    return tool, [a for a in args if not a.startswith(("-", "$"))]
+    tool: str | None
+    packages: tuple[str, ...]
+    urls: tuple[str, ...]
+    external: bool
 
 
-def _url_arguments(stmt: ShellStatement) -> list[str]:
+_NOTHING = StatementRecord(None, (), (), False)
+ClassifiedRuns = list[tuple[Instruction, list[StatementRecord]]]
+
+
+def classify_statement(stmt: ShellStatement) -> StatementRecord:
+    """The installer tool and packages of ``stmt``, its downloaded or cloned
+    URLs, and whether it fetches from outside the package manager: a URL, a
+    pip/npm URL or VCS install, an ``apk add`` of a ``.apk`` file, or a
+    dpkg/rpm local-file install. Every rule reads the arguments without
+    redirections; packages exclude flags, variable references and the
+    install subcommand."""
     command = stmt.command
+    if (command not in _INSTALLERS and command not in _DOWNLOAD_COMMANDS
+            and command not in _CLONE_COMMANDS and command not in _LOCAL_INSTALLERS):
+        return _NOTHING
     args = _strip_redirections(stmt.arguments)
+    if command in _INSTALLERS:
+        tool, subcommand = _INSTALLERS[command]
+        if tool == "npm":
+            subcommand = args[0] if args and args[0] in ("install", "i") else None
+        if subcommand not in args:
+            return _NOTHING
+        args.remove(subcommand)
+        packages = tuple(a for a in args if not a.startswith(("-", "$")))
+        if tool in ("pip", "npm"):
+            external = any(_URL.match(a) or a.startswith(_VCS_PREFIXES) for a in packages)
+        else:
+            external = tool == "apk" and any(a.endswith(".apk") for a in packages)
+        return StatementRecord(tool, packages, (), external)
+    if command in _LOCAL_INSTALLERS:
+        long_options, letters = _LOCAL_INSTALLERS[command]
+        return StatementRecord(None, (), (), any(
+            a in long_options or (a.startswith("-") and not a.startswith("--") and "q" not in a
+                                  and any(letter in a for letter in letters))
+            for a in args))
     if command in _DOWNLOAD_COMMANDS:
-        return [a for a in args if _URL.match(a)]
-    if command in _CLONE_COMMANDS and args and args[0] == "clone":
-        return [a for a in args if _URL.match(a) or a.startswith("git@")]
-    return []
+        urls = tuple(a for a in args if _URL.match(a))
+    elif args and args[0] == "clone":
+        urls = tuple(a for a in args if _URL.match(a) or a.startswith("git@"))
+    else:
+        return _NOTHING
+    return StatementRecord(None, (), urls, bool(urls))
 
 
-def _url_final_segment(url: str) -> str:
-    path = url.split("://", 1)[-1].rstrip("/")
-    return path.rsplit("/", 1)[-1]
+def extract_installable_args(records: Iterable[StatementRecord]) -> set[str]:
+    """Words a list of classified statements could be installing.
 
-
-def extract_installable_args(statements: list[ShellStatement]) -> set[str]:
-    """Words a statement list could be installing.
-
-    Union over statements of package-manager install arguments and
-    download-command URLs; every collected argument also contributes its
-    words (split on ``-``, ``_``, ``.``), and URLs contribute the words of
-    their final path segment. Everything is lowercased.
+    Union over the records of install packages and downloaded or cloned
+    URLs; every collected argument also contributes its words (split on
+    ``-``, ``_``, ``.``), and URLs contribute the words of their final path
+    segment. Everything is lowercased.
     """
     words: set[str] = set()
 
@@ -195,31 +210,32 @@ def extract_installable_args(statements: list[ShellStatement]) -> set[str]:
         words.add(arg)
         words.update(w for w in _SEGMENT_SEPARATORS.split(arg) if w)
 
-    for stmt in statements:
-        install = install_command(stmt)
-        for arg in install[1] if install else ():
+    for record in records:
+        for arg in record.packages:
             add(arg)
-        for url in _url_arguments(stmt):
+        for url in record.urls:
             words.add(url.lower())
-            add(_url_final_segment(url))
+            add(url.split("://", 1)[-1].rstrip("/").rsplit("/", 1)[-1])
     return words
 
 
-def infer_comment_dependencies(doc: DockerfileDocument, lists: WordLists, runs: Runs) -> set[str]:
+def infer_comment_dependencies(doc: DockerfileDocument, lists: WordLists,
+                               classified: ClassifiedRuns) -> set[str]:
     """Comment candidates confirmed by an install argument in their scope.
 
-    ``runs`` is the RUN split of ``doc`` (``split_runs``). One walk over
-    comment, blank and RUN start lines in line order: a RUN adds its
-    statements to the open scope; a comment or a blank line closes it, and a
-    comment opens the next one with its own candidates.
+    ``classified`` pairs each RUN of ``doc`` with the records of its
+    statements (``classify_statement``). One walk over comment, blank and
+    RUN start lines in line order: a RUN adds its records to the open scope;
+    a comment or a blank line closes it, and a comment opens the next one
+    with its own candidates.
     """
     events = sorted([(c.line, c, None) for c in doc.comments]
                     + [(line, None, None) for line in doc.blank_lines]
-                    + [(inst.line_span[0], None, body) for inst, body in runs],
+                    + [(inst.line_span[0], None, body) for inst, body in classified],
                     key=lambda event: event[0])
     accepted: set[str] = set()
     candidates: list[str] = []
-    scope: list[ShellStatement] = []
+    scope: list[StatementRecord] = []
     # a blank line after the last line closes the scope still open there
     for _, comment, body in events + [(None, None, None)]:
         if body is not None:
@@ -240,38 +256,13 @@ def infer_flags(doc: DockerfileDocument) -> dict[str, bool]:
     return {flag: kind in kinds for kind, flag in _FLAG_FOR_KIND.items()}
 
 
-def infer_pkg_manager(statements: list[ShellStatement], os_name: str) -> str:
+def infer_pkg_manager(records: Iterable[StatementRecord], os_name: str) -> str:
     """The unique apt/apk/yum manager with an install statement among the
-    RUN statements; "any" when none, several, or incoherent with the OS."""
-    installs = [install_command(stmt) for stmt in statements]
-    detected = {i[0] for i in installs if i and i[0] in PKG_MANAGERS}
-    if len(detected) != 1:
-        return "any"
-    manager = detected.pop()
+    classified RUN statements; "any" when none, several, or incoherent with
+    the OS."""
+    detected = {r.tool for r in records if r.tool in PKG_MANAGERS}
+    manager = detected.pop() if len(detected) == 1 else "any"
     return manager if manager in allowed_managers(os_name) else "any"
-
-
-def infer_downloads_external(statements: list[ShellStatement]) -> bool:
-    """True when some RUN statement downloads or installs from outside the
-    package manager: URL downloads/clones, pip/npm VCS or URL installs, or a
-    low-level package tool applied to a local file."""
-    for stmt in statements:
-        if _url_arguments(stmt):
-            return True
-        install = install_command(stmt)
-        if install is not None:
-            tool, packages = install
-            if tool in ("pip", "npm") and any(
-                    _URL.match(a) or a.startswith(_VCS_PREFIXES) for a in packages):
-                return True
-            if tool == "apk" and any(a.endswith(".apk") for a in packages):
-                return True
-        long_options, letters = _LOCAL_INSTALLERS.get(stmt.command, ((), ""))
-        for arg in stmt.arguments:
-            short = arg.startswith("-") and not arg.startswith("--") and "q" not in arg
-            if arg in long_options or (short and any(letter in arg for letter in letters)):
-                return True
-    return False
 
 
 def infer_spec(doc: DockerfileDocument, lists: WordLists,
@@ -279,8 +270,10 @@ def infer_spec(doc: DockerfileDocument, lists: WordLists,
                runs: Runs | None = None) -> DockerSpec:
     """Run the full inference: OS, dependencies, package manager, and flags.
 
-    Every step reads ``runs``, the RUN split of ``doc`` (``split_runs(doc)``
-    when not given; corpus ingest passes the one its filter made). By default
+    ``runs`` is the RUN split of ``doc`` (``split_runs(doc)`` when not given;
+    corpus ingest passes the one its filter made). Each of its statements is
+    classified once (``classify_statement``), and every RUN-based step reads
+    those records. By default
     dependencies come from the image name and from install-comment scopes,
     found in one walk over the comment, blank and RUN start lines in line
     order. Given ``target_dependencies`` (for generated files, which carry no
@@ -301,23 +294,24 @@ def infer_spec(doc: DockerfileDocument, lists: WordLists,
         raise InferenceIncomplete(str(exc)) from exc
 
     runs = split_runs(doc) if runs is None else runs
-    statements = [stmt for _, body in runs for stmt in body]
+    classified = [(inst, [classify_statement(s) for s in body]) for inst, body in runs]
+    records = [r for _, body in classified for r in body]
     os_name = infer_os(ref, lists)
     if target_dependencies is None:
         dependencies = infer_from_dependencies(ref, lists)
-        dependencies |= infer_comment_dependencies(doc, lists, runs)
+        dependencies |= infer_comment_dependencies(doc, lists, classified)
         dependencies = {
             d for d in dependencies
             if d[0].isalpha() and d not in lists.os_words and d not in lists.stop_words
         }
     else:
-        mentioned = extract_installable_args(statements)
+        mentioned = extract_installable_args(records)
         mentioned.update(ref.name_words + ref.tag_words)
         dependencies = {d for d in target_dependencies if d in mentioned}
     return DockerSpec(
         os=os_name,
-        pkg_manager=infer_pkg_manager(statements, os_name),
+        pkg_manager=infer_pkg_manager(records, os_name),
         dependencies=frozenset(dependencies),
-        downloads_external=infer_downloads_external(statements),
+        downloads_external=any(r.external for r in records),
         **infer_flags(doc),
     )

@@ -10,25 +10,39 @@ scores must match bit for bit),
 and the Mann-Whitney p-value enumerates group assignments with itertools.
 The shell lexer's reference is the character loop that it replaced, the
 install-comment scopes' reference scans every boundary line and RUN once
-per comment, and the parser's round-trip checks re-parse the text that
-``serialize_document`` renders here.
+per comment, spec inference's reference keeps the three statement
+recognizers that the one classifier replaced, and the parser's round-trip
+checks re-parse the text that ``serialize_document`` renders here.
 """
 
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
-from dockerspec.dockerfile_syntax import Node
-from dockerspec.errors import EmptyCorpus, KindMismatch, ShellSyntaxError
+from dockerspec.dockerfile_syntax import Node, split_runs
+from dockerspec.errors import (
+    EmptyCorpus,
+    InferenceIncomplete,
+    KindMismatch,
+    MalformedFrom,
+    ShellSyntaxError,
+)
 from dockerspec.retrieval_engine import (
     ScoredHit,
     query_terms_for,
     render_spec_fields,
     rendered_spec_text,
 )
-from dockerspec.spec_inference import extract_comment_candidates, extract_installable_args
-from dockerspec.spec_model import FLAG_FIELDS, SPEC_FIELDS, DockerSpec
+from dockerspec.spec_inference import (
+    extract_comment_candidates,
+    infer_flags,
+    infer_from_dependencies,
+    infer_os,
+    split_image_reference,
+)
+from dockerspec.spec_model import FLAG_FIELDS, PKG_MANAGERS, SPEC_FIELDS, DockerSpec, allowed_managers
 
 # ---------------------------------------------------------------------------
 # tree edit distance: naive recursion over ordered forests
@@ -329,7 +343,116 @@ def serialize_document(doc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# install-comment scopes: each comment scans every boundary line and RUN
+# spec inference: the three statement recognizers (install_command,
+# _url_arguments and the dpkg/rpm option rule) that one classifier replaced,
+# each still called wherever a field needs it; their code is unchanged but
+# for one line: the dpkg/rpm rule reads the arguments without redirections,
+# as the other two do
+
+
+_URL = re.compile(r"[a-z][a-z0-9+.-]*://", re.IGNORECASE)
+_REDIRECTION_PREFIX = re.compile(r"\d*(>>|>|<)")
+_SEGMENT_SEPARATORS = re.compile(r"[-_.]")
+_DOWNLOAD_COMMANDS = ("wget", "curl")
+_CLONE_COMMANDS = ("git", "hg")
+_VCS_PREFIXES = ("git+", "hg+", "svn+", "bzr+")
+_INSTALLERS = {"apt": ("apt", "install"), "apt-get": ("apt", "install"),
+               "yum": ("yum", "install"), "apk": ("apk", "add"),
+               "pip": ("pip", "install"), "pip3": ("pip", "install"), "npm": ("npm", None)}
+_LOCAL_INSTALLERS = {"dpkg": (("--install",), "i"), "rpm": (("--install", "--upgrade"), "iU")}
+
+
+def _strip_redirections(arguments):
+    kept = []
+    skip_next = False
+    for arg in arguments:
+        if skip_next:
+            skip_next = False
+            continue
+        match = _REDIRECTION_PREFIX.match(arg)
+        if match:
+            skip_next = match.end() == len(arg)
+            continue
+        kept.append(arg)
+    return kept
+
+
+def install_command(stmt):
+    """The tool and package arguments of an install statement, or None."""
+    if stmt.command not in _INSTALLERS:
+        return None
+    tool, subcommand = _INSTALLERS[stmt.command]
+    args = _strip_redirections(stmt.arguments)
+    if tool == "npm":
+        subcommand = args[0] if args and args[0] in ("install", "i") else None
+    if subcommand not in args:
+        return None
+    args.remove(subcommand)
+    return tool, [a for a in args if not a.startswith(("-", "$"))]
+
+
+def _url_arguments(stmt):
+    command = stmt.command
+    args = _strip_redirections(stmt.arguments)
+    if command in _DOWNLOAD_COMMANDS:
+        return [a for a in args if _URL.match(a)]
+    if command in _CLONE_COMMANDS and args and args[0] == "clone":
+        return [a for a in args if _URL.match(a) or a.startswith("git@")]
+    return []
+
+
+def _url_final_segment(url):
+    path = url.split("://", 1)[-1].rstrip("/")
+    return path.rsplit("/", 1)[-1]
+
+
+def extract_installable_args(statements):
+    """Package-manager install arguments and download URLs of the
+    statements, each with its ``-``/``_``/``.`` words, lowercased."""
+    words = set()
+
+    def add(arg):
+        arg = arg.lower()
+        words.add(arg)
+        words.update(w for w in _SEGMENT_SEPARATORS.split(arg) if w)
+
+    for stmt in statements:
+        install = install_command(stmt)
+        for arg in install[1] if install else ():
+            add(arg)
+        for url in _url_arguments(stmt):
+            words.add(url.lower())
+            add(_url_final_segment(url))
+    return words
+
+
+def infer_pkg_manager(statements, os_name):
+    installs = [install_command(stmt) for stmt in statements]
+    detected = {i[0] for i in installs if i and i[0] in PKG_MANAGERS}
+    if len(detected) != 1:
+        return "any"
+    manager = detected.pop()
+    return manager if manager in allowed_managers(os_name) else "any"
+
+
+def infer_downloads_external(statements):
+    for stmt in statements:
+        if _url_arguments(stmt):
+            return True
+        install = install_command(stmt)
+        if install is not None:
+            tool, packages = install
+            if tool in ("pip", "npm") and any(
+                    _URL.match(a) or a.startswith(_VCS_PREFIXES) for a in packages):
+                return True
+            if tool == "apk" and any(a.endswith(".apk") for a in packages):
+                return True
+        long_options, letters = _LOCAL_INSTALLERS.get(stmt.command, ((), ""))
+        for arg in _strip_redirections(stmt.arguments):
+            short = arg.startswith("-") and not arg.startswith("--") and "q" not in arg
+            if arg in long_options or (short and any(letter in arg for letter in letters)):
+                return True
+    return False
 
 
 def comment_dependencies_reference(doc, lists, runs) -> set[str]:
@@ -351,6 +474,41 @@ def comment_dependencies_reference(doc, lists, runs) -> set[str]:
         installable = extract_installable_args(statements)
         accepted.update(c for c in candidates if c in installable)
     return accepted
+
+
+def infer_spec_reference(doc, lists, target_dependencies=None, runs=None) -> DockerSpec:
+    """``infer_spec`` as it was before statements were classified once:
+    each field's step runs its own recognizers over the statements, and
+    comment scopes come from ``comment_dependencies_reference``."""
+    froms = doc.instructions_of_kind("FROM")
+    if not froms:
+        raise InferenceIncomplete("document has no FROM instruction")
+    try:
+        ref = split_image_reference(froms[0].raw_arguments)
+    except MalformedFrom as exc:
+        raise InferenceIncomplete(str(exc)) from exc
+
+    runs = split_runs(doc) if runs is None else runs
+    statements = [stmt for _, body in runs for stmt in body]
+    os_name = infer_os(ref, lists)
+    if target_dependencies is None:
+        dependencies = infer_from_dependencies(ref, lists)
+        dependencies |= comment_dependencies_reference(doc, lists, runs)
+        dependencies = {
+            d for d in dependencies
+            if d[0].isalpha() and d not in lists.os_words and d not in lists.stop_words
+        }
+    else:
+        mentioned = extract_installable_args(statements)
+        mentioned.update(ref.name_words + ref.tag_words)
+        dependencies = {d for d in target_dependencies if d in mentioned}
+    return DockerSpec(
+        os=os_name,
+        pkg_manager=infer_pkg_manager(statements, os_name),
+        dependencies=frozenset(dependencies),
+        downloads_external=infer_downloads_external(statements),
+        **infer_flags(doc),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ from dockerspec.dockerfile_syntax import (
     parse_dockerfile,
     parse_exec_form,
     parse_shell,
+    split_runs,
 )
 from dockerspec.errors import KindMismatch, SchemaError, ShellSyntaxError, TooFewEntries
-from dockerspec.spec_inference import infer_spec, split_runs
+from dockerspec.spec_inference import infer_spec
 from dockerspec.spec_model import DockerSpec, serialize_spec
 from oracles import reference_instruction_jaccard, select_representative_reference
 
@@ -371,6 +372,25 @@ class TestNormalize:
         doc = parse_dockerfile('FROM x\nRUN ["apk",  "add", "zlib", "curl"]\n')
         assert normalize_for_training(doc) == \
             'FROM x <nl>\nRUN ["apk", "add", "zlib", "curl"] <nl>\n'
+
+    def test_each_shell_form_statement_classified_once(self, monkeypatch, tomcat_ffmpeg_text):
+        text = (tomcat_ffmpeg_text + 'RUN ["apt-get", "install", "vim"]\n'
+                "RUN echo <nl> && apt-get install -y zsh git > /dev/null\n")
+        doc = parse_dockerfile(text)
+        calls = []
+        original = corpus_pipeline.classify_statement
+
+        def counting(stmt):
+            calls.append(stmt)
+            return original(stmt)
+
+        monkeypatch.setattr(corpus_pipeline, "classify_statement", counting)
+        normalized = normalize_for_training(doc)
+        assert calls == [stmt for inst in doc.instructions_of_kind("RUN")
+                         if parse_exec_form(inst.raw_arguments) is None
+                         for stmt in parse_shell(inst.raw_arguments)]
+        assert len(calls) > 10
+        assert "apt-get install -y > /dev/null git zsh <nl>" in normalized
 
     def test_literal_marker_word_dropped(self):
         doc = parse_dockerfile("FROM x\nRUN echo <nl> a && ls <nl>\nLABEL a=1 <nl> b=2\n")

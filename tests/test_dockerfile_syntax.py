@@ -445,6 +445,15 @@ class TestBuildAst:
             "children": [{"label": "FROM",
                           "children": [{"label": "alpine", "children": []}]}],
         }
+        # siblings keep their order at every level
+        tree = build_ast(parse_dockerfile("FROM alpine\nRUN apk add curl && make\n"))
+        assert ast_to_text(tree) == ("dockerfile\n  FROM\n    alpine\n  RUN\n    apk\n"
+                                     "      add\n      curl\n    make")
+        assert ast_to_text(tree.children[1], 1) == "  RUN\n    apk\n      add\n      curl\n    make"
+        assert ast_to_json(tree.children[1]) == {"label": "RUN", "children": [
+            {"label": "apk", "children": [{"label": "add", "children": []},
+                                          {"label": "curl", "children": []}]},
+            {"label": "make", "children": []}]}
 
 
 class TestAstSize:

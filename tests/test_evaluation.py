@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dockerspec import evaluation
-from dockerspec.dockerfile_syntax import Node, ast_size, build_ast, parse_dockerfile
+from dockerspec.dockerfile_syntax import (
+    Node,
+    ast_size,
+    ast_to_json,
+    ast_to_text,
+    build_ast,
+    parse_dockerfile,
+)
 from dockerspec.errors import (
     EmptyCandidate,
     EmptyInput,
@@ -315,6 +322,17 @@ class TestDeepTrees:
     def test_chains_deeper_than_the_recursion_limit(self):
         report = normalized_distance(chain(1200), chain(1199))
         assert (report.raw_distance, report.size_a, report.size_b) == (1, 1200, 1199)
+
+    def test_text_of_a_chain_deeper_than_the_recursion_limit(self):
+        lines = ast_to_text(chain(1200)).split("\n")
+        assert lines == ["  " * depth + "a" for depth in range(1200)]
+
+    def test_json_of_a_chain_deeper_than_the_recursion_limit(self):
+        node, depth = ast_to_json(chain(1200)), 1
+        while node["children"]:
+            assert list(node) == ["label", "children"] and node["label"] == "a"
+            (node,), depth = node["children"], depth + 1
+        assert node == {"label": "a", "children": []} and depth == 1200
 
 
 class TestSkippedKeyroots:

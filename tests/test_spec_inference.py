@@ -1,10 +1,16 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import comment_dependencies_reference
+from hypothesis import assume, example, given, settings, strategies as st
+from oracles import (
+    _url_arguments,
+    comment_dependencies_reference,
+    infer_downloads_external,
+    infer_spec_reference,
+    install_command,
+)
 
-from dockerspec import dockerfile_syntax
+from dockerspec import dockerfile_syntax, spec_inference
 from dockerspec.dockerfile_syntax import (
     CommentLine,
     ShellStatement,
@@ -12,18 +18,24 @@ from dockerspec.dockerfile_syntax import (
     parse_shell,
     run_statements,
 )
-from dockerspec.errors import InferenceIncomplete, MalformedFrom, ParseError, read_input
+from dockerspec.errors import (
+    EmptyInput,
+    InferenceIncomplete,
+    MalformedFrom,
+    ParseError,
+    ShellSyntaxError,
+    read_input,
+)
 from dockerspec.spec_inference import (
+    classify_statement,
     extract_comment_candidates,
     extract_installable_args,
     infer_comment_dependencies,
-    infer_downloads_external,
     infer_flags,
     infer_from_dependencies,
     infer_os,
     infer_pkg_manager,
     infer_spec,
-    install_command,
     split_image_reference,
 )
 from dockerspec.spec_model import DockerSpec, validate_spec
@@ -37,8 +49,24 @@ def statements_of(doc):
     return [stmt for _, body in runs_of(doc) for stmt in body]
 
 
+def classified_of(doc):
+    return [(inst, [classify_statement(s) for s in body]) for inst, body in runs_of(doc)]
+
+
+def records_of(doc):
+    return [classify_statement(stmt) for stmt in statements_of(doc)]
+
+
+def installable(script):
+    return extract_installable_args(map(classify_statement, parse_shell(script)))
+
+
+def downloads_external(statements):
+    return any(classify_statement(stmt).external for stmt in statements)
+
+
 def comment_dependencies(doc, word_lists):
-    return infer_comment_dependencies(doc, word_lists, runs_of(doc))
+    return infer_comment_dependencies(doc, word_lists, classified_of(doc))
 
 
 class TestSplitImageReference:
@@ -142,43 +170,39 @@ class TestExtractCommentCandidates:
 
 class TestExtractInstallableArgs:
     def test_apt_get_install(self):
-        statements = parse_shell("apt-get install -y git wget")
-        words = extract_installable_args(statements)
-        assert {"git", "wget"} <= words
+        assert {"git", "wget"} <= installable("apt-get install -y git wget")
 
     def test_flags_and_subcommand_excluded(self):
-        statements = parse_shell("apt-get install -y git")
-        words = extract_installable_args(statements)
+        words = installable("apt-get install -y git")
         assert "-y" not in words and "install" not in words
 
     def test_hg_clone_url_contributes_segment(self):
-        statements = parse_shell("hg clone https://bitbucket.org/multicoreware/x265")
-        assert "x265" in extract_installable_args(statements)
+        assert "x265" in installable("hg clone https://bitbucket.org/multicoreware/x265")
 
     def test_non_install_command(self):
-        assert extract_installable_args(parse_shell("echo hello")) == set()
+        assert installable("echo hello") == set()
 
     def test_hyphenated_package_contributes_words(self):
-        words = extract_installable_args(parse_shell("apt-get install build-essential"))
+        words = installable("apt-get install build-essential")
         assert {"build-essential", "build", "essential"} <= words
 
     def test_pip_and_npm(self):
-        words = extract_installable_args(parse_shell("pip install requests && npm i lodash"))
+        words = installable("pip install requests && npm i lodash")
         assert {"requests", "lodash"} <= words
 
     def test_variable_references_excluded(self):
-        words = extract_installable_args(parse_shell("apt-get install $EXTRA git"))
+        words = installable("apt-get install $EXTRA git")
         assert "$extra" not in words and "git" in words
 
     def test_redirection_target_not_collected(self):
-        words = extract_installable_args(parse_shell("apt-get install git > /tmp/log"))
+        words = installable("apt-get install git > /tmp/log")
         assert words == {"git"}
 
     def test_apk_add(self):
-        assert "curl" in extract_installable_args(parse_shell("apk add --no-cache curl"))
+        assert "curl" in installable("apk add --no-cache curl")
 
 
-class TestInstallCommand:
+class TestClassifyInstall:
     @pytest.mark.parametrize("script, expected", [
         ("apt-get install -y zsh git", ("apt", ["zsh", "git"])),
         ("apt install curl", ("apt", ["curl"])),
@@ -191,26 +215,44 @@ class TestInstallCommand:
         ("apt-get install git 2>&1", ("apt", ["git"])),
     ])
     def test_recognized(self, script, expected):
-        assert install_command(parse_shell(script)[0]) == expected
+        record = classify_statement(parse_shell(script)[0])
+        assert (record.tool, list(record.packages)) == expected
 
     @pytest.mark.parametrize("script", [
         "apt-get update", "apk update", "npm run install", "echo install", "pip --version",
     ])
     def test_not_an_install(self, script):
-        assert install_command(parse_shell(script)[0]) is None
+        record = classify_statement(parse_shell(script)[0])
+        assert (record.tool, record.packages) == (None, ())
 
     def test_redirection_target_spelled_install(self):
         stmt = parse_shell("apt-get update > install")[0]
         assert stmt == ShellStatement("apt-get", ("update", ">", "install"))
-        assert install_command(stmt) is None
-        assert infer_pkg_manager([stmt], "any") == "any"
-        assert extract_installable_args([stmt]) == set()
+        record = classify_statement(stmt)
+        assert record.tool is None
+        assert infer_pkg_manager([record], "any") == "any"
+        assert extract_installable_args([record]) == set()
 
     def test_redirection_target_spelled_like_a_package_source(self):
-        stmt = parse_shell("pip install requests > git+log")[0]
-        assert install_command(stmt) == ("pip", ["requests"])
-        assert infer_downloads_external([stmt]) is False
+        record = classify_statement(parse_shell("pip install requests > git+log")[0])
+        assert (record.tool, list(record.packages)) == ("pip", ["requests"])
+        assert record.external is False
 
+
+class TestClassifyUrls:
+    @pytest.mark.parametrize("script, expected", [
+        ("wget -q https://example.com/a.tgz -O /tmp/a.tgz", ("https://example.com/a.tgz",)),
+        ("curl -fsSL https://example.com/x > https://example.com/y", ("https://example.com/x",)),
+        ("git clone git@github.com:a/b.git && true", ("git@github.com:a/b.git",)),
+        ("hg clone https://bitbucket.org/a/x265", ("https://bitbucket.org/a/x265",)),
+        ("git pull https://github.com/a/b", ()),
+        ("echo https://example.com/a.tgz", ()),
+        ("pip install git+https://github.com/a/b", ()),
+    ])
+    def test_urls(self, script, expected):
+        record = classify_statement(parse_shell(script)[0])
+        assert record.urls == expected
+        assert record.external is (bool(expected) or record.tool == "pip")
 
 MIXED_RUNS = ("FROM ubuntu:20.04\n"
               "# Install curl git\n"
@@ -325,6 +367,117 @@ class TestCommentDependenciesReference:
         assert compared > 1000 and accepted > 1000
 
 
+class TestClassifyOnce:
+    @pytest.mark.parametrize("text", [MIXED_RUNS, TOMCAT_FFMPEG, "FROM alpine\nENV A=1\n"],
+                             ids=["mixed", "tomcat-ffmpeg", "no-run"])
+    @pytest.mark.parametrize("target_dependencies", [None, frozenset({"curl"})],
+                             ids=["comments", "targets"])
+    def test_each_statement_classified_once(self, monkeypatch, word_lists, text,
+                                            target_dependencies):
+        doc = parse_dockerfile(text)
+        calls = []
+        original = spec_inference.classify_statement
+
+        def counting(stmt):
+            calls.append(stmt)
+            return original(stmt)
+
+        monkeypatch.setattr(spec_inference, "classify_statement", counting)
+        infer_spec(doc, word_lists, target_dependencies)
+        assert calls == statements_of(doc)
+
+
+# statements for the reference properties: each rule's commands with the
+# words that rule looks for first (and some it does not), then arguments that
+# exercise the rules: flags, variables, URLs, VCS and clone addresses, local
+# package files, dpkg/rpm install and query options, and redirections, bare
+# and attached
+_COMMAND_AND_FIRST_WORDS = [
+    (["apt-get", "apt", "yum", "pip", "pip3"], ["install", "update", "-y"]),
+    (["apk"], ["add", "update"]),
+    (["npm"], ["install", "i", "run"]),
+    (["wget", "curl"], ["-q", "-fsSL", ">"]),
+    (["git", "hg"], ["clone", "pull"]),
+    (["dpkg", "rpm"], ["-i", "-qi", "-U", "--install", "-l", ">", "2>"]),
+    (["echo", "make"], ["install", "clone"]),
+]
+_ARGUMENT = st.sampled_from([
+    "install", "add", "i", "-y", "--no-cache", "$EXTRA", "curl", "git", "x265",
+    "build-essential", "https://example.com/ffmpeg-4.tar.gz", "git+https://github.com/a/vim",
+    "git@github.com:a/curl.git", "./custom.apk", "./package.deb", "-i", "-Ei", "-ivh", "-U",
+    "-qi", "-qa", "-l", "--install", "--upgrade", "--query", ">", "2>", ">>", ">log",
+    "2>&1", "-i.log", "-U.log", "install.log"])
+_STATEMENT = st.one_of([
+    st.tuples(st.sampled_from(commands), st.sampled_from(first_words),
+              st.lists(_ARGUMENT, min_size=1, max_size=4))
+    for commands, first_words in _COMMAND_AND_FIRST_WORDS]).map(
+    lambda parts: " ".join([parts[0], parts[1], *parts[2]]))
+_RUN_LINE = st.one_of(
+    st.lists(_STATEMENT, min_size=1, max_size=2).map(" && ".join).map("RUN {}".format),
+    _STATEMENT.map(lambda statement: "RUN " + str(statement.split()).replace("'", '"')))
+_DOCUMENT_LINE = st.one_of(_SCOPE_LINE, _RUN_LINE, _RUN_LINE)
+_FROM_LINE = st.sampled_from(["FROM ubuntu:20.04", "FROM alpine:3.14", "FROM centos:7",
+                              "FROM tomcat:9.0.20-jre8-alpine", "FROM python-slim-buster"])
+
+
+def outcome(infer, *args):
+    try:
+        return infer(*args)
+    except (InferenceIncomplete, ShellSyntaxError) as exc:
+        return type(exc)
+
+
+class TestInferSpecReference:
+    """``infer_spec`` against ``infer_spec_reference`` of tests/oracles.py,
+    which keeps the three statement recognizers that the classifier
+    replaced, in both dependency modes."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_STATEMENT)
+    @example("apk add ./custom.apk > log")
+    @example("git clone git@github.com:a/curl.git")
+    @example("npm i https://example.com/x.tgz")
+    @example("pip3 install $EXTRA git+https://github.com/a/vim")
+    @example("dpkg -l > -i.log")
+    @example("rpm -qa 2> -U")
+    def test_generated_statements(self, script):
+        (stmt,) = parse_shell(script)
+        record = classify_statement(stmt)
+        install = install_command(stmt)
+        assert (record.tool, list(record.packages)) == (install or (None, []))
+        assert list(record.urls) == _url_arguments(stmt)
+        assert record.external == infer_downloads_external([stmt])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FROM_LINE, max_size=1), st.lists(_DOCUMENT_LINE, max_size=8),
+           st.frozensets(st.sampled_from(["curl", "git", "vim", "x265", "ffmpeg", "tomcat",
+                                          "essential", "custom", "python"])))
+    def test_generated_documents(self, word_lists, from_lines, lines, targets):
+        try:
+            doc = parse_dockerfile("\n".join(from_lines + lines) + "\n")
+        except EmptyInput:
+            assume(False)
+        for target_dependencies in (None, targets):
+            assert outcome(infer_spec, doc, word_lists, target_dependencies) == \
+                outcome(infer_spec_reference, doc, word_lists, target_dependencies)
+
+    def test_benchmark_corpus(self, benchmark_corpus_dir, word_lists):
+        compared = 0
+        for path in sorted(p for p in benchmark_corpus_dir.rglob("*") if p.is_file()):
+            try:
+                doc = parse_dockerfile(read_input(path, ParseError))
+            except ParseError:
+                continue
+            expected = outcome(infer_spec_reference, doc, word_lists)
+            assert outcome(infer_spec, doc, word_lists) == expected, path.name
+            if isinstance(expected, DockerSpec):
+                targets = expected.dependencies | {"curl", "git"}
+                assert infer_spec(doc, word_lists, targets) == \
+                    infer_spec_reference(doc, word_lists, targets), path.name
+                compared += 1
+        assert compared > 1000
+
+
 class TestInferFlags:
     def test_tomcat_ffmpeg_all_false(self, tomcat_ffmpeg_text):
         flags = infer_flags(parse_dockerfile(tomcat_ffmpeg_text))
@@ -352,45 +505,45 @@ class TestInferFlags:
 class TestInferPkgManager:
     def test_tomcat_ffmpeg_apt(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        assert infer_pkg_manager(statements_of(doc), "any") == "apt"
+        assert infer_pkg_manager(records_of(doc), "any") == "apt"
 
     def test_incoherent_yum_on_ubuntu(self):
         doc = parse_dockerfile("FROM ubuntu\nRUN yum install -y git\n")
-        assert infer_pkg_manager(statements_of(doc), "ubuntu") == "any"
+        assert infer_pkg_manager(records_of(doc), "ubuntu") == "any"
 
     def test_no_package_statements(self):
         doc = parse_dockerfile("FROM x\nRUN echo hi\n")
-        assert infer_pkg_manager(statements_of(doc), "any") == "any"
+        assert infer_pkg_manager(records_of(doc), "any") == "any"
 
     def test_conflicting_managers(self):
         doc = parse_dockerfile("FROM x\nRUN apt-get install -y a && apk add b\n")
-        assert infer_pkg_manager(statements_of(doc), "any") == "any"
+        assert infer_pkg_manager(records_of(doc), "any") == "any"
 
     def test_update_alone_does_not_count(self):
         doc = parse_dockerfile("FROM x\nRUN apt-get update\n")
-        assert infer_pkg_manager(statements_of(doc), "any") == "any"
+        assert infer_pkg_manager(records_of(doc), "any") == "any"
 
 
-class TestInferDownloadsExternal:
+class TestClassifyExternal:
     def test_tomcat_ffmpeg_true(self, tomcat_ffmpeg_text):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        assert infer_downloads_external(statements_of(doc)) is True
+        assert downloads_external(statements_of(doc)) is True
 
     def test_manager_only_install_false(self):
         doc = parse_dockerfile("FROM x\nRUN apt-get install -y git\n")
-        assert infer_downloads_external(statements_of(doc)) is False
+        assert downloads_external(statements_of(doc)) is False
 
     def test_pip_vcs_reference(self):
         doc = parse_dockerfile("FROM x\nRUN pip install git+https://github.com/a/b\n")
-        assert infer_downloads_external(statements_of(doc)) is True
+        assert downloads_external(statements_of(doc)) is True
 
     def test_wget_url(self):
         doc = parse_dockerfile("FROM x\nRUN wget https://example.com/tool.tar.gz\n")
-        assert infer_downloads_external(statements_of(doc)) is True
+        assert downloads_external(statements_of(doc)) is True
 
     def test_dpkg_local_file(self):
         doc = parse_dockerfile("FROM x\nRUN dpkg -i ./package.deb\n")
-        assert infer_downloads_external(statements_of(doc)) is True
+        assert downloads_external(statements_of(doc)) is True
 
     @pytest.mark.parametrize("script, expected", [
         ("dpkg --install ./package.deb", True), ("dpkg -Ei ./package.deb", True),
@@ -401,17 +554,19 @@ class TestInferDownloadsExternal:
         ("rpm --query curl", False), ("rpm --import ./key.asc", False),
         # in rpm's query mode -i is --info
         ("rpm -qi curl", False), ("rpm -qip ./package.rpm", False),
+        # a redirection target is no option
+        ("dpkg -l > -i.log", False), ("rpm -qa 2> -U", False),
     ])
     def test_low_level_package_tool(self, script, expected):
-        assert infer_downloads_external(parse_shell(script)) is expected
+        assert downloads_external(parse_shell(script)) is expected
 
     def test_apk_local_file(self):
         doc = parse_dockerfile("FROM x\nRUN apk add ./custom.apk\n")
-        assert infer_downloads_external(statements_of(doc)) is True
+        assert downloads_external(statements_of(doc)) is True
 
     def test_git_clone_without_url_false(self):
         doc = parse_dockerfile("FROM x\nRUN git clone local-mirror\n")
-        assert infer_downloads_external(statements_of(doc)) is False
+        assert downloads_external(statements_of(doc)) is False
 
 
 class TestInferSpec:
