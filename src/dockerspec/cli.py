@@ -217,6 +217,8 @@ def index_build(corpus, out_path, k1, b):
     """
     re_engine.check_bm25_parameters(k1, b)
     _check_output_dir(out_path)
+    # one record at a time: only the entries are kept, and nothing is
+    # written until every record has been read and checked
     entries = []
     for number, record in cp.read_corpus_records(Path(corpus)):
         try:

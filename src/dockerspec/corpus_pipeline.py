@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -344,14 +345,19 @@ def write_jsonl(path: Path, entries: list[CorpusEntry]) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_corpus_records(path: Path) -> list[tuple[int, dict]]:
-    """Read corpus JSONL records, each with its line number (spec left as a
-    plain dict).
+def read_corpus_records(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield corpus JSONL records one at a time, each with its line number
+    (spec left as a plain dict), so that a caller holds only what it keeps.
 
-    Raises SchemaError naming ``path:line`` on undecodable bytes, a
-    line that is not a JSON object, or a record without a spec or without a
-    dockerfile string."""
-    records = []
+    A record is checked when the reader reaches it, so a caller that checks
+    each record it is given meets the errors in file order. Raises
+    SchemaError naming ``path:line`` on a line that is not a JSON object, a
+    record without a spec or without a dockerfile string, or undecodable
+    bytes (named by line and byte offset, as ``read_input`` names them).
+    The file is decoded in blocks of about 8 KiB, ahead of the lines
+    yielded, so undecodable bytes are raised before the lines that precede
+    them in their block are yielded: an error in those lines, the reader's
+    or the caller's, goes unreported, and the bytes are named."""
     try:
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
@@ -366,10 +372,9 @@ def read_corpus_records(path: Path) -> list[tuple[int, dict]]:
                         or not isinstance(record.get("dockerfile"), str)):
                     raise SchemaError(
                         f"{path}:{number}: record must carry spec and a dockerfile string")
-                records.append((number, record))
+                yield number, record
     except UnicodeDecodeError:
         # a stream decodes ahead of the lines it has returned, so its error
         # cannot name the line; only on this path is the file read whole
         read_input(path, SchemaError)
         raise
-    return records

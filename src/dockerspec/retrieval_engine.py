@@ -267,18 +267,21 @@ def vector_retrieve(spec: DockerSpec, k: int,
 def save_index(index: RetrievalIndex, path: Path) -> None:
     """Write a self-describing index file: the documents and the BM25
     parameters. No statistics are stored; ``load_index`` builds none, and
-    the first query over the loaded index builds what its ranker reads."""
-    payload = {
-        "magic": INDEX_MAGIC,
-        "version": INDEX_VERSION,
-        "k1": index.k1,
-        "b": index.b,
-        "entries": [
-            {"spec": spec_to_dict(spec), "dockerfile": dockerfile_text}
-            for spec, dockerfile_text in index.entries
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    the first query over the loaded index builds what its ranker reads.
+
+    The file is ``json.dumps(payload, sort_keys=True)`` of the payload
+    ``{"b", "entries", "k1", "magic", "version"}``, byte for byte, but it is
+    written entry by entry, so that no copy of the whole payload or of its
+    text is held."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f'{{"b": {json.dumps(index.b)}, "entries": [')
+        for doc_id, (spec, dockerfile_text) in enumerate(index.entries):
+            if doc_id:
+                handle.write(", ")
+            handle.write(json.dumps({"spec": spec_to_dict(spec), "dockerfile": dockerfile_text},
+                                    sort_keys=True))
+        handle.write(f'], "k1": {json.dumps(index.k1)}, "magic": {json.dumps(INDEX_MAGIC)}, '
+                     f'"version": {INDEX_VERSION}}}')
 
 
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:

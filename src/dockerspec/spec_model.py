@@ -27,6 +27,7 @@ FLAG_FIELDS = (
 )
 
 SPEC_FIELDS = ("os", "pkg_manager", "dependencies") + FLAG_FIELDS
+_SPEC_FIELD_SET = frozenset(SPEC_FIELDS)
 
 # distro prefix -> the only non-"any" package manager it admits
 _MANAGER_FOR_OS_PREFIX = {
@@ -131,26 +132,25 @@ def serialize_spec(spec: DockerSpec) -> str:
 def spec_from_dict(data: dict) -> DockerSpec:
     if not isinstance(data, dict):
         raise SchemaError("spec must be a JSON object")
-    missing = [f for f in SPEC_FIELDS if f not in data]
-    if missing:
-        raise SchemaError(f"missing field(s): {', '.join(missing)}")
-    unknown = [k for k in data if k not in SPEC_FIELDS]
-    if unknown:
+    if data.keys() != _SPEC_FIELD_SET:
+        missing = [f for f in SPEC_FIELDS if f not in data]
+        if missing:
+            raise SchemaError(f"missing field(s): {', '.join(missing)}")
+        unknown = [k for k in data if k not in _SPEC_FIELD_SET]
         raise SchemaError(f"unknown field(s): {', '.join(sorted(unknown))}")
-    if not isinstance(data["os"], str) or not data["os"]:
+    os_name, manager, deps = data["os"], data["pkg_manager"], data["dependencies"]
+    if not isinstance(os_name, str) or not os_name:
         raise SchemaError("os must be a non-empty string")
-    if data["pkg_manager"] not in PKG_MANAGERS:
+    if manager not in PKG_MANAGERS:
         raise SchemaError(f"pkg_manager must be one of {PKG_MANAGERS}")
-    deps = data["dependencies"]
     if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
         raise SchemaError("dependencies must be an array of strings")
-    flags = {}
-    for name in FLAG_FIELDS:
-        if type(data[name]) is not bool:
+    flags = [data[name] for name in FLAG_FIELDS]
+    for name, value in zip(FLAG_FIELDS, flags):
+        if type(value) is not bool:
             raise SchemaError(f"{name} must be a boolean")
-        flags[name] = data[name]
-    return DockerSpec(os=data["os"], pkg_manager=data["pkg_manager"],
-                      dependencies=frozenset(deps), **flags)
+    # DockerSpec's fields are SPEC_FIELDS, in that order
+    return DockerSpec(os_name, manager, frozenset(deps), *flags)
 
 
 def deserialize_spec(text: str) -> DockerSpec:

@@ -126,6 +126,22 @@ def write_benchmark_evaluate(directory: Path, seed: int) -> None:
     _run_benchmark_generator("write_evaluate", directory, seed)
 
 
+def write_benchmark_index_corpus(path: Path, seed: int, scale: float = 1.0) -> None:
+    """Write the corpus JSONL that the benchmark's retrieve workloads index
+    for ``seed`` (8,000 records at scale 1.0) with ``perfbench/generate.py``."""
+    records = _run_benchmark_generator("retrieve_inputs", seed, scale).records
+    _run_benchmark_generator("write_corpus_jsonl", path, records)
+
+
+@pytest.fixture(scope="session")
+def benchmark_index_corpus(tmp_path_factory):
+    """2,000 records of the benchmark's seed-1 index corpus, written once per
+    test session."""
+    path = tmp_path_factory.mktemp("benchmark_index_corpus") / "corpus.jsonl"
+    write_benchmark_index_corpus(path, 1, scale=0.25)
+    return path
+
+
 @pytest.fixture(scope="session", params=[1, 2])
 def benchmark_corpus_dir(request, tmp_path_factory):
     """The benchmark's corpus workload input at seeds 1 and 2, written once

@@ -192,7 +192,7 @@ def test_criterion_8_end_to_end_smoke(tmp_path, word_lists, capsys):
         index_path = tmp_path / "index.bin"
         assert main(["corpus", "build", str(directory), "--out", str(corpus_path)]) == 0
         assert main(["index", "build", str(corpus_path), "--out", str(index_path)]) == 0
-        _, record = read_corpus_records(corpus_path)[0]
+        _, record = list(read_corpus_records(corpus_path))[0]
         query_path = tmp_path / "query.json"
         query_path.write_text(json.dumps(record["spec"]))
         assert main(["generate", "--spec", str(query_path),

@@ -98,7 +98,7 @@ class TestCorpusCommands:
                               "--out", str(out), "--seed", "42")
         assert code == 0
         summary = json.loads(stdout)
-        assert summary["entries"] == len(read_corpus_records(out))
+        assert summary["entries"] == len(list(read_corpus_records(out)))
         assert summary["train"] + summary["eval"] + summary["test"] == summary["entries"]
         for suffix in ("train", "eval", "test", "pretrain"):
             assert (tmp_path / f"corpus.{suffix}.jsonl").exists()
@@ -152,7 +152,7 @@ class TestIndexAndGenerate:
 
     def test_generate_returns_indexed_dockerfile(self, capsys, built, tmp_path):
         corpus, index = built
-        _, record = read_corpus_records(corpus)[0]
+        _, record = list(read_corpus_records(corpus))[0]
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(record["spec"]))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
@@ -162,7 +162,7 @@ class TestIndexAndGenerate:
 
     def test_generate_top_k_json(self, capsys, built, tmp_path):
         corpus, index = built
-        _, record = read_corpus_records(corpus)[0]
+        _, record = list(read_corpus_records(corpus))[0]
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(record["spec"]))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
@@ -175,7 +175,7 @@ class TestIndexAndGenerate:
 
     def test_generate_tfidf_method(self, capsys, built, tmp_path):
         corpus, index = built
-        _, record = read_corpus_records(corpus)[1]
+        _, record = list(read_corpus_records(corpus))[1]
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(record["spec"]))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
@@ -685,6 +685,54 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(f"error: {corpus}:3: missing field(s): pkg_manager")
         assert err.count("\n") == 1
+
+    def test_index_build_names_the_first_bad_line(self, capsys, tmp_path):
+        # each record is checked when the reader reaches it: the bad spec on
+        # line 2 is met before the line that is not JSON
+        good = json.dumps({"spec": spec_to_dict(SPEC), "dockerfile": "x"})
+        bad_spec = json.dumps({"spec": {"os": "alpine"}, "dockerfile": "x"})
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n".join([good, bad_spec, good, "{not json", good]) + "\n")
+        code, out, err = run(capsys, "index", "build", str(corpus),
+                             "--out", str(tmp_path / "index.bin"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {corpus}:2: missing field(s): pkg_manager")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("good_lines, message", [(0, "3: not UTF-8 text"),
+                                                     (1000, "2: missing field(s)")])
+    def test_index_build_undecodable_bytes_read_ahead(self, capsys, tmp_path, good_lines,
+                                                      message):
+        # the file is decoded in blocks of about 8 KiB: undecodable bytes in
+        # the block of an earlier bad record are named, and bytes in a
+        # later block are not reached
+        good = json.dumps({"spec": spec_to_dict(SPEC), "dockerfile": "x"})
+        bad_spec = json.dumps({"spec": {"os": "alpine"}, "dockerfile": "x"})
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(f"{good}\n{bad_spec}\n".encode()
+                           + (good + "\n").encode() * good_lines + b"\xff\n")
+        code, out, err = run(capsys, "index", "build", str(corpus),
+                             "--out", str(tmp_path / "index.bin"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {corpus}:{message}")
+
+    @pytest.mark.parametrize("record", [
+        {"spec": {"os": "alpine"}, "dockerfile": "x"},
+        {"spec": spec_to_dict(SPEC)},
+    ])
+    def test_index_build_bad_record_leaves_out_file_unchanged(self, capsys, tmp_path, record):
+        corpus = write_corpus(tmp_path / "c.jsonl")
+        with corpus.open("a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        index = tmp_path / "index.bin"
+        index.write_bytes(b"earlier index\n")
+        code, out, err = run(capsys, "index", "build", str(corpus), "--out", str(index))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {corpus}:2: ")
+        assert index.read_bytes() == b"earlier index\n"
 
     def test_generate_names_entry_of_bad_index_spec(self, capsys, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl")

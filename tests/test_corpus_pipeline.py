@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -585,20 +586,32 @@ class TestPipeline:
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"spec": {}, "dockerfile": dockerfile}) + "\n")
         with pytest.raises(SchemaError, match=":1: record must carry"):
-            read_corpus_records(path)
+            list(read_corpus_records(path))
 
     def test_read_names_line_of_undecodable_bytes(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         good = json.dumps({"spec": {}, "dockerfile": "FROM alpine"})
         path.write_bytes(f"{good}\n{good}\n".encode() + b'{"dockerfile": "caf\xe9"}\n')
         with pytest.raises(SchemaError, match=r"corpus\.jsonl:3: not UTF-8 text"):
-            read_corpus_records(path)
+            list(read_corpus_records(path))
 
     def test_read_keeps_line_numbers(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         good = json.dumps({"spec": {}, "dockerfile": "FROM alpine"})
         path.write_text(f"{good}\n\n{good}\n")
         assert [number for number, _ in read_corpus_records(path)] == [1, 3]
+
+    def test_read_holds_one_record_at_a_time(self, benchmark_index_corpus):
+        # a list of every record peaks at about 3.2 times the file
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in read_corpus_records(benchmark_index_corpus):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.5 * benchmark_index_corpus.stat().st_size
 
     def test_cluster_members_share_spec(self, corpus_dir, word_lists):
         entries, _ = ingest_directory(corpus_dir, word_lists)

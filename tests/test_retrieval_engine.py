@@ -1,7 +1,10 @@
 import json
 import math
 import random
+import tempfile
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +37,11 @@ from oracles import (
     random_valid_spec,
     rank_reference,
     rankings_agree,
+    save_index_reference,
     vector_retrieve_reference,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # few words and values, so that corpora share terms, repeat specs and tie;
 # "git lfs" renders as two tokens, giving "git" a term frequency of 2
@@ -50,6 +56,21 @@ _SPECS = st.one_of(
     st.just(DockerSpec()),
     st.just(DockerSpec(os="", pkg_manager="")),  # renders as empty text
 )
+
+# index file specs with any text in their string fields
+_FILE_SPECS = st.one_of(
+    _SPECS,
+    st.builds(DockerSpec, os=st.text(max_size=6), pkg_manager=st.text(max_size=6),
+              dependencies=st.frozensets(st.text(max_size=6), max_size=4)),
+)
+# what JSON escapes, or writes as a \u escape: quotes, backslashes, control
+# characters, non-ASCII text (a lone surrogate, a character beyond the
+# BMP), and the corpus's <nl> newline marker
+_AWKWARD_TEXT = st.lists(
+    st.one_of(st.just("<nl>"), st.text(max_size=8),
+              st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+                               "\u2028", "\ud800", "\U0001f433", "FROM alpine"])),
+    max_size=12).map("".join)
 
 
 def _hits(hits):
@@ -591,6 +612,42 @@ class TestIndexFile:
         save_index(build_index(entries), first)
         save_index(load_index(first)[0], second)
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(entries=st.lists(st.tuples(_FILE_SPECS, _AWKWARD_TEXT), min_size=1, max_size=20),
+           k1=st.one_of(st.sampled_from([0, 1, 2, 0.0, 1.0, 1.2, 100.0]),
+                        st.floats(0.0, 100.0)),
+           b=st.one_of(st.sampled_from([0, 1, 0.0, 1.0, 0.75]), st.floats(0.0, 1.0)))
+    def test_save_matches_one_call_writer(self, entries, k1, b):
+        index = build_index(entries, k1=k1, b=b)
+        with tempfile.TemporaryDirectory() as name:
+            streamed, reference = Path(name) / "streamed.bin", Path(name) / "reference.bin"
+            save_index(index, streamed)
+            save_index_reference(index, reference)
+            assert streamed.read_bytes() == reference.read_bytes()
+
+    def test_index_build_of_fixture_corpus_matches_one_call_writer(self, tmp_path):
+        corpus, out = FIXTURES / "corpus.jsonl", tmp_path / "index.bin"
+        assert main(["index", "build", str(corpus), "--out", str(out)]) == 0
+        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
+                   for _, r in read_corpus_records(corpus)]
+        save_index_reference(build_index(entries), tmp_path / "reference.bin")
+        assert out.read_bytes() == (tmp_path / "reference.bin").read_bytes()
+
+    def test_save_holds_no_copy_of_the_file(self, benchmark_index_corpus, tmp_path):
+        # the one-call writer peaks at about 4.5 times the file: the payload
+        # dicts, the encoder's chunks, the JSON text and its UTF-8 bytes
+        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
+                   for _, r in read_corpus_records(benchmark_index_corpus)]
+        index, path = build_index(entries), tmp_path / "index.bin"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_index(index, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.5 * path.stat().st_size
 
     def test_non_string_dockerfile_rejected(self, tmp_path):
         path = tmp_path / "index.bin"

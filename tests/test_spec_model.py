@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,8 @@ from dockerspec.spec_model import (
     deserialize_spec,
     load_word_list,
     serialize_spec,
+    spec_from_dict,
+    spec_to_dict,
     validate_spec,
 )
 from oracles import random_valid_spec
@@ -112,6 +115,35 @@ class TestSerialization:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             deserialize_spec("{not json")
+
+    @pytest.mark.parametrize("removed, added, message", [
+        (["uses_env", "os"], {}, "missing field(s): os, uses_env"),
+        ([], {"zeta": 1, "alpha": 2}, "unknown field(s): alpha, zeta"),
+        (["pkg_manager"], {"shiny": 1}, "missing field(s): pkg_manager"),
+        ([], {"os": ""}, "os must be a non-empty string"),
+        ([], {"os": 3}, "os must be a non-empty string"),
+        ([], {"pkg_manager": "zypper"},
+         "pkg_manager must be one of ('apt', 'apk', 'yum', 'any')"),
+        ([], {"dependencies": ["git", 3]}, "dependencies must be an array of strings"),
+        ([], {"uses_arg": 1, "uses_cmd": None}, "uses_arg must be a boolean"),
+    ])
+    def test_schema_error_messages(self, removed, added, message):
+        data = spec_to_dict(DockerSpec())
+        for name in removed:
+            del data[name]
+        data.update(added)
+        with pytest.raises(SchemaError) as info:
+            spec_from_dict(data)
+        assert str(info.value) == message
+
+    def test_not_an_object(self):
+        with pytest.raises(SchemaError) as info:
+            spec_from_dict([])
+        assert str(info.value) == "spec must be a JSON object"
+
+    def test_spec_fields_are_the_dataclass_fields_in_order(self):
+        # spec_from_dict builds a DockerSpec from its values in this order
+        assert tuple(f.name for f in fields(DockerSpec)) == SPEC_FIELDS
 
     @given(st.integers(0, 10 ** 6))
     def test_random_spec_roundtrip(self, seed):
