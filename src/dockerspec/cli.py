@@ -284,7 +284,7 @@ def _read_pairs(targets_dir: Path, output_dirs: tuple[str, ...]) -> list[tuple[s
                 click.echo(f"no output for target {name}; skipped", err=True)
         if not outputs:
             raise ParseError(f"no target/output pairs found for {output_dir}")
-        systems[Path(output_dir).name] = outputs  # a later directory of the same name wins
+        systems[Path(output_dir).name] = outputs
     return [(targets[name], {system: outputs[name] for system, outputs in systems.items()
                              if name in outputs})
             for name in sorted(targets)]
@@ -326,14 +326,22 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
                    os_words_path, stop_words_path):
     """Compare generated Dockerfiles against their targets.
 
-    Targets and outputs are paired by filename. The report carries per-field
-    adherence means, the normalized tree-distance distribution, mean BLEU-4,
-    and, when several --outputs are given, pairwise significance tests.
+    Targets and outputs are paired by filename. Each --outputs directory is
+    a system named by its directory name, so those names must differ. The
+    report carries per-field adherence means, the normalized tree-distance
+    distribution, mean BLEU-4, and, when several --outputs are given,
+    pairwise significance tests.
     """
     if ctx.invoked_subcommand is not None:
         return
     if targets_dir is None or not output_dirs:
         raise click.UsageError("evaluate requires --targets and at least one --outputs")
+    # a system is named by its directory, so two of one name would be merged
+    names = [Path(output_dir).name for output_dir in output_dirs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise click.UsageError(f"--outputs {output_dirs[names.index(name)]} and "
+                                   f"{output_dirs[i]} have the same directory name {name!r}")
     lists = _load_lists(os_words_path, stop_words_path)
     rows = _read_pairs(Path(targets_dir), output_dirs)
     # an unusable report path fails here, before any pair is evaluated

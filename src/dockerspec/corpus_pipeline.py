@@ -3,7 +3,9 @@
 Filtering, deduplication, clustering by identical spec, representative
 selection by instruction-level Jaccard similarity, normalization for
 training, and the 80/10/10 split. Ingest splits each RUN body once, at the
-filter's shell rule, and builds each entry's training text once from it.
+filter's shell rule (``DockerfileDocument.runs`` keeps the split), and builds
+each entry's training text once from it; an entry keeps only what the build
+reads, not the parsed document.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from pathlib import Path
 from .dockerfile_syntax import (
     DockerfileDocument,
     Instruction,
-    Runs,
     ShellStatement,
     join_statements,
     parse_dockerfile,
     parse_exec_form,
-    split_runs,
 )
 from .errors import (
     InferenceIncomplete,
@@ -35,22 +35,25 @@ from .errors import (
     TooFewEntries,
     read_input,
 )
-from .spec_inference import classify_statement, infer_spec, split_image_reference
+from .spec_inference import (
+    classify_statement,
+    infer_spec,
+    split_image_reference,
+    split_redirections,
+)
 from .spec_model import DockerSpec, WordLists, spec_to_dict
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """An eligible Dockerfile with its spec, source and training text (built once)."""
+    """An eligible Dockerfile's spec, sha1, instructions (what representative
+    selection reads), source and training text (built once)."""
 
     spec: DockerSpec
-    document: DockerfileDocument
+    content_hash: str
+    instructions: tuple[Instruction, ...]
     source: str
     training_text: str
-
-    @property
-    def content_hash(self) -> str:
-        return self.document.content_hash
 
 
 @dataclass
@@ -75,13 +78,13 @@ def filter_eligible(
     doc: DockerfileDocument,
     lists: WordLists,
     known_words: frozenset[str] | None = None,
-) -> tuple[str | None, Runs | None]:
+) -> str | None:
     """Decide whether a Dockerfile can enter the corpus.
 
-    Returns the reason of the first failing rule, or None with the RUN split
-    (``split_runs``) that the shell rule made. Rules in order: no comments,
-    a multi-stage build, a malformed FROM, FROM words outside the
-    vocabulary, a shell syntax error in a RUN body, an empty instruction.
+    Returns the reason of the first failing rule, or None. Rules in order:
+    no comments, a multi-stage build, a malformed FROM, FROM words outside
+    the vocabulary, a shell syntax error in a RUN body (reading
+    ``doc.runs`` raises), an empty instruction.
 
     The vocabulary rule only applies when ``known_words`` is given (pass an
     empty set to restrict FROM words to the OS/stop lists alone); by default
@@ -89,26 +92,26 @@ def filter_eligible(
     the starter word lists.
     """
     if not doc.comments:
-        return "no-comments", None
+        return "no-comments"
     if doc.from_count > 1:
-        return "multi-stage", None
+        return "multi-stage"
     if doc.from_count == 1:
         try:
             ref = split_image_reference(doc.instructions_of_kind("FROM")[0].raw_arguments)
         except MalformedFrom:
-            return "malformed-from", None
+            return "malformed-from"
         if known_words is not None:
             vocabulary = lists.os_words | lists.stop_words | known_words
             for word in ref.name_words + ref.tag_words:
                 if word not in vocabulary and not _is_numericish(word) and len(word) >= 3:
-                    return "unevaluated-from-word", None
+                    return "unevaluated-from-word"
     try:
-        runs = split_runs(doc)
+        doc.runs  # the split, kept for inference and normalization
     except ShellSyntaxError:
-        return "shell-syntax-error", None
+        return "shell-syntax-error"
     if any(not inst.raw_arguments for inst in doc.instructions):
-        return "empty-instruction", None
-    return None, runs
+        return "empty-instruction"
+    return None
 
 
 def dedup(entries: list[CorpusEntry]) -> list[CorpusEntry]:
@@ -161,7 +164,7 @@ def select_representative(cluster: SpecCluster) -> CorpusEntry:
     if len(members) == 1:
         return members[0]
     items = [[(inst.kind, frozenset(inst.argument_tokens()))
-              for inst in member.document.instructions] for member in members]
+              for inst in member.instructions] for member in members]
     sets_by_kind: list[dict[str, set[frozenset[str]]]] = []
     for member_items in items:
         kinds: dict[str, set[frozenset[str]]] = {}
@@ -195,32 +198,33 @@ def _sorted_statement(stmt: ShellStatement) -> ShellStatement:
     packages = Counter(classify_statement(stmt).packages)
     if not packages:
         return stmt
+    words, redirections = split_redirections(stmt.arguments)
     anchored = []
     movable = []
-    for arg in stmt.arguments:
+    for arg in words:
         if packages[arg] > 0:
             packages[arg] -= 1
             movable.append(arg)
         else:
             anchored.append(arg)
-    return ShellStatement(stmt.command, tuple(anchored + sorted(movable)),
+    return ShellStatement(stmt.command, tuple(anchored + sorted(movable) + redirections),
                           stmt.connector_to_next)
 
 
-def normalize_for_training(doc: DockerfileDocument, runs: Runs | None = None) -> str:
+def normalize_for_training(doc: DockerfileDocument) -> str:
     """Training-ready text: comment lines dropped, one logical line per
     instruction terminated by the ``<nl>`` marker, literal ``<nl>`` words
-    dropped. A shell-form RUN is rebuilt from its statements in ``runs``
-    (``split_runs(doc)`` if not given), install packages sorted after the
-    flags; any other instruction, an exec-form RUN too, keeps its tokens."""
-    bodies = dict(split_runs(doc) if runs is None else runs)
+    dropped. A shell-form RUN is rebuilt from its statements in
+    ``doc.runs``: install packages sorted after the other words, and the
+    redirections last; any other instruction, an exec-form RUN too, keeps
+    its tokens."""
     lines = []
     for inst in doc.instructions:
         if inst.kind == "RUN" and parse_exec_form(inst.raw_arguments) is None:
             body = join_statements([
                 ShellStatement(s.command, tuple(a for a in s.arguments if a != "<nl>"),
                                s.connector_to_next)
-                for s in map(_sorted_statement, bodies[inst]) if s.command != "<nl>"])
+                for s in map(_sorted_statement, doc.runs[inst]) if s.command != "<nl>"])
         else:
             body = " ".join(t for t in inst.argument_tokens() if t != "<nl>")
         lines.append(" ".join([inst.kind] + ([body] if body else []) + ["<nl>"]))
@@ -267,14 +271,15 @@ def _ingest_one(path: Path, lists: WordLists,
         doc = parse_dockerfile(text)
     except ParseError:
         return "parse-error", None
-    reason, runs = filter_eligible(doc, lists, known_words)
+    reason = filter_eligible(doc, lists, known_words)
     if reason is not None:
         return reason, None
     try:
-        spec = infer_spec(doc, lists, runs=runs)
+        spec = infer_spec(doc, lists)
     except InferenceIncomplete:
         return "inference-incomplete", None
-    return "eligible", CorpusEntry(spec, doc, str(path), normalize_for_training(doc, runs))
+    return "eligible", CorpusEntry(spec, doc.content_hash, doc.instructions, str(path),
+                                   normalize_for_training(doc))
 
 
 def ingest_directory(

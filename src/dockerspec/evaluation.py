@@ -13,15 +13,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .dockerfile_syntax import (
-    DockerfileDocument,
-    Node,
-    Runs,
-    ast_size,
-    build_ast,
-    parse_dockerfile,
-    split_runs,
-)
+from .dockerfile_syntax import DockerfileDocument, Node, ast_size, build_ast, parse_dockerfile
 from .errors import (
     DockerspecError,
     EmptyCandidate,
@@ -506,11 +498,10 @@ class RunReport:
 
 
 def infer_spec_for_generated(doc: DockerfileDocument, lists: WordLists,
-                             target_dependencies: frozenset[str],
-                             runs: Runs | None = None) -> DockerSpec:
+                             target_dependencies: frozenset[str]) -> DockerSpec:
     """Spec of a parsed generated Dockerfile: ``infer_spec`` in its
-    ``target_dependencies`` mode, reading ``runs`` when given."""
-    return infer_spec(doc, lists, target_dependencies, runs)
+    ``target_dependencies`` mode."""
+    return infer_spec(doc, lists, target_dependencies)
 
 
 @dataclass
@@ -535,9 +526,8 @@ def prepare_target(text: str, lists: WordLists) -> PreparedTarget:
     target = PreparedTarget(text.split())
     try:
         doc = parse_dockerfile(text)
-        runs = split_runs(doc)
-        target.spec = infer_spec(doc, lists, None, runs)
-        target.tree = build_ast(doc, runs)
+        target.spec = infer_spec(doc, lists)
+        target.tree = build_ast(doc)
     except DockerspecError as exc:
         target.error = f"{type(exc).__name__}: {exc}"
     return target
@@ -550,12 +540,10 @@ def evaluate_pair(index: int, target: PreparedTarget, generated_text: str,
     result = PairResult(index)
     try:
         generated_doc = parse_dockerfile(generated_text)
-        runs = split_runs(generated_doc)
-        obtained_spec = infer_spec_for_generated(
-            generated_doc, lists, target.spec.dependencies, runs)
+        obtained_spec = infer_spec_for_generated(generated_doc, lists, target.spec.dependencies)
         result.adherence = adherence(target.spec, obtained_spec)
         result.distance = normalized_distance(
-            target.tree, build_ast(generated_doc, runs), target.memo)
+            target.tree, build_ast(generated_doc), target.memo)
         result.bleu = bleu4(generated_text.split(), target.words)
     except DockerspecError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
@@ -614,7 +602,10 @@ def evaluate_run(pairs: list[tuple[str, str]], lists: WordLists) -> RunReport:
     """Evaluate (target, generated) text pairs as one system of
     ``evaluate_systems``, each pair's target prepared on its own. Aggregates
     are means over the pairs that did not fail; with none, the BLEU mean is
-    None and the other aggregates are empty."""
+    None and the other aggregates are empty.
+
+    This is the documented one-system library API (the README's Library
+    example); the ``evaluate`` command calls ``evaluate_systems``."""
     if not pairs:
         raise EmptyInput("no pairs to evaluate")
     return evaluate_systems([(target, {"": generated}) for target, generated in pairs],

@@ -15,14 +15,7 @@ import string
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .dockerfile_syntax import (
-    CommentLine,
-    DockerfileDocument,
-    Instruction,
-    Runs,
-    ShellStatement,
-    split_runs,
-)
+from .dockerfile_syntax import CommentLine, DockerfileDocument, Instruction, ShellStatement
 from .errors import InferenceIncomplete, MalformedFrom
 from .spec_model import PKG_MANAGERS, DockerSpec, WordLists, allowed_managers
 
@@ -124,21 +117,23 @@ def extract_comment_candidates(comment: CommentLine, stop_words: frozenset[str])
     return [t for t in tokens[start:] if t and t not in stop_words]
 
 
-def _strip_redirections(arguments: tuple[str, ...]) -> list[str]:
-    kept = []
-    skip_next = False
+def split_redirections(arguments: Iterable[str]) -> tuple[list[str], list[str]]:
+    """The argument words without their redirections, and the redirection
+    words, each in order. A bare operator (``>``, ``2>>``, ``<``) redirects
+    into the following word; ``>file`` and ``2>&1`` are one word."""
+    kept: list[str] = []
+    redirections: list[str] = []
+    target = False
     for arg in arguments:
-        if skip_next:
-            skip_next = False
+        if target:
+            target = False
+        elif match := _REDIRECTION_PREFIX.match(arg):
+            target = match.end() == len(arg)
+        else:
+            kept.append(arg)
             continue
-        match = _REDIRECTION_PREFIX.match(arg)
-        if match:
-            # a bare operator redirects into the following word; ">file" and
-            # "2>&1" are self-contained
-            skip_next = match.end() == len(arg)
-            continue
-        kept.append(arg)
-    return kept
+        redirections.append(arg)
+    return kept, redirections
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,7 @@ def classify_statement(stmt: ShellStatement) -> StatementRecord:
     if (command not in _INSTALLERS and command not in _DOWNLOAD_COMMANDS
             and command not in _CLONE_COMMANDS and command not in _LOCAL_INSTALLERS):
         return _NOTHING
-    args = _strip_redirections(stmt.arguments)
+    args = split_redirections(stmt.arguments)[0]
     if command in _INSTALLERS:
         tool, subcommand = _INSTALLERS[command]
         if tool == "npm":
@@ -266,25 +261,23 @@ def infer_pkg_manager(records: Iterable[StatementRecord], os_name: str) -> str:
 
 
 def infer_spec(doc: DockerfileDocument, lists: WordLists,
-               target_dependencies: frozenset[str] | None = None,
-               runs: Runs | None = None) -> DockerSpec:
+               target_dependencies: frozenset[str] | None = None) -> DockerSpec:
     """Run the full inference: OS, dependencies, package manager, and flags.
 
-    ``runs`` is the RUN split of ``doc`` (``split_runs(doc)`` when not given;
-    corpus ingest passes the one its filter made). Each of its statements is
-    classified once (``classify_statement``), and every RUN-based step reads
-    those records. By default
-    dependencies come from the image name and from install-comment scopes,
-    found in one walk over the comment, blank and RUN start lines in line
-    order. Given ``target_dependencies`` (for generated files, which carry no
-    comments), the comment step is skipped: a target dependency counts as
-    met when it is an installable argument of some RUN statement or a word of
-    the FROM image name or tag.
+    Each statement of the RUN split ``doc.runs`` is classified once
+    (``classify_statement``), and every RUN-based step reads those records.
+    By default dependencies come from the image name and from install-comment
+    scopes, found in one walk over the comment, blank and RUN start lines in
+    line order. Given ``target_dependencies`` (for generated files, which
+    carry no comments), the comment step is skipped: a target dependency
+    counts as met when it is an installable argument of some RUN statement
+    or a word of the FROM image name or tag.
 
     Raises InferenceIncomplete when a sub-step cannot produce its field
-    (no FROM instruction, unusable image reference); shell syntax errors
-    propagate as parse errors.
+    (no FROM instruction, unusable image reference). The split is read
+    first, so a shell syntax error propagates even when FROM is missing.
     """
+    runs = doc.runs
     froms = doc.instructions_of_kind("FROM")
     if not froms:
         raise InferenceIncomplete("document has no FROM instruction")
@@ -293,8 +286,7 @@ def infer_spec(doc: DockerfileDocument, lists: WordLists,
     except MalformedFrom as exc:
         raise InferenceIncomplete(str(exc)) from exc
 
-    runs = split_runs(doc) if runs is None else runs
-    classified = [(inst, [classify_statement(s) for s in body]) for inst, body in runs]
+    classified = [(inst, [classify_statement(s) for s in body]) for inst, body in runs.items()]
     records = [r for _, body in classified for r in body]
     os_name = infer_os(ref, lists)
     if target_dependencies is None:

@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from dockerspec.dockerfile_syntax import Node, split_runs
+from dockerspec.dockerfile_syntax import Node
 from dockerspec.errors import (
     EmptyCorpus,
     InferenceIncomplete,
@@ -193,10 +193,10 @@ def reference_instruction_jaccard(a, b) -> float:
 
 def _reference_typicality(entry, others) -> float:
     scores = []
-    for inst in entry.document.instructions:
+    for inst in entry.instructions:
         best_matches = []
         for other in others:
-            same_kind = [j for j in other.document.instructions if j.kind == inst.kind]
+            same_kind = [j for j in other.instructions if j.kind == inst.kind]
             best_matches.append(
                 max((reference_instruction_jaccard(inst, j) for j in same_kind), default=0.0))
         # summing in sorted order keeps the score independent of member order
@@ -215,7 +215,7 @@ def select_representative_reference(cluster):
     for idx, entry in enumerate(cluster.members):
         others = cluster.members[:idx] + cluster.members[idx + 1:]
         key = (-_reference_typicality(entry, others),
-               len(entry.document.instructions),
+               len(entry.instructions),
                entry.content_hash)
         if best_key is None or key < best_key:
             best_key, best = key, entry
@@ -489,10 +489,11 @@ def comment_dependencies_reference(doc, lists, runs) -> set[str]:
     return accepted
 
 
-def infer_spec_reference(doc, lists, target_dependencies=None, runs=None) -> DockerSpec:
+def infer_spec_reference(doc, lists, target_dependencies=None) -> DockerSpec:
     """``infer_spec`` as it was before statements were classified once:
     each field's step runs its own recognizers over the statements, and
     comment scopes come from ``comment_dependencies_reference``."""
+    runs = list(doc.runs.items())
     froms = doc.instructions_of_kind("FROM")
     if not froms:
         raise InferenceIncomplete("document has no FROM instruction")
@@ -501,7 +502,6 @@ def infer_spec_reference(doc, lists, target_dependencies=None, runs=None) -> Doc
     except MalformedFrom as exc:
         raise InferenceIncomplete(str(exc)) from exc
 
-    runs = split_runs(doc) if runs is None else runs
     statements = [stmt for _, body in runs for stmt in body]
     os_name = infer_os(ref, lists)
     if target_dependencies is None:

@@ -162,7 +162,7 @@ def test_criterion_6_pipeline_invariants(tmp_path, word_lists):
                 assert select_representative(permuted).content_hash == chosen
 
         for entry in deduped:
-            once = normalize_for_training(entry.document)
+            once = entry.training_text
             twice = normalize_for_training(parse_dockerfile(once))
             assert once == twice
 
@@ -207,12 +207,11 @@ def test_criterion_8_end_to_end_smoke(tmp_path, word_lists, capsys):
             assert result.split is not None
             trial_rng = random.Random(seed)
             target = trial_rng.choice(result.split.test)
-            train = [(e.spec, normalize_for_training(e.document))
-                     for e in result.split.train]
+            train = [(e.spec, e.training_text) for e in result.split.train]
             index = build_index(train)
             retrieved_text = retrieve(target.spec, 1, index)[0].dockerfile_text
             random_text = trial_rng.choice(train)[1]
-            target_text = target.document.raw_text
+            target_text = Path(target.source).read_text(encoding="utf-8")
 
             retrieved_report = evaluate_run([(target_text, retrieved_text)], word_lists)
             random_report = evaluate_run([(target_text, random_text)], word_lists)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
 from dockerspec.errors import ShellSyntaxError
-from dockerspec.evaluation import compare_systems, evaluate_run
+from dockerspec.evaluation import compare_systems, evaluate_run, evaluate_systems
 from dockerspec.spec_model import DockerSpec, spec_from_dict, spec_to_dict
 from oracles import vector_retrieve_reference
 
@@ -67,6 +67,36 @@ class TestInferSpecCommand:
         assert code == 0
         # name-level match appends the purely numeric tag words
         assert json.loads(out)["os"] == "tomcat9020"
+
+
+class TestErrorPrecedence:
+    """A file with no FROM and an unterminated quote reports the shell
+    syntax error in every command."""
+
+    TEXT = "# Install git\nRUN echo 'open\n"
+
+    def test_infer_spec(self, capsys, tmp_path):
+        path = tmp_path / "both.Dockerfile"
+        path.write_text(self.TEXT)
+        assert run(capsys, "infer-spec", str(path)) == \
+            (1, "", "error: unterminated single quote\n")
+
+    def test_evaluate_as_target_and_as_output(self, word_lists):
+        good = (FIXTURES / "tomcat-ffmpeg.Dockerfile").read_text()
+        reports = evaluate_systems([(self.TEXT, {"s": good}), (good, {"s": self.TEXT})],
+                                   word_lists)
+        assert [r.error for r in reports["s"].pair_results] == \
+            ["ShellSyntaxError: unterminated single quote"] * 2
+
+    def test_corpus_build(self, capsys, corpus_dir, tmp_path):
+        argv = ["corpus", "build", str(corpus_dir), "--out", str(tmp_path / "corpus.jsonl")]
+        _, before, _ = run(capsys, *argv)
+        (corpus_dir / "both.Dockerfile").write_text(self.TEXT)
+        code, after, _ = run(capsys, *argv)
+        assert code == 0
+        reasons = Counter(json.loads(after)["reasons"])
+        reasons.subtract(json.loads(before)["reasons"])
+        assert +reasons == Counter({"shell-syntax-error": 1})
 
 
 class TestParseCommand:
@@ -377,6 +407,24 @@ class TestEvaluateCommand:
         assert systems["trimmed"]["failed_pairs"] > 0 and systems["trimmed"]["evaluated_pairs"]
         assert out == expected
         assert report_path.read_text() == expected
+
+    def test_outputs_of_one_directory_name(self, capsys, dirs, tmp_path):
+        """Two --outputs with one base name would be one system: a usage
+        error before any file is read or the report is opened."""
+        targets, outputs = dirs
+        other = tmp_path / "elsewhere" / "outputs"
+        other.mkdir(parents=True)
+        (other / "a.Dockerfile").write_text("FROM alpine\n")
+        report = tmp_path / "report.json"
+        report.write_text("earlier report\n")
+        code, out, err = run(capsys, "evaluate", "--targets", str(targets),
+                             "--outputs", str(outputs), "--outputs", str(other),
+                             "--report", str(report))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1] == (f"Error: --outputs {outputs} and {other} have the "
+                                        "same directory name 'outputs'")
+        assert report.read_text() == "earlier report\n"
 
     def test_usage_error_without_dirs(self, capsys):
         code, _, err = run(capsys, "evaluate")

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import tracemalloc
@@ -25,13 +26,21 @@ from dockerspec.corpus_pipeline import (
     write_jsonl,
 )
 from dockerspec.dockerfile_syntax import (
+    DockerfileDocument,
     Instruction,
+    ShellStatement,
     parse_dockerfile,
     parse_exec_form,
     parse_shell,
-    split_runs,
 )
-from dockerspec.errors import KindMismatch, SchemaError, ShellSyntaxError, TooFewEntries
+from dockerspec.errors import (
+    KindMismatch,
+    ParseError,
+    SchemaError,
+    ShellSyntaxError,
+    TooFewEntries,
+    read_input,
+)
 from dockerspec.spec_inference import infer_spec
 from dockerspec.spec_model import DockerSpec, serialize_spec
 from oracles import reference_instruction_jaccard, select_representative_reference
@@ -43,47 +52,48 @@ def entry_from_text(text, word_lists, source="mem"):
 
 
 def entry_of(doc, spec, source):
-    return CorpusEntry(spec, doc, source, normalize_for_training(doc))
+    return CorpusEntry(spec, doc.content_hash, doc.instructions, source,
+                       normalize_for_training(doc))
 
 
 class TestFilterEligible:
     def test_tomcat_ffmpeg_eligible(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
-        assert filter_eligible(doc, word_lists) == (None, split_runs(doc))
+        assert filter_eligible(doc, word_lists) is None
 
     def test_multi_stage_rejected(self, word_lists):
         doc = parse_dockerfile("# c\nFROM a\nFROM b\n")
-        assert filter_eligible(doc, word_lists) == ("multi-stage", None)
+        assert filter_eligible(doc, word_lists) == "multi-stage"
 
     def test_no_comments_rejected(self, word_lists):
         doc = parse_dockerfile("FROM a\nRUN echo hi\n")
-        assert filter_eligible(doc, word_lists) == ("no-comments", None)
+        assert filter_eligible(doc, word_lists) == "no-comments"
 
     def test_shell_error_rejected(self, word_lists):
         doc = parse_dockerfile("# c\nFROM a\nRUN echo hi &&\n")
-        assert filter_eligible(doc, word_lists) == ("shell-syntax-error", None)
+        assert filter_eligible(doc, word_lists) == "shell-syntax-error"
 
     def test_empty_instruction_rejected(self, word_lists):
         doc = parse_dockerfile("# c\nFROM a\nLABEL\n")
-        assert filter_eligible(doc, word_lists) == ("empty-instruction", None)
+        assert filter_eligible(doc, word_lists) == "empty-instruction"
 
     def test_first_failing_rule_wins(self, word_lists):
         doc = parse_dockerfile("FROM a\nFROM b\nLABEL\n")
-        assert filter_eligible(doc, word_lists)[0] == "no-comments"
+        assert filter_eligible(doc, word_lists) == "no-comments"
 
     def test_strict_vocabulary_rejects_unknown_from_word(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
         assert filter_eligible(doc, word_lists, known_words=frozenset()) == \
-            ("unevaluated-from-word", None)
+            "unevaluated-from-word"
 
     def test_strict_vocabulary_accepts_known_words(self, tomcat_ffmpeg_text, word_lists):
         doc = parse_dockerfile(tomcat_ffmpeg_text)
         known = frozenset({"tomcat", "jre8"})
-        assert filter_eligible(doc, word_lists, known_words=known)[0] is None
+        assert filter_eligible(doc, word_lists, known_words=known) is None
 
     def test_numeric_and_short_from_words_always_pass(self, word_lists):
         doc = parse_dockerfile("# c\nFROM debian:10-go\n")
-        assert filter_eligible(doc, word_lists, known_words=frozenset()) == (None, [])
+        assert filter_eligible(doc, word_lists, known_words=frozenset()) is None
 
 
 class TestIngestReasons:
@@ -253,7 +263,7 @@ def _distinct_pairs(cluster):
     """For each distinct (kind, token set) item of the cluster and each member
     that does not hold it, the member's distinct token sets of that kind."""
     items = [{(inst.kind, frozenset(inst.argument_tokens()))
-              for inst in member.document.instructions} for member in cluster.members]
+              for inst in member.instructions} for member in cluster.members]
     return sum(sum(other_kind == kind for other_kind, _ in member_items)
                for kind, tokens in set().union(*items) for member_items in items
                if (kind, tokens) not in member_items)
@@ -310,7 +320,7 @@ class TestSelectRepresentativeMatchesReference:
         monkeypatch.setattr(Instruction, "argument_tokens",
                             lambda inst: calls.append(inst) or tokens(inst))
         select_representative(cluster)
-        assert len(calls) == sum(len(m.document.instructions) for m in cluster.members)
+        assert len(calls) == sum(len(m.instructions) for m in cluster.members)
 
     def count_similarities(self, monkeypatch, cluster):
         calls = []
@@ -391,7 +401,18 @@ class TestNormalize:
                          if parse_exec_form(inst.raw_arguments) is None
                          for stmt in parse_shell(inst.raw_arguments)]
         assert len(calls) > 10
-        assert "apt-get install -y > /dev/null git zsh <nl>" in normalized
+        assert "apt-get install -y git zsh > /dev/null <nl>" in normalized
+
+    @pytest.mark.parametrize("statement, normalized", [
+        ("apt-get install -y zsh git > /dev/null", "apt-get install -y git zsh > /dev/null"),
+        ("apt-get install -y zsh git >>file", "apt-get install -y git zsh >>file"),
+        ("apt-get install -y zsh git 2>&1", "apt-get install -y git zsh 2>&1"),
+        ("apt-get install -y zsh git < in", "apt-get install -y git zsh < in"),
+        ("apt-get install -y > log zsh 2>&1 git", "apt-get install -y git zsh > log 2>&1"),
+    ])
+    def test_redirections_follow_the_sorted_packages(self, statement, normalized):
+        doc = parse_dockerfile(f"FROM x\nRUN {statement}\n")
+        assert normalize_for_training(doc) == f"FROM x <nl>\nRUN {normalized} <nl>\n"
 
     def test_literal_marker_word_dropped(self):
         doc = parse_dockerfile("FROM x\nRUN echo <nl> a && ls <nl>\nLABEL a=1 <nl> b=2\n")
@@ -453,15 +474,16 @@ class TestSplitDataset:
 
 
 class TestSharedSplit:
-    """Ingest hands the filter's RUN split to inference and normalization.
-    That is not a setting: each eligible entry's spec and training text
-    equal those built from its document alone."""
+    """Inference and normalization at ingest read the split that the
+    filter's shell rule made and the document kept. Each eligible entry's
+    spec and training text equal those built from its file parsed anew."""
 
     def check(self, directory, word_lists):
         entries, reasons = ingest_directory(directory, word_lists)
         for entry in entries:
-            assert entry.spec == infer_spec(entry.document, word_lists)
-            assert entry.training_text == normalize_for_training(entry.document)
+            doc = parse_dockerfile(read_input(entry.source, ParseError))
+            assert entry.spec == infer_spec(doc, word_lists)
+            assert entry.training_text == normalize_for_training(doc)
         return reasons
 
     def test_benchmark_corpus(self, benchmark_corpus_dir, word_lists):
@@ -507,6 +529,22 @@ class TestPipeline:
         reasons = json.loads(capsys.readouterr().out)["reasons"]
         assert expected > 60 and reasons["shell-syntax-error"] == 1
         assert calls == {"parse_shell": expected, "normalize_for_training": reasons["eligible"]}
+
+    def test_entries_hold_no_document_or_statement(self, corpus_dir, word_lists):
+        """Nothing that ingest returns keeps a parsed document or its split
+        alive (classes, and what they reach, are not walked)."""
+        result = ingest_directory(corpus_dir, word_lists)
+        assert result[0]
+        seen, stack, walked = set(), [result], 0
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (DockerfileDocument, ShellStatement)), type(obj)
+            walked += 1
+            stack.extend(gc.get_referents(obj))
+        assert walked > 1000
 
     def test_ingest_reasons(self, corpus_dir, word_lists):
         entries, reasons = ingest_directory(corpus_dir, word_lists)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dockerspec import dockerfile_syntax
+from dockerspec.corpus_pipeline import filter_eligible, normalize_for_training
 from dockerspec.dockerfile_syntax import (
     ShellStatement,
     _tokenize_shell,
@@ -15,10 +16,50 @@ from dockerspec.dockerfile_syntax import (
     parse_dockerfile,
     parse_shell,
     run_statements,
-    split_runs,
 )
 from dockerspec.errors import EmptyInput, MalformedInstruction, ParseError, ShellSyntaxError
+from dockerspec.spec_inference import infer_spec
 from oracles import serialize_document, tokenize_shell_reference
+
+
+def counting_parse_shell(monkeypatch):
+    """The scripts ``parse_shell`` is called with from here on."""
+    calls = []
+    original = dockerfile_syntax.parse_shell
+    monkeypatch.setattr(dockerfile_syntax, "parse_shell",
+                        lambda script: calls.append(script) or original(script))
+    return calls
+
+
+class TestRuns:
+    def test_each_run_with_its_statements(self, tomcat_ffmpeg_text):
+        doc = parse_dockerfile(tomcat_ffmpeg_text + 'RUN ["apk", "add", "curl"]\nRUN []\n')
+        runs = doc.instructions_of_kind("RUN")
+        assert list(doc.runs) == runs
+        assert list(doc.runs.values()) == [run_statements(inst) for inst in runs]
+        assert doc.runs[runs[-1]] == []
+
+    def test_one_split_for_every_reader(self, monkeypatch, tomcat_ffmpeg_text, word_lists):
+        text = tomcat_ffmpeg_text + 'RUN ["apk", "add", "curl"]\nRUN a b && c\n'
+        doc = parse_dockerfile(text)
+        calls = counting_parse_shell(monkeypatch)
+        assert filter_eligible(doc, word_lists) is None
+        infer_spec(doc, word_lists)
+        infer_spec(doc, word_lists, frozenset({"curl"}))
+        normalize_for_training(doc)
+        build_ast(doc)
+        shell_form = [inst.raw_arguments for inst in doc.instructions_of_kind("RUN")
+                      if not inst.raw_arguments.startswith("[")]
+        assert len(shell_form) == 4
+        assert calls == shell_form
+
+    def test_syntax_error_raised_on_every_use(self, monkeypatch):
+        doc = parse_dockerfile("FROM alpine\nRUN echo ok\nRUN echo 'open\nRUN echo later\n")
+        calls = counting_parse_shell(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ShellSyntaxError, match="unterminated single quote"):
+                doc.runs
+        assert calls == ["echo ok", "echo 'open"] * 2
 
 
 class TestParseDockerfile:
@@ -410,22 +451,12 @@ class TestBuildAst:
         assert [c.label for c in cmd_node.children] == ["nginx", "-g", "daemon off;"]
         assert all(not c.children for c in cmd_node.children)
 
-    def test_given_split_gives_the_same_tree(self, tomcat_ffmpeg_text):
+    def test_exec_form_run_is_one_leaf_per_element(self, tomcat_ffmpeg_text):
         text = tomcat_ffmpeg_text + 'RUN ["apk", "add", "curl"]\nRUN []\n'
-        doc = parse_dockerfile(text)
-        tree = build_ast(doc, split_runs(doc))
-        assert ast_to_json(tree) == ast_to_json(build_ast(doc))
+        tree = build_ast(parse_dockerfile(text))
         # exec-form RUNs stay one leaf per element, not a statement node
         assert [c.label for c in tree.children[-2].children] == ["apk", "add", "curl"]
         assert tree.children[-1].children == []
-
-    def test_given_split_is_not_split_again(self, monkeypatch):
-        doc = parse_dockerfile("FROM alpine\nRUN a b && c\n")
-        runs = split_runs(doc)
-        monkeypatch.setattr(dockerfile_syntax, "parse_shell",
-                            lambda script: pytest.fail("RUN body split again"))
-        run_node = build_ast(doc, runs).children[1]
-        assert [c.label for c in run_node.children] == ["a", "c"]
 
     def test_comments_not_represented(self):
         with_comment = build_ast(parse_dockerfile("# hello\nFROM alpine\n"))

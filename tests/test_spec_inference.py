@@ -37,6 +37,7 @@ from dockerspec.spec_inference import (
     infer_pkg_manager,
     infer_spec,
     split_image_reference,
+    split_redirections,
 )
 from dockerspec.spec_model import DockerSpec, validate_spec
 
@@ -200,6 +201,19 @@ class TestExtractInstallableArgs:
 
     def test_apk_add(self):
         assert "curl" in installable("apk add --no-cache curl")
+
+
+class TestSplitRedirections:
+    @pytest.mark.parametrize("script, words, redirections", [
+        ("cmd a > out b", ["a", "b"], [">", "out"]),
+        ("cmd a >>file b", ["a", "b"], [">>file"]),
+        ("cmd a 2>&1 b", ["a", "b"], ["2>&1"]),
+        ("cmd < in a 2> err", ["a"], ["<", "in", "2>", "err"]),
+        ("cmd a >", ["a"], [">"]),
+        ("cmd a b", ["a", "b"], []),
+    ])
+    def test_words_and_redirections_in_order(self, script, words, redirections):
+        assert split_redirections(parse_shell(script)[0].arguments) == (words, redirections)
 
 
 class TestClassifyInstall:
