@@ -32,7 +32,6 @@ from .spec_model import (
     deserialize_spec,
     load_word_list,
     serialize_spec,
-    spec_from_dict,
 )
 
 _WORD_LIST_OPTIONS = [
@@ -211,7 +210,8 @@ def index_group():
 def index_build(corpus, out_path, k1, b):
     """Build an index file, for both rankers, from a corpus JSONL.
 
-    The file holds the documents and the BM25 parameters. Loading it does no
+    The file is a header line with the BM25 parameters, then the corpus
+    records, spec and dockerfile only, one per line. Loading it does no
     ranking work: the first BM25 query on a loaded index builds its table of
     BM25 impacts, and the first TF-IDF query the TF-IDF tables.
     """
@@ -219,14 +219,7 @@ def index_build(corpus, out_path, k1, b):
     _check_output_dir(out_path)
     # one record at a time: only the entries are kept, and nothing is
     # written until every record has been read and checked
-    entries = []
-    for number, record in cp.read_corpus_records(Path(corpus)):
-        try:
-            spec = spec_from_dict(record["spec"])
-        except SchemaError as exc:
-            raise SchemaError(f"{corpus}:{number}: {exc}") from exc
-        entries.append((spec, record["dockerfile"]))
-    index = re_engine.build_index(entries, k1=k1, b=b)
+    index = re_engine.build_index(list(cp.read_corpus_records(Path(corpus))), k1=k1, b=b)
     re_engine.save_index(index, Path(out_path))
     click.echo(json.dumps({"index": out_path, "documents": index.size,
                            "k1": k1, "b": b}, sort_keys=True))
@@ -265,14 +258,14 @@ def generate(spec_path, index_path, k, method):
              for h in hits], sort_keys=True))
 
 
-def _read_pairs(targets_dir: Path, output_dirs: tuple[str, ...]) -> list[tuple[str, dict[str, str]]]:
+def _read_pairs(targets_dir: Path, system_dirs: dict[str, str]) -> list[tuple[str, dict[str, str]]]:
     """Each target that some system has an output for, read once, with the
-    output of every system that has one; a system is named by its directory
-    and targets and outputs are paired by filename."""
+    output of every system that has one; ``system_dirs`` maps each system's
+    name to its directory, and targets and outputs are paired by filename."""
     target_files = {p.name: p for p in sorted(targets_dir.iterdir()) if p.is_file()}
     targets: dict[str, str] = {}
     systems: dict[str, dict[str, str]] = {}
-    for output_dir in output_dirs:
+    for system, output_dir in system_dirs.items():
         output_files = {p.name: p for p in sorted(Path(output_dir).iterdir()) if p.is_file()}
         outputs = {}
         for name in sorted(target_files):
@@ -284,7 +277,7 @@ def _read_pairs(targets_dir: Path, output_dirs: tuple[str, ...]) -> list[tuple[s
                 click.echo(f"no output for target {name}; skipped", err=True)
         if not outputs:
             raise ParseError(f"no target/output pairs found for {output_dir}")
-        systems[Path(output_dir).name] = outputs
+        systems[system] = outputs
     return [(targets[name], {system: outputs[name] for system, outputs in systems.items()
                              if name in outputs})
             for name in sorted(targets)]
@@ -327,23 +320,25 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
     """Compare generated Dockerfiles against their targets.
 
     Targets and outputs are paired by filename. Each --outputs directory is
-    a system named by its directory name, so those names must differ. The
-    report carries per-field adherence means, the normalized tree-distance
-    distribution, mean BLEU-4, and, when several --outputs are given,
-    pairwise significance tests.
+    a system named by its resolved directory name, so those names must
+    differ. The report carries per-field adherence means, the normalized
+    tree-distance distribution, mean BLEU-4, and, when several --outputs
+    are given, pairwise significance tests.
     """
     if ctx.invoked_subcommand is not None:
         return
     if targets_dir is None or not output_dirs:
         raise click.UsageError("evaluate requires --targets and at least one --outputs")
-    # a system is named by its directory, so two of one name would be merged
-    names = [Path(output_dir).name for output_dir in output_dirs]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise click.UsageError(f"--outputs {output_dirs[names.index(name)]} and "
-                                   f"{output_dirs[i]} have the same directory name {name!r}")
+    # a system is named by its resolved directory; two of one name would merge
+    system_dirs: dict[str, str] = {}
+    for output_dir in output_dirs:
+        name = Path(output_dir).resolve().name
+        if name in system_dirs:
+            raise click.UsageError(f"--outputs {system_dirs[name]} and {output_dir} "
+                                   f"have the same directory name {name!r}")
+        system_dirs[name] = output_dir
     lists = _load_lists(os_words_path, stop_words_path)
-    rows = _read_pairs(Path(targets_dir), output_dirs)
+    rows = _read_pairs(Path(targets_dir), system_dirs)
     # an unusable report path fails here, before any pair is evaluated
     report = Path(report_path).open("w", encoding="utf-8") if report_path else None
     with report or contextlib.nullcontext():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +34,7 @@ from .errors import (
     ShellSyntaxError,
     TooFewEntries,
     read_input,
+    read_lines,
 )
 from .spec_inference import (
     classify_statement,
@@ -41,7 +42,7 @@ from .spec_inference import (
     split_image_reference,
     split_redirections,
 )
-from .spec_model import DockerSpec, WordLists, spec_to_dict
+from .spec_model import DockerSpec, WordLists, spec_from_dict, spec_to_dict
 
 
 @dataclass(frozen=True)
@@ -342,44 +343,47 @@ def build_corpus(entries: list[CorpusEntry], seed: int = 42,
     return result
 
 
+def record_line(spec: DockerSpec, dockerfile: str, **extra: str) -> str:
+    """A corpus or index record, ``{"dockerfile", "spec"}`` and ``extra``, as
+    a line of ``json.dumps(..., sort_keys=True)``, which escapes every line
+    break and non-ASCII character."""
+    return json.dumps({"spec": spec_to_dict(spec), "dockerfile": dockerfile, **extra},
+                      sort_keys=True) + "\n"
+
+
 def write_jsonl(path: Path, entries: list[CorpusEntry]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for entry in entries:
-            record = {"spec": spec_to_dict(entry.spec), "dockerfile": entry.training_text,
-                      "sha1": entry.content_hash, "source": entry.source}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(record_line(entry.spec, entry.training_text,
+                                     sha1=entry.content_hash, source=entry.source))
 
 
-def read_corpus_records(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield corpus JSONL records one at a time, each with its line number
-    (spec left as a plain dict), so that a caller holds only what it keeps.
+def read_corpus_records(path: Path, lines: Iterable[str] | None = None,
+                        start: int = 1) -> Iterator[tuple[DockerSpec, str]]:
+    """Yield the (spec, dockerfile) of each record of the corpus JSONL file
+    ``path`` as it is read, so that a caller holds only what it keeps. Blank
+    lines and keys other than spec and dockerfile are skipped. ``lines``, if
+    given, are ``path``'s lines from line ``start`` on, from ``read_lines``
+    (an index file past its header).
 
-    A record is checked when the reader reaches it, so a caller that checks
-    each record it is given meets the errors in file order. Raises
-    SchemaError naming ``path:line`` on a line that is not a JSON object, a
-    record without a spec or without a dockerfile string, or undecodable
-    bytes (named by line and byte offset, as ``read_input`` names them).
-    The file is decoded in blocks of about 8 KiB, ahead of the lines
-    yielded, so undecodable bytes are raised before the lines that precede
-    them in their block are yielded: an error in those lines, the reader's
-    or the caller's, goes unreported, and the bytes are named."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}:{number}: not a JSONL record: {exc}") from exc
-                if (not isinstance(record, dict) or "spec" not in record
-                        or not isinstance(record.get("dockerfile"), str)):
-                    raise SchemaError(
-                        f"{path}:{number}: record must carry spec and a dockerfile string")
-                yield number, record
-    except UnicodeDecodeError:
-        # a stream decodes ahead of the lines it has returned, so its error
-        # cannot name the line; only on this path is the file read whole
-        read_input(path, SchemaError)
-        raise
+    Each record is checked when reached, so errors come in file order.
+    Raises SchemaError naming ``path:line`` on a line that is not a JSON
+    object, a record without a spec or a dockerfile string, a spec that
+    ``spec_from_dict`` rejects, or undecodable bytes (as ``read_lines``
+    names them, possibly before an earlier bad record of their block)."""
+    for number, line in enumerate(read_lines(path, SchemaError) if lines is None else lines,
+                                  start):
+        if line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}:{number}: not a JSONL record: {exc}") from exc
+        if (not isinstance(record, dict) or "spec" not in record
+                or not isinstance(record.get("dockerfile"), str)):
+            raise SchemaError(f"{path}:{number}: record must carry spec and a dockerfile string")
+        try:
+            spec = spec_from_dict(record["spec"])
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{number}: {exc}") from exc
+        yield spec, record["dockerfile"]

@@ -1,10 +1,11 @@
-"""Exception types shared across the toolkit, and the one reader of input files.
+"""Exception types shared across the toolkit, and the readers of input files.
 
 Every error raised on purpose derives from :class:`DockerspecError` and
 carries the CLI exit code of its class in ``exit_code``, so callers map
 failures to exit codes without matching on strings.
 """
 
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -94,3 +95,16 @@ def read_input(path: str | Path, error: type[DockerspecError]) -> str:
         # a whole-file read decodes the file in one call, so exc.object is all of it
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def read_lines(path: str | Path, error: type[DockerspecError]) -> Iterator[str]:
+    """The lines of the UTF-8 file ``path``, one at a time. The file is
+    decoded in blocks of about 8 KiB, ahead of the lines yielded, and
+    undecodable bytes raise ``error`` as ``read_input`` names them."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError:
+        # a stream decodes ahead of the lines it yields: only a whole read names the line
+        read_input(path, error)
+        raise

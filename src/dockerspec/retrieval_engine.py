@@ -22,15 +22,17 @@ import heapq
 import json
 import math
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import ConfigError, EmptyCorpus, SchemaError, read_input
-from .spec_model import SPEC_FIELDS, DockerSpec, FLAG_FIELDS, spec_from_dict, spec_to_dict
+from .corpus_pipeline import read_corpus_records, record_line
+from .errors import ConfigError, EmptyCorpus, SchemaError, read_lines
+from .spec_model import SPEC_FIELDS, DockerSpec, FLAG_FIELDS
 
 INDEX_MAGIC = "dockerspec-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -131,10 +133,11 @@ def _bm25_impacts(entries: list[tuple[DockerSpec, str]], k1: float,
 class RetrievalIndex:
     """An index over ``entries`` with BM25 parameters ``k1`` and ``b``; a
     document's id is its position in ``entries``, which is read-only once
-    indexed. Loading does no ranking work: the first ``retrieve`` builds the
-    BM25 ``impacts`` of every term, the first TF-IDF query the TF-IDF tables
-    on ``entries``, and the index keeps both. They describe ``entries`` as
-    it was then, and neither takes part in ``==`` or ``repr``."""
+    indexed. Its file holds the parameters and the entries (``save_index``).
+    Loading does no ranking work: the first ``retrieve`` builds the BM25
+    ``impacts`` of every term, the first TF-IDF query the TF-IDF tables on
+    ``entries``, and the index keeps both. They describe ``entries`` as it
+    was then, and neither takes part in ``==`` or ``repr``."""
     entries: IndexedEntries
     k1: float
     b: float
@@ -265,59 +268,42 @@ def vector_retrieve(spec: DockerSpec, k: int,
 
 
 def save_index(index: RetrievalIndex, path: Path) -> None:
-    """Write a self-describing index file: the documents and the BM25
-    parameters. No statistics are stored; ``load_index`` builds none, and
-    the first query over the loaded index builds what its ranker reads.
-
-    The file is ``json.dumps(payload, sort_keys=True)`` of the payload
-    ``{"b", "entries", "k1", "magic", "version"}``, byte for byte, but it is
-    written entry by entry, so that no copy of the whole payload or of its
-    text is held."""
+    """Write an index file: the header line, ``json.dumps`` of ``{"b",
+    "k1", "magic", "version"}`` with sorted keys, then each entry in doc-id
+    order as the corpus record ``{"dockerfile", "spec"}``, one line each
+    (see ``record_line``). No statistics are stored; ``load_index`` builds
+    none, and the first query over the loaded index builds what its ranker
+    reads."""
+    header = {"b": index.b, "k1": index.k1, "magic": INDEX_MAGIC, "version": INDEX_VERSION}
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f'{{"b": {json.dumps(index.b)}, "entries": [')
-        for doc_id, (spec, dockerfile_text) in enumerate(index.entries):
-            if doc_id:
-                handle.write(", ")
-            handle.write(json.dumps({"spec": spec_to_dict(spec), "dockerfile": dockerfile_text},
-                                    sort_keys=True))
-        handle.write(f'], "k1": {json.dumps(index.k1)}, "magic": {json.dumps(INDEX_MAGIC)}, '
-                     f'"version": {INDEX_VERSION}}}')
+        handle.write(json.dumps(header, sort_keys=True) + "\n")
+        handle.writelines(record_line(spec, text) for spec, text in index.entries)
 
 
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:
-    """Read an index file; returns the index and its own ``entries`` list.
-    Loading does no ranking work (see ``RetrievalIndex``).
+    """Read an index file one line at a time: the header line here, the
+    records after it with ``read_corpus_records``. Returns the index and its
+    own ``entries`` list; loading does no ranking work (see
+    ``RetrievalIndex``).
 
-    Raises SchemaError, its message starting with ``path:``, on undecodable
-    bytes, wrong magic or version, missing keys, ``entries`` that is not a
-    non-empty list, a bad entry (named ``path: entry N``, N its doc id), or
-    BM25 parameters that ``check_bm25_parameters`` rejects."""
+    Raises SchemaError, its message starting with ``path:``, on a first line
+    that is not an index header, a version other than ``INDEX_VERSION``
+    (rerun ``index build`` to rebuild the file), a header without ``k1`` or
+    ``b``, parameters that ``check_bm25_parameters`` rejects, no entries, or
+    a bad record or undecodable bytes, named ``path:line:``."""
+    with closing(read_lines(path, SchemaError)) as lines:
+        try:
+            header = json.loads(next(lines, ""))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not an index file: {exc}") from exc
+        if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
+            raise SchemaError(f"{path}: not an index file (bad magic header)")
+        if header.get("version") != INDEX_VERSION:
+            raise SchemaError(f"{path}: unsupported index version {header.get('version')!r}; "
+                              f"rerun `index build` to write version {INDEX_VERSION}")
+        entries = list(read_corpus_records(path, lines, start=2))
     try:
-        payload = json.loads(read_input(path, SchemaError))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not an index file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:
-        raise SchemaError(f"{path}: not an index file (bad magic header)")
-    if payload.get("version") != INDEX_VERSION:
-        raise SchemaError(f"{path}: unsupported index version {payload.get('version')!r}")
-    try:
-        items = payload["entries"]
-        if not isinstance(items, list):
-            raise SchemaError(f"{path}: malformed index file: {type(items).__name__!r} "
-                              "object is not iterable as a list of entries")
-        entries = []
-        for doc_id, item in enumerate(items):
-            try:
-                if not isinstance(item, dict):
-                    raise SchemaError("malformed index file: an entry is not an object")
-                entries.append((spec_from_dict(item["spec"]), item["dockerfile"]))
-                if not isinstance(item["dockerfile"], str):
-                    raise SchemaError("malformed index file: a dockerfile is not a string")
-            except KeyError as exc:
-                raise SchemaError(f"{path}: entry {doc_id}: lacks key {exc}") from exc
-            except SchemaError as exc:
-                raise SchemaError(f"{path}: entry {doc_id}: {exc}") from exc
-        index = build_index(entries, payload["k1"], payload["b"])
+        index = build_index(entries, header["k1"], header["b"])
     except KeyError as exc:
         raise SchemaError(f"{path}: index file lacks key {exc}") from exc
     except (TypeError, ConfigError, EmptyCorpus) as exc:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -9,6 +10,17 @@ from dockerspec.spec_model import default_word_lists
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCHMARK_GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+
+def index_lines(path: Path) -> tuple[dict, list[str]]:
+    """An index file's header as a dict, and its record lines as text."""
+    header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return json.loads(header), records
+
+
+def write_index(path: Path, header: dict, records: list[str]) -> None:
+    """Write an index file of ``header`` and the record lines ``records``."""
+    path.write_text(json.dumps(header) + "\n" + "".join(records), encoding="utf-8")
+
 
 # base image, manager command template
 _BASES = [

@@ -12,18 +12,14 @@ The shell lexer's reference is the character loop that it replaced, the
 install-comment scopes' reference scans every boundary line and RUN once
 per comment, spec inference's reference keeps the three statement
 recognizers that the one classifier replaced, the parser's round-trip
-checks re-parse the text that ``serialize_document`` renders here, and the
-index file's reference is the one-call writer that the streaming one
-replaced.
+checks re-parse the text that ``serialize_document`` renders here.
 """
 
 import itertools
-import json
 import math
 import random
 import re
 from collections import Counter
-from pathlib import Path
 
 from dockerspec.dockerfile_syntax import Node
 from dockerspec.errors import (
@@ -34,8 +30,6 @@ from dockerspec.errors import (
     ShellSyntaxError,
 )
 from dockerspec.retrieval_engine import (
-    INDEX_MAGIC,
-    INDEX_VERSION,
     ScoredHit,
     query_terms_for,
     render_spec_fields,
@@ -54,7 +48,6 @@ from dockerspec.spec_model import (
     SPEC_FIELDS,
     DockerSpec,
     allowed_managers,
-    spec_to_dict,
 )
 
 # ---------------------------------------------------------------------------
@@ -664,27 +657,6 @@ def rankings_agree(impl_order: list[int], oracle_scores: list[float],
         if oracle_scores[earlier] < oracle_scores[later] - tolerance:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# index file
-
-
-def save_index_reference(index, path) -> None:
-    """The index writer that ``save_index`` replaced: the whole payload
-    encoded in one ``json.dumps`` call and written at once. ``save_index``
-    must write the same bytes."""
-    payload = {
-        "magic": INDEX_MAGIC,
-        "version": INDEX_VERSION,
-        "k1": index.k1,
-        "b": index.b,
-        "entries": [
-            {"spec": spec_to_dict(spec), "dockerfile": dockerfile_text}
-            for spec, dockerfile_text in index.entries
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

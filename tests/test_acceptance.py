@@ -36,6 +36,7 @@ from dockerspec.evaluation import (
 )
 from dockerspec.retrieval_engine import build_index, render_spec_fields, retrieve
 from dockerspec.spec_inference import infer_spec
+from dockerspec.spec_model import serialize_spec
 from oracles import (
     direct_cliffs_delta,
     naive_bm25_rankings,
@@ -192,9 +193,9 @@ def test_criterion_8_end_to_end_smoke(tmp_path, word_lists, capsys):
         index_path = tmp_path / "index.bin"
         assert main(["corpus", "build", str(directory), "--out", str(corpus_path)]) == 0
         assert main(["index", "build", str(corpus_path), "--out", str(index_path)]) == 0
-        _, record = list(read_corpus_records(corpus_path))[0]
+        spec, _ = next(read_corpus_records(corpus_path))
         query_path = tmp_path / "query.json"
-        query_path.write_text(json.dumps(record["spec"]))
+        query_path.write_text(serialize_spec(spec))
         assert main(["generate", "--spec", str(query_path),
                      "--index", str(index_path)]) == 0
         generated = capsys.readouterr().out

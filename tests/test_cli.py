@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import index_lines, write_index
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
 from dockerspec.errors import ShellSyntaxError
 from dockerspec.evaluation import compare_systems, evaluate_run, evaluate_systems
-from dockerspec.spec_model import DockerSpec, spec_from_dict, spec_to_dict
+from dockerspec.spec_model import DockerSpec, spec_to_dict
 from oracles import vector_retrieve_reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -182,41 +183,40 @@ class TestIndexAndGenerate:
 
     def test_generate_returns_indexed_dockerfile(self, capsys, built, tmp_path):
         corpus, index = built
-        _, record = list(read_corpus_records(corpus))[0]
+        spec, dockerfile = list(read_corpus_records(corpus))[0]
         spec_file = tmp_path / "query.json"
-        spec_file.write_text(json.dumps(record["spec"]))
+        spec_file.write_text(json.dumps(spec_to_dict(spec)))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
                            "--index", str(index))
         assert code == 0
-        assert out == record["dockerfile"]
+        assert out == dockerfile
 
     def test_generate_top_k_json(self, capsys, built, tmp_path):
         corpus, index = built
-        _, record = list(read_corpus_records(corpus))[0]
+        spec, dockerfile = list(read_corpus_records(corpus))[0]
         spec_file = tmp_path / "query.json"
-        spec_file.write_text(json.dumps(record["spec"]))
+        spec_file.write_text(json.dumps(spec_to_dict(spec)))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
                            "--index", str(index), "-k", "3")
         assert code == 0
         hits = json.loads(out)
         assert len(hits) == 3
-        assert hits[0]["dockerfile"] == record["dockerfile"]
+        assert hits[0]["dockerfile"] == dockerfile
         assert hits[0]["score"] >= hits[1]["score"] >= hits[2]["score"]
 
     def test_generate_tfidf_method(self, capsys, built, tmp_path):
         corpus, index = built
-        _, record = list(read_corpus_records(corpus))[1]
+        spec, dockerfile = list(read_corpus_records(corpus))[1]
         spec_file = tmp_path / "query.json"
-        spec_file.write_text(json.dumps(record["spec"]))
+        spec_file.write_text(json.dumps(spec_to_dict(spec)))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
                            "--index", str(index), "--method", "tfidf")
         assert code == 0
-        assert out == record["dockerfile"]
+        assert out == dockerfile
 
     def test_generate_tfidf_top_k_bytes(self, capsys, built, tmp_path):
         corpus, index = built
-        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
-                   for _, r in read_corpus_records(corpus)]
+        entries = list(read_corpus_records(corpus))
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(spec_to_dict(entries[2][0])))
         code, out, _ = run(capsys, "generate", "--spec", str(spec_file),
@@ -425,6 +425,27 @@ class TestEvaluateCommand:
         assert err.splitlines()[-1] == (f"Error: --outputs {outputs} and {other} have the "
                                         "same directory name 'outputs'")
         assert report.read_text() == "earlier report\n"
+
+    @pytest.mark.parametrize("given", [".", "sub/..", "../outputs/"])
+    def test_system_named_by_resolved_directory(self, capsys, monkeypatch, dirs, given):
+        """The name of ``.`` is empty and that of ``sub/..`` is ``..``: a
+        system takes its name from the resolved path."""
+        targets, outputs = dirs
+        (outputs / "sub").mkdir()
+        monkeypatch.chdir(outputs)
+        code, out, _ = run(capsys, "evaluate", "--targets", str(targets), "--outputs", given)
+        assert code == 0
+        assert list(json.loads(out)["systems"]) == ["outputs"]
+
+    def test_dot_and_plain_path_of_one_directory(self, capsys, monkeypatch, dirs):
+        targets, outputs = dirs
+        monkeypatch.chdir(outputs.parent)
+        code, out, err = run(capsys, "evaluate", "--targets", str(targets),
+                             "--outputs", "outputs", "--outputs", "./outputs")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1] == ("Error: --outputs outputs and ./outputs have the "
+                                        "same directory name 'outputs'")
 
     def test_usage_error_without_dirs(self, capsys):
         code, _, err = run(capsys, "evaluate")
@@ -649,10 +670,10 @@ class TestBadInput:
         ("index", '{"magic": "x"}', 1, "not an index file (bad magic header)"),
         ("index", '{"magic": "dockerspec-index", "version": 9}', 1,
          "unsupported index version 9"),
-        ("index", '{"magic": "dockerspec-index", "version": 1}', 1,
-         "index file lacks key 'entries'"),
-        ("index", '{"magic": "dockerspec-index", "version": 1, "entries": 5}', 1,
-         "malformed index file: 'int' object is not iterable"),
+        ("index", '{"magic": "dockerspec-index", "version": 2}', 1,
+         "index file lacks key 'k1'"),
+        ("index", '{"b": 0.75, "k1": 1.2, "magic": "dockerspec-index", "version": 2}\n', 1,
+         "malformed index file: cannot index an empty corpus"),
         ("config", "{bad", 3, "bad config file: Expecting property name"),
     ])
     def test_content_error_names_the_file(self, capsys, tmp_path, case, content, code,
@@ -706,14 +727,14 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "JSON object" in err
 
-    @pytest.mark.parametrize("key", ["entries", "k1", "b"])
+    @pytest.mark.parametrize("key", ["k1", "b", "magic", "version"])
     def test_generate_on_index_without_key(self, capsys, tmp_path, key):
         index = tmp_path / "index.bin"
         assert main(["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
                      "--out", str(index)]) == 0
-        payload = json.loads(index.read_text())
-        del payload[key]
-        index.write_text(json.dumps(payload))
+        header, records = index_lines(index)
+        del header[key]
+        write_index(index, header, records)
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
         capsys.readouterr()
@@ -782,22 +803,36 @@ class TestBadInput:
         assert err.startswith(f"error: {corpus}:2: ")
         assert index.read_bytes() == b"earlier index\n"
 
-    def test_generate_names_entry_of_bad_index_spec(self, capsys, tmp_path):
+    def test_generate_names_line_of_bad_index_spec(self, capsys, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl")
         corpus.write_text(corpus.read_text() * 3)
         index = tmp_path / "index.bin"
         assert main(["index", "build", str(corpus), "--out", str(index)]) == 0
-        payload = json.loads(index.read_text())
-        payload["entries"][1]["spec"] = {"os": "alpine"}
-        index.write_text(json.dumps(payload))
+        header, records = index_lines(index)
+        records[1] = json.dumps({"spec": {"os": "alpine"}, "dockerfile": "x"}) + "\n"
+        write_index(index, header, records)
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
         capsys.readouterr()
         code, out, err = run(capsys, "generate", "--spec", str(spec_file), "--index", str(index))
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {index}: entry 1: missing field(s): pkg_manager")
+        assert err.startswith(f"error: {index}:3: missing field(s): pkg_manager")
         assert err.count("\n") == 1
+
+    def test_generate_on_version_one_index_asks_for_rebuild(self, capsys, tmp_path):
+        # version 1 wrote one JSON document, the entries inside it
+        index = tmp_path / "index.bin"
+        entry = {"dockerfile": "FROM alpine <nl>\n", "spec": spec_to_dict(SPEC)}
+        index.write_text(json.dumps({"b": 0.75, "entries": [entry], "k1": 1.2,
+                                     "magic": "dockerspec-index", "version": 1}, sort_keys=True))
+        spec_file = tmp_path / "query.json"
+        spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
+        code, out, err = run(capsys, "generate", "--spec", str(spec_file), "--index", str(index))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {index}: unsupported index version 1; "
+                       "rerun `index build` to write version 2\n")
 
     @pytest.mark.parametrize("command", ["parse", "infer-spec"])
     @pytest.mark.parametrize("text, message", [
@@ -835,21 +870,25 @@ class TestBadInput:
 
     @pytest.mark.parametrize("method", ["bm25", "tfidf"])
     @pytest.mark.parametrize("key, value, message", [
-        ("entries", [], "malformed index file: cannot index an empty corpus"),
-        ("entries", {"a": 1}, "malformed index file: 'dict' object is not iterable as a list"),
-        ("entries", [{"spec": spec_to_dict(SPEC)}], "entry 0: lacks key 'dockerfile'"),
-        ("k1", True, "malformed index file: k1 must be a finite number >= 0, got True"),
-        ("k1", 10 ** 400, "malformed index file: k1 must be a finite number >= 0, got 1000"),
-        ("b", True, "malformed index file: b must be a number in [0, 1], got True"),
+        ("records", [], ": malformed index file: cannot index an empty corpus"),
+        ("records", ["[1]\n"], ":2: record must carry spec and a dockerfile string"),
+        ("records", [json.dumps({"spec": spec_to_dict(SPEC)}) + "\n"],
+         ":2: record must carry spec and a dockerfile string"),
+        ("k1", True, ": malformed index file: k1 must be a finite number >= 0, got True"),
+        ("k1", 10 ** 400, ": malformed index file: k1 must be a finite number >= 0, got 1000"),
+        ("b", True, ": malformed index file: b must be a number in [0, 1], got True"),
     ])
-    def test_generate_names_index_with_bad_entries_or_parameters(self, capsys, tmp_path,
+    def test_generate_names_index_with_bad_records_or_parameters(self, capsys, tmp_path,
                                                                  method, key, value, message):
         index = tmp_path / "index.bin"
         assert main(["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
                      "--out", str(index)]) == 0
-        payload = json.loads(index.read_text())
-        payload[key] = value
-        index.write_text(json.dumps(payload))
+        header, records = index_lines(index)
+        if key == "records":
+            records = value
+        else:
+            header[key] = value
+        write_index(index, header, records)
         spec_file = tmp_path / "query.json"
         spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
         capsys.readouterr()
@@ -857,7 +896,7 @@ class TestBadInput:
                              "--method", method)
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {index}: {message}") and err.count("\n") == 1
+        assert err.startswith(f"error: {index}{message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("max_tokens", ["0", "-3"])
     def test_corpus_build_rejects_max_tokens_below_one(self, capsys, corpus_dir, tmp_path,

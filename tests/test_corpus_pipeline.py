@@ -40,9 +40,10 @@ from dockerspec.errors import (
     ShellSyntaxError,
     TooFewEntries,
     read_input,
+    read_lines,
 )
 from dockerspec.spec_inference import infer_spec
-from dockerspec.spec_model import DockerSpec, serialize_spec
+from dockerspec.spec_model import DockerSpec, serialize_spec, spec_to_dict
 from oracles import reference_instruction_jaccard, select_representative_reference
 
 
@@ -613,11 +614,11 @@ class TestPipeline:
         result = build_corpus(entries)
         out = tmp_path / "corpus.jsonl"
         write_jsonl(out, result.finetune)
-        records = [record for _, record in read_corpus_records(out)]
-        assert len(records) == len(result.finetune)
-        assert {r["sha1"] for r in records} == \
-            {e.content_hash for e in result.finetune}
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["sha1"] for r in records] == [e.content_hash for e in result.finetune]
         assert all(set(r) == {"spec", "dockerfile", "sha1", "source"} for r in records)
+        assert list(read_corpus_records(out)) == \
+            [(e.spec, e.training_text) for e in result.finetune]
 
     @pytest.mark.parametrize("dockerfile", [3, None, ["FROM alpine"]])
     def test_read_rejects_non_string_dockerfile(self, tmp_path, dockerfile):
@@ -634,10 +635,26 @@ class TestPipeline:
             list(read_corpus_records(path))
 
     def test_read_keeps_line_numbers(self, tmp_path):
+        # a blank line yields nothing, and still counts
         path = tmp_path / "corpus.jsonl"
-        good = json.dumps({"spec": {}, "dockerfile": "FROM alpine"})
-        path.write_text(f"{good}\n\n{good}\n")
-        assert [number for number, _ in read_corpus_records(path)] == [1, 3]
+        good = json.dumps({"spec": spec_to_dict(DockerSpec()), "dockerfile": "FROM alpine"})
+        path.write_text(f"{good}\n\n{good}\n \t\n{{}}\n")
+        read = read_corpus_records(path)
+        assert [next(read), next(read)] == [(DockerSpec(), "FROM alpine")] * 2
+        with pytest.raises(SchemaError, match=r"corpus\.jsonl:5: record must carry"):
+            next(read)
+
+    def test_read_from_an_open_file_names_lines_from_start(self, tmp_path):
+        # an index file hands over its lines after the header
+        path = tmp_path / "index.bin"
+        good = json.dumps({"spec": spec_to_dict(DockerSpec()), "dockerfile": "FROM alpine"})
+        path.write_text(f"header\n{good}\n{{\n")
+        lines = read_lines(path, SchemaError)
+        assert next(lines) == "header\n"
+        read = read_corpus_records(path, lines, start=2)
+        assert next(read) == (DockerSpec(), "FROM alpine")
+        with pytest.raises(SchemaError, match=r"index\.bin:3: not a JSONL record"):
+            next(read)
 
     def test_read_holds_one_record_at_a_time(self, benchmark_index_corpus):
         # a list of every record peaks at about 3.2 times the file

@@ -10,6 +10,7 @@ from dockerspec.errors import (
     ParseError,
     SchemaError,
     read_input,
+    read_lines,
 )
 
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -68,3 +69,26 @@ class TestReadInput:
             read_input(tmp_path / "missing.txt", ParseError)
         with pytest.raises(IsADirectoryError):
             read_input(tmp_path, ParseError)
+
+
+class TestReadLines:
+    def test_yields_lines_with_newlines_translated(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes("one\r\ncaf\u00e9 \u2028 x\n\nlast".encode())
+        assert list(read_lines(path, SchemaError)) == ["one\n", "caf\u00e9 \u2028 x\n", "\n",
+                                                       "last"]
+
+    @pytest.mark.parametrize("error", [ParseError, SchemaError])
+    def test_names_undecodable_bytes_as_read_input(self, tmp_path, error):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"one\r\n" * 5000 + b"two \xc3(\n")
+        with pytest.raises(error) as caught:
+            list(read_lines(path, error))
+        with pytest.raises(error) as whole:
+            read_input(path, error)
+        assert str(caught.value) == str(whole.value)
+        assert str(caught.value).startswith(f"{path}:5001: not UTF-8 text")
+
+    def test_os_error_propagates(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            next(read_lines(tmp_path / "missing.txt", ParseError))

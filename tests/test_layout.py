@@ -2,8 +2,8 @@
 
 No module imports another module's ``_private`` names or reads them as
 attributes of an imported module; a helper that two modules need gets a
-public name. Only ``errors`` words the "not UTF-8" message, since
-``errors.read_input`` is the one reader that decodes input files.
+public name. Only ``errors`` words the "not UTF-8" message, since its
+readers, ``read_input`` and ``read_lines``, decode every input file.
 """
 
 import ast

@@ -7,13 +7,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import index_lines, write_index
 from dockerspec import retrieval_engine
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
 from dockerspec.errors import ConfigError, EmptyCorpus, SchemaError
 from dockerspec.retrieval_engine import (
+    INDEX_MAGIC,
+    INDEX_VERSION,
     build_index,
     load_index,
     query_terms_for,
@@ -26,8 +29,8 @@ from dockerspec.retrieval_engine import (
 from dockerspec.spec_model import (
     DockerSpec,
     FLAG_FIELDS,
+    PKG_MANAGERS,
     SPEC_FIELDS,
-    spec_from_dict,
     spec_to_dict,
 )
 from oracles import (
@@ -37,7 +40,6 @@ from oracles import (
     random_valid_spec,
     rank_reference,
     rankings_agree,
-    save_index_reference,
     vector_retrieve_reference,
 )
 
@@ -57,20 +59,23 @@ _SPECS = st.one_of(
     st.just(DockerSpec(os="", pkg_manager="")),  # renders as empty text
 )
 
-# index file specs with any text in their string fields
-_FILE_SPECS = st.one_of(
-    _SPECS,
-    st.builds(DockerSpec, os=st.text(max_size=6), pkg_manager=st.text(max_size=6),
-              dependencies=st.frozensets(st.text(max_size=6), max_size=4)),
-)
 # what JSON escapes, or writes as a \u escape: quotes, backslashes, control
-# characters, non-ASCII text (a lone surrogate, a character beyond the
-# BMP), and the corpus's <nl> newline marker
+# characters, line breaks of every kind (those that split a line of text in
+# str.splitlines too), non-ASCII text (a lone surrogate, a character beyond
+# the BMP), and the corpus's <nl> newline marker
+_BREAKS = ["\n", "\r", "\r\n", "\u2028", "\u2029", "\u0085"]
 _AWKWARD_TEXT = st.lists(
     st.one_of(st.just("<nl>"), st.text(max_size=8),
-              st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
-                               "\u2028", "\ud800", "\U0001f433", "FROM alpine"])),
+              st.sampled_from(['"', "\\", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\ud800",
+                               "\U0001f433", "FROM alpine", *_BREAKS])),
     max_size=12).map("".join)
+
+
+# specs that spec_from_dict accepts back, with any text where it allows it
+_LOADABLE_SPECS = st.builds(
+    DockerSpec, os=st.text(min_size=1, max_size=6), pkg_manager=st.sampled_from(PKG_MANAGERS),
+    dependencies=st.frozensets(_AWKWARD_TEXT, max_size=4),
+    **{name: st.booleans() for name in FLAG_FIELDS})
 
 
 def _hits(hits):
@@ -326,8 +331,7 @@ class TestTfidfColumns:
     def test_fixture_corpus_full_k_equals_reference(self, corpus_dir, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         assert main(["corpus", "build", str(corpus_dir), "--out", str(corpus)]) == 0
-        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
-                   for _, r in read_corpus_records(corpus)]
+        entries = list(read_corpus_records(corpus))
         rng = random.Random(13)
         queries = [spec for spec, _ in entries] + [random_valid_spec(rng) for _ in range(10)]
         indexed = build_index(entries).entries
@@ -595,13 +599,24 @@ class TestIndexFile:
         with pytest.raises(SchemaError):
             load_index(path)
 
-    @pytest.mark.parametrize("key", ["entries", "k1", "b"])
+    def test_version_one_file_must_be_rebuilt(self, tmp_path):
+        # the single JSON document that version 1 wrote, with no newline
+        path = tmp_path / "index.bin"
+        path.write_text(json.dumps({
+            "b": 0.75, "entries": [{"dockerfile": "doc", "spec": spec_to_dict(DockerSpec())}],
+            "k1": 1.2, "magic": INDEX_MAGIC, "version": 1}, sort_keys=True))
+        with pytest.raises(SchemaError) as info:
+            load_index(path)
+        assert str(info.value) == (f"{path}: unsupported index version 1; "
+                                   "rerun `index build` to write version 2")
+
+    @pytest.mark.parametrize("key", ["k1", "b", "magic", "version"])
     def test_missing_key(self, tmp_path, key):
         path = tmp_path / "index.bin"
         save_index(build_index([(DockerSpec(), "doc")]), path)
-        payload = json.loads(path.read_text())
-        del payload[key]
-        path.write_text(json.dumps(payload))
+        header, records = index_lines(path)
+        del header[key]
+        write_index(path, header, records)
         with pytest.raises(SchemaError, match=key):
             load_index(path)
 
@@ -614,32 +629,45 @@ class TestIndexFile:
         assert first.read_bytes() == second.read_bytes()
 
     @settings(max_examples=80, deadline=None)
-    @given(entries=st.lists(st.tuples(_FILE_SPECS, _AWKWARD_TEXT), min_size=1, max_size=20),
-           k1=st.one_of(st.sampled_from([0, 1, 2, 0.0, 1.0, 1.2, 100.0]),
+    @given(entries=st.lists(st.tuples(_LOADABLE_SPECS, _AWKWARD_TEXT), min_size=1, max_size=20),
+           k1=st.one_of(st.sampled_from([0, 1, 2, 0.0, 1.0, 1.2, 100.0, 1e308]),
                         st.floats(0.0, 100.0)),
-           b=st.one_of(st.sampled_from([0, 1, 0.0, 1.0, 0.75]), st.floats(0.0, 1.0)))
-    def test_save_matches_one_call_writer(self, entries, k1, b):
+           b=st.one_of(st.sampled_from([0, 1, 0.0, 1.0, 0.75, 5e-324]), st.floats(0.0, 1.0)))
+    @example(entries=[(DockerSpec(dependencies=frozenset(_BREAKS)),
+                       'FROM alpine<nl>RUN echo "a\\b"' + "".join(_BREAKS) + "<nl>")],
+             k1=0, b=1.0)
+    def test_round_trip_one_record_a_line(self, entries, k1, b):
         index = build_index(entries, k1=k1, b=b)
         with tempfile.TemporaryDirectory() as name:
-            streamed, reference = Path(name) / "streamed.bin", Path(name) / "reference.bin"
-            save_index(index, streamed)
-            save_index_reference(index, reference)
-            assert streamed.read_bytes() == reference.read_bytes()
+            path = Path(name) / "index.bin"
+            save_index(index, path)
+            lines = path.read_bytes().split(b"\n")
+            loaded, loaded_entries = load_index(path)
+        # the header line, a line per entry, and nothing after the last newline
+        assert lines[-1] == b"" and len(lines) == len(entries) + 2
+        assert json.loads(lines[0]) == {"b": b, "k1": k1, "magic": INDEX_MAGIC,
+                                        "version": INDEX_VERSION}
+        for line, (spec, text) in zip(lines[1:], entries):
+            assert json.loads(line) == {"dockerfile": text, "spec": spec_to_dict(spec)}
+        assert loaded == index
+        assert (type(loaded.k1), type(loaded.b)) == (type(k1), type(b))
+        assert loaded_entries is loaded.entries
 
-    def test_index_build_of_fixture_corpus_matches_one_call_writer(self, tmp_path):
+    def test_index_build_of_fixture_corpus_copies_its_records(self, tmp_path):
         corpus, out = FIXTURES / "corpus.jsonl", tmp_path / "index.bin"
         assert main(["index", "build", str(corpus), "--out", str(out)]) == 0
-        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
-                   for _, r in read_corpus_records(corpus)]
-        save_index_reference(build_index(entries), tmp_path / "reference.bin")
-        assert out.read_bytes() == (tmp_path / "reference.bin").read_bytes()
+        records = [json.loads(line) for line in corpus.read_text().splitlines() if line]
+        expected = [json.dumps({"b": 0.75, "k1": 1.2, "magic": "dockerspec-index", "version": 2})]
+        expected += [json.dumps({"dockerfile": r["dockerfile"], "spec": r["spec"]}, sort_keys=True)
+                     for r in records]
+        assert out.read_text() == "".join(line + "\n" for line in expected)
 
     def test_save_holds_no_copy_of_the_file(self, benchmark_index_corpus, tmp_path):
-        # the one-call writer peaks at about 4.5 times the file: the payload
-        # dicts, the encoder's chunks, the JSON text and its UTF-8 bytes
-        entries = [(spec_from_dict(r["spec"]), r["dockerfile"])
-                   for _, r in read_corpus_records(benchmark_index_corpus)]
-        index, path = build_index(entries), tmp_path / "index.bin"
+        # the one-call writer of version 1 peaked at about 4.5 times the
+        # file: the payload dicts, the encoder's chunks, the JSON text and
+        # its UTF-8 bytes
+        index, path = build_index(list(read_corpus_records(benchmark_index_corpus))), \
+            tmp_path / "index.bin"
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -649,62 +677,95 @@ class TestIndexFile:
             tracemalloc.stop()
         assert peak - start < 0.5 * path.stat().st_size
 
+    def test_load_peaks_near_what_it_keeps(self, benchmark_index_corpus, tmp_path):
+        # version 1 read the whole text and parsed it into one payload, so
+        # the text, the payload and the entries were alive together: about
+        # 1.6 times what the loaded index keeps
+        path = tmp_path / "index.bin"
+        save_index(build_index(list(read_corpus_records(benchmark_index_corpus))), path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load_index(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded[0].size == 2000
+        assert peak - start < 1.1 * (kept - start)
+
     def test_non_string_dockerfile_rejected(self, tmp_path):
         path = tmp_path / "index.bin"
         save_index(build_index([(DockerSpec(), "doc")]), path)
-        payload = json.loads(path.read_text())
-        payload["entries"][0]["dockerfile"] = 3
-        path.write_text(json.dumps(payload))
+        header, _ = index_lines(path)
+        write_index(path, header, [json.dumps({"spec": spec_to_dict(DockerSpec()),
+                                                "dockerfile": 3}) + "\n"])
         with pytest.raises(SchemaError, match="dockerfile"):
             load_index(path)
 
     @pytest.mark.parametrize("key, value, message", [
         ("spec", {"os": "alpine"}, "missing field(s): pkg_manager"),
-        ("dockerfile", 3, "malformed index file: a dockerfile is not a string"),
-        ("spec", None, "lacks key 'spec'"),
-        ("dockerfile", None, "lacks key 'dockerfile'"),
+        ("dockerfile", 3, "record must carry spec and a dockerfile string"),
+        ("spec", None, "record must carry spec and a dockerfile string"),
+        ("dockerfile", None, "record must carry spec and a dockerfile string"),
     ])
-    def test_bad_entry_named(self, tmp_path, key, value, message):
+    def test_bad_record_named_by_line(self, tmp_path, key, value, message):
+        # doc id 1 is on line 3, after the header and doc id 0
         path = tmp_path / "index.bin"
         save_index(build_index([(DockerSpec(), "doc0"), (DockerSpec(), "doc1"),
                                 (DockerSpec(), "doc2")]), path)
-        payload = json.loads(path.read_text())
+        header, records = index_lines(path)
+        record = json.loads(records[1])
         if value is None:
-            del payload["entries"][1][key]
+            del record[key]
         else:
-            payload["entries"][1][key] = value
-        path.write_text(json.dumps(payload))
+            record[key] = value
+        records[1] = json.dumps(record) + "\n"
+        write_index(path, header, records)
         with pytest.raises(SchemaError) as info:
             load_index(path)
-        assert str(info.value).startswith(f"{path}: entry 1: {message}")
+        assert str(info.value).startswith(f"{path}:3: {message}")
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_undecodable_bytes_named_by_line(self, tmp_path, line):
+        # a byte that is not UTF-8 in the header, or in the record of doc id 1
+        path = tmp_path / "index.bin"
+        save_index(build_index([(DockerSpec(), "doc0"), (DockerSpec(), "doc1")]), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SchemaError) as info:
+            load_index(path)
+        assert str(info.value).startswith(f"{path}:{line}: not UTF-8 text")
 
     def test_hand_edited_parameters_rejected(self, tmp_path):
         path = tmp_path / "index.bin"
         save_index(build_index([(DockerSpec(), "doc")]), path)
-        payload = json.loads(path.read_text())
-        payload["k1"] = float("nan")
-        path.write_text(json.dumps(payload))
+        header, records = index_lines(path)
+        header["k1"] = float("nan")
+        write_index(path, header, records)
         with pytest.raises(SchemaError, match="k1"):
             load_index(path)
 
-
     @pytest.mark.parametrize("key, value, message", [
-        ("entries", [], "malformed index file: cannot index an empty corpus"),
-        ("entries", {"a": 1}, "malformed index file: 'dict' object is not iterable as a list"),
-        ("entries", [1], "entry 0: malformed index file: an entry is not an object"),
-        ("k1", True, "malformed index file: k1 must be a finite number >= 0, got True"),
-        ("k1", 10 ** 400, "malformed index file: k1 must be a finite number >= 0, got 1000"),
-        ("b", True, "malformed index file: b must be a number in [0, 1], got True"),
+        ("records", [], ": malformed index file: cannot index an empty corpus"),
+        ("records", ["5\n"], ":2: record must carry spec and a dockerfile string"),
+        ("records", ["\n", "{\n"], ":3: not a JSONL record: Expecting property name"),
+        ("k1", True, ": malformed index file: k1 must be a finite number >= 0, got True"),
+        ("k1", 10 ** 400, ": malformed index file: k1 must be a finite number >= 0, got 1000"),
+        ("b", True, ": malformed index file: b must be a number in [0, 1], got True"),
     ])
-    def test_bad_entries_and_parameters_named(self, tmp_path, key, value, message):
+    def test_bad_records_and_parameters_named(self, tmp_path, key, value, message):
         path = tmp_path / "index.bin"
         save_index(build_index([(DockerSpec(), "doc")]), path)
-        payload = json.loads(path.read_text())
-        payload[key] = value
-        path.write_text(json.dumps(payload))
+        header, records = index_lines(path)
+        if key == "records":
+            records = value
+        else:
+            header[key] = value
+        write_index(path, header, records)
         with pytest.raises(SchemaError) as info:
             load_index(path)
-        assert str(info.value).startswith(f"{path}: {message}")
+        assert str(info.value).startswith(f"{path}{message}")
 
 
 class TestBm25Parameters:
