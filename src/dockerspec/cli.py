@@ -53,17 +53,21 @@ def _sibling(out: Path, tag: str) -> Path:
     return out.with_name(f"{base}.{tag}.jsonl")
 
 
-def _check_output_dir(out_path: str) -> None:
-    """Raise the OSError that writing OUT would, before any work: its
-    parent must be a directory (a regular file or a missing directory there
-    fails as ``open`` does, naming OUT)."""
-    try:
-        if stat.S_ISDIR(os.stat(Path(out_path).parent).st_mode):
-            return
-        code = errno.ENOTDIR
-    except OSError as exc:
-        code = exc.errno
-    raise OSError(code, os.strerror(code), out_path)
+def _check_outputs(*paths: str) -> None:
+    """Raise the OSError that writing the first unwritable path would, before
+    any work: a regular file or a missing directory as its parent, or a
+    directory at the path, fails as ``open`` does, naming the path."""
+    for path in paths:
+        try:
+            if not stat.S_ISDIR(os.stat(Path(path).parent).st_mode):
+                code = errno.ENOTDIR
+            elif os.path.isdir(path):
+                code = errno.EISDIR
+            else:
+                continue
+        except OSError as exc:
+            code = exc.errno
+        raise OSError(code, os.strerror(code), path)
 
 
 def _load_lists(os_words_path: str | None, stop_words_path: str | None) -> WordLists:
@@ -145,7 +149,9 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
     """
     if max_tokens < 1:
         raise ConfigError("--max-tokens must be at least 1")
-    _check_output_dir(out_path)
+    out = Path(out_path)
+    _check_outputs(out_path, *(str(_sibling(out, tag))
+                               for tag in ("pretrain", "train", "eval", "test")))
     lists = _load_lists(os_words_path, stop_words_path)
     entries, reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries, seed=seed, max_tokens=max_tokens)
@@ -157,7 +163,6 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
                              f"all {over} are over it")
         raise ParseError("no eligible Dockerfiles")
 
-    out = Path(out_path)
     cp.write_jsonl(out, result.finetune)
     cp.write_jsonl(_sibling(out, "pretrain"), result.pretrain)
     summary = {
@@ -216,7 +221,7 @@ def index_build(corpus, out_path, k1, b):
     BM25 impacts, and the first TF-IDF query the TF-IDF tables.
     """
     re_engine.check_bm25_parameters(k1, b)
-    _check_output_dir(out_path)
+    _check_outputs(out_path)
     # one record at a time: only the entries are kept, and nothing is
     # written until every record has been read and checked
     index = re_engine.build_index(list(cp.read_corpus_records(Path(corpus))), k1=k1, b=b)

@@ -84,13 +84,14 @@ class ConfigError(DockerspecError):
 
 
 def read_input(path: str | Path, error: type[DockerspecError]) -> str:
-    """The text of the UTF-8 file ``path``.
+    """The text of the UTF-8 file ``path``, each ``\\r\\n`` read as ``\\n``:
+    lines break at ``\\n`` only, as ``parse_dockerfile`` reads them.
 
     Undecodable bytes raise ``error`` with one line naming where they are:
     ``path:line: not UTF-8 text: reason at byte N``, N counted from the start
     of the file. OSError propagates."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
     except UnicodeDecodeError as exc:
         # a whole-file read decodes the file in one call, so exc.object is all of it
         line = exc.object.count(b"\n", 0, exc.start) + 1

@@ -70,16 +70,15 @@ class SubtreePairMemo:
     keyroot of ``b``, the distances from each subtree of ``a`` to the nodes
     on that keyroot's left path are final, and they depend only on ``a`` and
     the keyroot's shape: ``columns`` keeps them, one list per left-path node
-    of one value per row of ``a``, under ``(a's root shape, whether the root
-    rule applies, the keyroot's shape)``, and a later keyroot of that shape
-    copies them instead of filling any forest. The root rule is part of the
-    key because under it ``a``'s root has no row.
+    of one value per row of ``a``, under ``(a's root shape, the keyroot's
+    shape)``, and a later keyroot of that shape copies them instead of
+    filling any forest.
     """
 
     def __init__(self) -> None:
         self.labels: dict[str, int] = {}
         self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.columns: dict[tuple[int, bool, int], list[list[int]]] = {}
+        self.columns: dict[tuple[int, int], list[list[int]]] = {}
 
 
 def _postorder(root: Node, memo: SubtreePairMemo
@@ -221,9 +220,9 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
     of the two child forests: the keyroots are those of the forests (each
     root's first child instead of the root), ``a``'s root gets no row, no
     pair involving a root is filled, and one last forest table over all
-    non-root nodes, stored in no memo, gives the answer. Otherwise the
-    keyroots are the trees' and the answer is ``tree_dist`` of the two
-    roots.
+    non-root nodes, stored in no memo, gives the answer. Trees whose roots
+    differ are scored the same way under two wrapper roots of one label,
+    since the distance of two one-tree forests is that of the trees.
 
     ``b``'s keyroots are the outer loop and ``a``'s the inner one: a pair
     reads only pairs inside its two subtrees with an earlier keyroot of
@@ -240,12 +239,13 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
     closed form, from one row per distinct label built over the other tree.
     """
     memo = memo if memo is not None else SubtreePairMemo()
+    if a.label != b.label:
+        a, b = Node("", [a]), Node("", [b])
     labels_a, left_a, shapes_a, parents_a = _postorder(a, memo)
     labels_b, left_b, shapes_b, parents_b = _postorder(b, memo)
     size_a, size_b = len(labels_a), len(labels_b)
-    forests = labels_a[-1] == labels_b[-1]
-    keyroots_a = _keyroots(left_a[:-1] if forests else left_a)
-    keyroots_b = _keyroots(left_b[:-1] if forests else left_b)
+    keyroots_a = _keyroots(left_a[:-1])
+    keyroots_b = _keyroots(left_b[:-1])
     rows_over_b = _leaf_rows({labels_a[i] for i in keyroots_a if left_a[i] == i},
                              labels_b, left_b, parents_b)
     rows_over_a = _leaf_rows({labels_b[j] for j in keyroots_b if left_b[j] == j},
@@ -256,7 +256,7 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
     # one takes the closed form
     row_of_shape: dict[int, list[int]] = {}
     tree_dist = []
-    for x in range(size_a - forests):
+    for x in range(size_a - 1):
         row = row_of_shape.get(shapes_a[x])
         if row is None:
             row = rows_over_b.get(labels_a[x]) if left_a[x] == x else None
@@ -285,7 +285,7 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
                 row[j] = value
             continue
         path_columns = [y for y in range(lj, j + 1) if left_b[y] == lj]
-        key = (shapes_a[-1], forests, shapes_b[j])
+        key = (shapes_a[-1], shapes_b[j])
         stored = stored_columns.get(key)
         if stored is not None:
             for y, values in zip(path_columns, stored):
@@ -301,8 +301,6 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
                 for y, value in zip(path_columns, values):
                     dist_row[y] = value
         stored_columns[key] = [[row[y] for row in rows] for y in path_columns]
-    if not forests:
-        return tree_dist[-1][-1]
     return _forest(0, size_a - 2, labels_a, left_a, tree_dist,
                    _column(0, size_b - 2, labels_b, left_b))[1][-1]
 

@@ -9,25 +9,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import ConfigError, SchemaError, read_input
 
 PKG_MANAGERS = ("apt", "apk", "yum", "any")
-
-FLAG_FIELDS = (
-    "downloads_external",
-    "uses_env",
-    "uses_arg",
-    "uses_label",
-    "uses_expose",
-    "uses_cmd",
-    "uses_entrypoint",
-)
-
-SPEC_FIELDS = ("os", "pkg_manager", "dependencies") + FLAG_FIELDS
-_SPEC_FIELD_SET = frozenset(SPEC_FIELDS)
 
 # distro prefix -> the only non-"any" package manager it admits
 _MANAGER_FOR_OS_PREFIX = {
@@ -39,8 +27,10 @@ _MANAGER_FOR_OS_PREFIX = {
 _OS_TOKEN = re.compile(r"[a-z][a-z0-9]*$")
 
 
-@dataclass(frozen=True)
-class DockerSpec:
+class DockerSpec(NamedTuple):
+    """A spec is a tuple of its field values in field order: immutable, and
+    equal and hashed by value."""
+
     os: str = "any"
     pkg_manager: str = "any"
     dependencies: frozenset[str] = frozenset()
@@ -51,6 +41,12 @@ class DockerSpec:
     uses_expose: bool = False
     uses_cmd: bool = False
     uses_entrypoint: bool = False
+
+
+SPEC_FIELDS = DockerSpec._fields
+FLAG_FIELDS = tuple(name for name, default in DockerSpec._field_defaults.items()
+                    if type(default) is bool)
+_SPEC_FIELD_SET = frozenset(SPEC_FIELDS)
 
 
 def allowed_managers(os_name: str) -> set[str]:
@@ -76,6 +72,8 @@ class WordLists:
 
 def load_word_list(path) -> frozenset[str]:
     """Read a word list file: one lowercase word per line, # comments allowed.
+    Lines break at ``\\n`` only (``read_input``'s rule): a lone ``\\r`` is
+    part of its line's word.
 
     Undecodable bytes are a ConfigError naming the file and line."""
     words = (line.split("#", 1)[0].strip().lower()
@@ -117,10 +115,8 @@ def validate_spec(spec: DockerSpec, lists: WordLists) -> list[str]:
 
 def spec_to_dict(spec: DockerSpec) -> dict:
     """Plain-dict form with canonical field order and sorted dependencies."""
-    out: dict = {}
-    for name in SPEC_FIELDS:
-        value = getattr(spec, name)
-        out[name] = sorted(value) if name == "dependencies" else value
+    out = spec._asdict()
+    out["dependencies"] = sorted(spec.dependencies)
     return out
 
 
@@ -149,7 +145,6 @@ def spec_from_dict(data: dict) -> DockerSpec:
     for name, value in zip(FLAG_FIELDS, flags):
         if type(value) is not bool:
             raise SchemaError(f"{name} must be a boolean")
-    # DockerSpec's fields are SPEC_FIELDS, in that order
     return DockerSpec(os_name, manager, frozenset(deps), *flags)
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import index_lines, write_index
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
+from dockerspec.dockerfile_syntax import ast_to_json, build_ast, parse_dockerfile
 from dockerspec.errors import ShellSyntaxError
 from dockerspec.evaluation import compare_systems, evaluate_run, evaluate_systems
 from dockerspec.spec_model import DockerSpec, spec_to_dict
@@ -120,6 +121,20 @@ class TestParseCommand:
         f.write_text("FROM alpine\nRUN echo 'broken\n")
         code, _, _ = run(capsys, "parse", str(f))
         assert code == 1
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_lone_carriage_return_stays_in_its_line(self, capsys, tmp_path, newline):
+        text = newline.join(["# git", "FROM alpine", "RUN echo a\rRUN apk add git", ""])
+        f = tmp_path / "d"
+        f.write_bytes(text.encode())
+        code, out, _ = run(capsys, "parse", str(f), "--format", "json")
+        assert code == 0
+        tree = json.loads(out)
+        assert tree == ast_to_json(build_ast(parse_dockerfile(text)))
+        assert [child["label"] for child in tree["children"]] == ["FROM", "RUN"]
+        code, out, _ = run(capsys, "infer-spec", str(f))
+        assert code == 0
+        assert json.loads(out)["dependencies"] == []
 
 
 class TestCorpusCommands:
@@ -648,6 +663,20 @@ class TestBadInput:
         assert out == ""
         assert err == f"error: {message}: {out_path!r}\n"
         assert calls == []
+
+    @pytest.mark.parametrize("tag", ["pretrain", "train", "eval", "test"])
+    def test_corpus_build_checks_every_output_before_writing(self, capsys, tmp_path,
+                                                            corpus_dir, tag):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        sibling = out_dir / f"c.{tag}.jsonl"
+        sibling.mkdir()
+        code, out, err = run(capsys, "corpus", "build", str(corpus_dir),
+                             "--out", str(out_dir / "c.jsonl"))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: [Errno 21] Is a directory: {str(sibling)!r}\n"
+        assert list(out_dir.iterdir()) == [sibling]
 
     def test_unreadable_pair_leaves_report_untouched(self, capsys, tmp_path):
         outputs = tmp_path / "outputs"

@@ -29,6 +29,11 @@ class TestReadInput:
         path.write_bytes("FROM alpine\r\n# café\r\n".encode())
         assert read_input(path, ParseError) == "FROM alpine\n# café\n"
 
+    def test_lone_carriage_return_kept(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"a\rb\r\r\nc\n\rd")
+        assert read_input(path, ParseError) == "a\rb\r\nc\n\rd"
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
     @pytest.mark.parametrize("error", [ParseError, SchemaError, ConfigError])
     def test_names_line_and_byte(self, tmp_path, newline, error):

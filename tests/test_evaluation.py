@@ -258,8 +258,9 @@ def with_root_label(node, label):
 
 
 class TestRootLabels:
-    """Equal root labels take the child-forest branch, any other pair the
-    whole-tree one: both against the plain Zhang-Shasha."""
+    """Equal root labels are scored as the child forests, any other pair as
+    the child forests of two wrapper roots: both against the plain
+    Zhang-Shasha."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), sizes=st.sampled_from([1, 7, 40]).flatmap(
@@ -298,14 +299,16 @@ class TestRootLabels:
             memo = SubtreePairMemo()
             assert tree_edit_distance(x, y, memo) == zhang_shasha_reference(x, y)
             roots = {shape_id(memo, x), shape_id(memo, y)}
-            assert not roots.intersection(shape for _, _, shape in memo.columns)
+            assert not roots.intersection(shape for _, shape in memo.columns)
 
-    def test_different_roots_store_the_root_column(self):
+    def test_different_roots_are_scored_under_wrapper_roots(self):
         a = tree("r", tree("a", tree("b")), tree("c"))
         b = tree("s", tree("a", tree("c")), tree("b"))
         memo = SubtreePairMemo()
-        assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b)
-        assert (shape_id(memo, a), False, shape_id(memo, b)) in memo.columns
+        assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b) == \
+            tree_edit_distance(tree("w", a), tree("w", b))
+        # under the wrappers b's root is a keyroot, so its column is stored
+        assert shape_id(memo, b) in {shape for _, shape in memo.columns}
 
 
 def chain(length, label="a"):
@@ -474,8 +477,9 @@ class TestSubtreePairMemo:
         other = tree("RUN", tree("apt-get", tree("git")))
         tree_edit_distance(tree("dockerfile", *same), other, memo)
         # curl, apt-get(curl), RUN(apt-get(curl)) once for both copies, the
-        # root, and git, apt-get(git), RUN(apt-get(git))
-        assert len(memo.shapes) == 7
+        # root, git, apt-get(git), RUN(apt-get(git)), and the two wrapper
+        # roots that the different root labels take
+        assert len(memo.shapes) == 9
         assert tree_edit_distance(same[0], other, memo) == 1
 
 
@@ -508,7 +512,7 @@ class TestBenchmarkTrees:
                 assert tree_edit_distance(target, output, memo) == \
                     zhang_shasha_reference(target, output)
                 roots = {shape_id(memo, target), shape_id(memo, output)}
-                assert not roots.intersection(shape for _, _, shape in memo.columns)
+                assert not roots.intersection(shape for _, shape in memo.columns)
 
 
 class TestNormalizedDistance:

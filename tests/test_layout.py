@@ -3,13 +3,17 @@
 No module imports another module's ``_private`` names or reads them as
 attributes of an imported module; a helper that two modules need gets a
 public name. Only ``errors`` words the "not UTF-8" message, since its
-readers, ``read_input`` and ``read_lines``, decode every input file.
+readers, ``read_input`` and ``read_lines``, decode every input file. The
+spec's field names are declared once, by ``DockerSpec``: no module writes
+them out as a sequence.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from dockerspec.spec_model import SPEC_FIELDS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dockerspec"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -116,3 +120,41 @@ def test_utf8_rule_flags_another_module():
         "spec_model": "text = read_input(path, ConfigError)\n",
     }
     assert utf8_message_outside_errors(sources) == ["cli"]
+
+
+def spec_field_literals(source: str) -> list[str]:
+    """Each tuple, list or set literal in ``source`` that writes three or
+    more spec field names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            names = [element.value for element in node.elts
+                     if isinstance(element, ast.Constant) and element.value in SPEC_FIELDS]
+            if len(names) >= 3:
+                found.append(f"line {node.lineno}: {', '.join(names)}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_spec_fields_written_out_nowhere(path):
+    assert spec_field_literals(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    'FLAG_FIELDS = (\n    "uses_env",\n    "uses_arg",\n    "uses_cmd",\n)\n',
+    'SPEC_FIELDS = ("os", "pkg_manager", "dependencies") + FLAG_FIELDS\n',
+    'for name in ["os", 1, "uses_env", "uses_label"]:\n    pass\n',
+    'names = {"dependencies", "uses_expose", "uses_entrypoint"}\n',
+])
+def test_field_rule_flags_a_literal(source):
+    assert len(spec_field_literals(source)) == 1
+
+
+@pytest.mark.parametrize("source", [
+    'SPEC_FIELDS = DockerSpec._fields\n',
+    'pair = ("os", "pkg_manager")\n',
+    'data = {"os": "any", "pkg_manager": "any", "dependencies": []}\n',
+    'words = ("os", "apt", "apk", "yum")\n',
+])
+def test_field_rule_allows_other_literals(source):
+    assert spec_field_literals(source) == []

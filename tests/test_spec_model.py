@@ -1,10 +1,10 @@
 import json
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dockerspec.corpus_pipeline import CorpusEntry, cluster_by_spec
 from dockerspec.errors import SchemaError
 from dockerspec.spec_model import (
     SPEC_FIELDS,
@@ -141,14 +141,53 @@ class TestSerialization:
             spec_from_dict([])
         assert str(info.value) == "spec must be a JSON object"
 
-    def test_spec_fields_are_the_dataclass_fields_in_order(self):
-        # spec_from_dict builds a DockerSpec from its values in this order
-        assert tuple(f.name for f in fields(DockerSpec)) == SPEC_FIELDS
-
     @given(st.integers(0, 10 ** 6))
     def test_random_spec_roundtrip(self, seed):
         spec = random_valid_spec(random.Random(seed))
         assert deserialize_spec(serialize_spec(spec)) == spec
+
+
+class TestSpecValue:
+    """A spec is an immutable value: equal specs are interchangeable."""
+
+    def test_assigning_a_field_raises(self):
+        spec = DockerSpec()
+        with pytest.raises(AttributeError):
+            spec.os = "alpine"
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert spec == DockerSpec()
+
+    def test_equal_specs_hash_equal_and_share_a_cluster(self):
+        first = DockerSpec("alpine", "apk", frozenset({"git", "curl"}), uses_env=True)
+        second = DockerSpec(os="alpine", pkg_manager="apk", uses_env=True,
+                            dependencies=frozenset(["curl", "git"]))
+        assert first == second and first is not second
+        assert hash(first) == hash(second) == hash(tuple(getattr(first, name)
+                                                         for name in SPEC_FIELDS))
+        entries = [CorpusEntry(spec, "sha", (), f"f{i}", "")
+                   for i, spec in enumerate([first, DockerSpec(), second])]
+        clusters = cluster_by_spec(entries)
+        assert [(c.spec, [m.source for m in c.members]) for c in clusters] == \
+            [(first, ["f0", "f2"]), (DockerSpec(), ["f1"])]
+
+    def test_keyword_construction_with_defaults(self):
+        spec = DockerSpec(uses_cmd=True, os="debian")
+        assert spec_to_dict(spec) == {**spec_to_dict(DockerSpec()),
+                                      "os": "debian", "uses_cmd": True}
+        assert DockerSpec() == DockerSpec("any", "any", frozenset(), *[False] * 7)
+
+    def test_repr(self):
+        spec = DockerSpec(os="alpine", dependencies=frozenset({"git"}), uses_arg=True)
+        assert repr(spec) == (
+            "DockerSpec(os='alpine', pkg_manager='any', dependencies=frozenset({'git'}), "
+            "downloads_external=False, uses_env=False, uses_arg=True, uses_label=False, "
+            "uses_expose=False, uses_cmd=False, uses_entrypoint=False)")
+
+    def test_a_spec_is_the_tuple_of_its_values_in_field_order(self):
+        spec = DockerSpec(os="alpine", uses_env=True)
+        assert spec == ("alpine", "any", frozenset(), False, True) + (False,) * 5
+        assert SPEC_FIELDS == DockerSpec._fields
 
 
 class TestWordLists:
