@@ -48,6 +48,10 @@ def word_list_options(command):
     return command
 
 
+# the streams `corpus build` writes beside OUT: pre-training, then the 80/10/10 split
+_SIBLING_TAGS = ("pretrain", "train", "eval", "test")
+
+
 def _sibling(out: Path, tag: str) -> Path:
     base = out.name[:-len(".jsonl")] if out.name.endswith(".jsonl") else out.name
     return out.with_name(f"{base}.{tag}.jsonl")
@@ -55,11 +59,14 @@ def _sibling(out: Path, tag: str) -> Path:
 
 def _check_outputs(*paths: str) -> None:
     """Raise the OSError that writing the first unwritable path would, before
-    any work: a regular file or a missing directory as its parent, or a
-    directory at the path, fails as ``open`` does, naming the path."""
+    any work: an empty path, a regular file or a missing directory as its
+    parent, or a directory at the path, fails as ``open`` does, naming the
+    path."""
     for path in paths:
         try:
-            if not stat.S_ISDIR(os.stat(Path(path).parent).st_mode):
+            if not path:
+                code = errno.ENOENT
+            elif not stat.S_ISDIR(os.stat(Path(path).parent).st_mode):
                 code = errno.ENOTDIR
             elif os.path.isdir(path):
                 code = errno.EISDIR
@@ -149,9 +156,11 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
     """
     if max_tokens < 1:
         raise ConfigError("--max-tokens must be at least 1")
+    # OUT first: a path without a file name (empty, or a directory) has no siblings
+    _check_outputs(out_path)
     out = Path(out_path)
-    _check_outputs(out_path, *(str(_sibling(out, tag))
-                               for tag in ("pretrain", "train", "eval", "test")))
+    siblings = [_sibling(out, tag) for tag in _SIBLING_TAGS]
+    _check_outputs(*map(str, siblings))
     lists = _load_lists(os_words_path, stop_words_path)
     entries, reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries, seed=seed, max_tokens=max_tokens)
@@ -162,26 +171,26 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
             raise ParseError(f"no eligible Dockerfiles within --max-tokens {max_tokens}: "
                              f"all {over} are over it")
         raise ParseError("no eligible Dockerfiles")
+    if result.split is None:
+        click.echo("too few entries for an 80/10/10 split; corpus left unsplit",
+                   err=True)
 
+    # every stream is written, so no split of an earlier build is left beside OUT
+    split = result.split or cp.DatasetSplit([], [], [], seed)
     cp.write_jsonl(out, result.finetune)
-    cp.write_jsonl(_sibling(out, "pretrain"), result.pretrain)
-    summary = {
+    parts = (result.pretrain, split.train, split.evaluation, split.test)
+    for path, part in zip(siblings, parts, strict=True):
+        cp.write_jsonl(path, part)
+    click.echo(json.dumps({
         "corpus": str(out),
         "entries": len(result.finetune),
         "pretrain_entries": len(result.pretrain),
+        "train": len(split.train),
+        "eval": len(split.evaluation),
+        "test": len(split.test),
         "reasons": dict(sorted(reasons.items())),
         "seed": seed,
-    }
-    if result.split is not None:
-        for name, part in (("train", result.split.train),
-                           ("eval", result.split.evaluation),
-                           ("test", result.split.test)):
-            cp.write_jsonl(_sibling(out, name), part)
-            summary[name] = len(part)
-    else:
-        click.echo("too few entries for an 80/10/10 split; corpus left unsplit",
-                   err=True)
-    click.echo(json.dumps(summary, sort_keys=True))
+    }, sort_keys=True))
 
 
 @corpus_group.command("stats")
@@ -342,10 +351,12 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
             raise click.UsageError(f"--outputs {system_dirs[name]} and {output_dir} "
                                    f"have the same directory name {name!r}")
         system_dirs[name] = output_dir
+    if report_path is not None:
+        _check_outputs(report_path)
     lists = _load_lists(os_words_path, stop_words_path)
     rows = _read_pairs(Path(targets_dir), system_dirs)
-    # an unusable report path fails here, before any pair is evaluated
-    report = Path(report_path).open("w", encoding="utf-8") if report_path else None
+    # an unusable report path fails here at the latest, before any pair is evaluated
+    report = open(report_path, "w", encoding="utf-8") if report_path is not None else None
     with report or contextlib.nullcontext():
         text = _report_text(ev.evaluate_systems(rows, lists))
         if report:

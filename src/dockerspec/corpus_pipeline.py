@@ -358,21 +358,18 @@ def write_jsonl(path: Path, entries: list[CorpusEntry]) -> None:
                                      sha1=entry.content_hash, source=entry.source))
 
 
-def read_corpus_records(path: Path, lines: Iterable[str] | None = None,
-                        start: int = 1) -> Iterator[tuple[DockerSpec, str]]:
+def read_corpus_records(path: Path, lines: Iterable[tuple[int, str]] | None = None
+                        ) -> Iterator[tuple[DockerSpec, str]]:
     """Yield the (spec, dockerfile) of each record of the corpus JSONL file
     ``path`` as it is read, so that a caller holds only what it keeps. Blank
     lines and keys other than spec and dockerfile are skipped. ``lines``, if
-    given, are ``path``'s lines from line ``start`` on, from ``read_lines``
+    given, are ``path``'s numbered lines left to read, from ``read_lines``
     (an index file past its header).
 
-    Each record is checked when reached, so errors come in file order.
-    Raises SchemaError naming ``path:line`` on a line that is not a JSON
-    object, a record without a spec or a dockerfile string, a spec that
-    ``spec_from_dict`` rejects, or undecodable bytes (as ``read_lines``
-    names them, possibly before an earlier bad record of their block)."""
-    for number, line in enumerate(read_lines(path, SchemaError) if lines is None else lines,
-                                  start):
+    Each line is decoded and checked when reached. SchemaError names
+    ``path:line`` of the first bad line in file order: undecodable bytes, no
+    JSON object, no spec or dockerfile string, or a spec ``spec_from_dict`` rejects."""
+    for number, line in read_lines(path, SchemaError) if lines is None else lines:
         if line.isspace():
             continue
         try:

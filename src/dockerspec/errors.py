@@ -83,29 +83,32 @@ class ConfigError(DockerspecError):
     exit_code = 3
 
 
-def read_input(path: str | Path, error: type[DockerspecError]) -> str:
-    """The text of the UTF-8 file ``path``, each ``\\r\\n`` read as ``\\n``:
-    lines break at ``\\n`` only, as ``parse_dockerfile`` reads them.
-
-    Undecodable bytes raise ``error`` with one line naming where they are:
-    ``path:line: not UTF-8 text: reason at byte N``, N counted from the start
-    of the file. OSError propagates."""
+def _decode(data: bytes, path: str | Path, error: type[DockerspecError],
+            line: int = 1, offset: int = 0) -> str:
+    """``data``, from ``line`` and byte ``offset`` of ``path`` on, decoded as
+    UTF-8. Undecodable bytes raise ``error`` as ``path:line: not UTF-8 text:
+    reason at byte N``, N counted from the start of the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # a whole-file read decodes the file in one call, so exc.object is all of it
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        line += data.count(b"\n", 0, exc.start)
+        offset += exc.start
+        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {offset}") from exc
 
 
-def read_lines(path: str | Path, error: type[DockerspecError]) -> Iterator[str]:
-    """The lines of the UTF-8 file ``path``, one at a time. The file is
-    decoded in blocks of about 8 KiB, ahead of the lines yielded, and
-    undecodable bytes raise ``error`` as ``read_input`` names them."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            yield from handle
-    except UnicodeDecodeError:
-        # a stream decodes ahead of the lines it yields: only a whole read names the line
-        read_input(path, error)
-        raise
+def read_input(path: str | Path, error: type[DockerspecError]) -> str:
+    """The text of the UTF-8 file ``path``, read whole, each ``\\r\\n`` read as
+    ``\\n``: lines break at ``\\n`` only, as in ``parse_dockerfile``. Raises
+    ``error`` on undecodable bytes (see ``_decode``); OSError propagates."""
+    return _decode(Path(path).read_bytes(), path, error).replace("\r\n", "\n")
+
+
+def read_lines(path: str | Path, error: type[DockerspecError]) -> Iterator[tuple[int, str]]:
+    """Each line of the UTF-8 file ``path``, ending at ``\\n`` only, with its
+    number from 1, decoded when reached: undecodable bytes raise ``error``
+    (see ``_decode``) after every line before them. OSError propagates."""
+    offset = 0
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            yield number, _decode(line, path, error, number, offset)
+            offset += len(line)

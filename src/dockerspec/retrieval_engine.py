@@ -281,8 +281,9 @@ def save_index(index: RetrievalIndex, path: Path) -> None:
 
 
 def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]]:
-    """Read an index file one line at a time: the header line here, the
-    records after it with ``read_corpus_records``. Returns the index and its
+    """Read an index file one numbered line at a time with ``read_lines``:
+    the header line here, the records after it with ``read_corpus_records``,
+    which keeps the file's line numbers. Returns the index and its
     own ``entries`` list; loading does no ranking work (see
     ``RetrievalIndex``).
 
@@ -290,10 +291,11 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
     that is not an index header, a version other than ``INDEX_VERSION``
     (rerun ``index build`` to rebuild the file), a header without ``k1`` or
     ``b``, parameters that ``check_bm25_parameters`` rejects, no entries, or
-    a bad record or undecodable bytes, named ``path:line:``."""
+    the first line in file order with undecodable bytes or a bad record,
+    named ``path:line:``."""
     with closing(read_lines(path, SchemaError)) as lines:
         try:
-            header = json.loads(next(lines, ""))
+            header = json.loads(next(lines, (1, ""))[1])
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not an index file: {exc}") from exc
         if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
@@ -301,7 +303,7 @@ def load_index(path: Path) -> tuple[RetrievalIndex, list[tuple[DockerSpec, str]]
         if header.get("version") != INDEX_VERSION:
             raise SchemaError(f"{path}: unsupported index version {header.get('version')!r}; "
                               f"rerun `index build` to write version {INDEX_VERSION}")
-        entries = list(read_corpus_records(path, lines, start=2))
+        entries = list(read_corpus_records(path, lines))
     try:
         index = build_index(entries, header["k1"], header["b"])
     except KeyError as exc:

@@ -170,6 +170,26 @@ class TestCorpusCommands:
         assert reasons == json.loads(stats)["reasons"]
         assert "duplicate" not in reasons
 
+    def test_build_too_small_to_split_empties_earlier_splits(self, capsys, corpus_dir,
+                                                             tmp_path):
+        out = tmp_path / "corpus.jsonl"
+        assert main(["corpus", "build", str(corpus_dir), "--out", str(out)]) == 0
+        small = tmp_path / "small"
+        small.mkdir()
+        for name in ("tomcat-alpine.Dockerfile", "tomcat-ffmpeg.Dockerfile"):
+            (small / name).write_bytes((FIXTURES / name).read_bytes())
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "corpus", "build", str(small), "--out", str(out))
+        assert code == 0
+        assert err == "too few entries for an 80/10/10 split; corpus left unsplit\n"
+        summary = json.loads(stdout)
+        assert 0 < summary["entries"] == len(list(read_corpus_records(out))) < 10
+        assert (summary["train"], summary["eval"], summary["test"]) == (0, 0, 0)
+        for tag in ("train", "eval", "test"):
+            assert (tmp_path / f"corpus.{tag}.jsonl").read_bytes() == b""
+        pretrain = tmp_path / "corpus.pretrain.jsonl"
+        assert len(pretrain.read_bytes().splitlines()) == summary["pretrain_entries"]
+
     def test_build_empty_directory(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -543,8 +563,7 @@ def write_corpus(path):
 
 class TestBadInput:
     @pytest.mark.parametrize("command", ["parse", "infer-spec", "evaluate", "generate-spec",
-                                         "generate-index", "index-build", "evaluate-layers",
-                                         "config", "os-words", "stop-words"])
+                                         "evaluate-layers", "config", "os-words", "stop-words"])
     def test_non_utf8_file(self, capsys, tmp_path, command):
         targets, outputs = tmp_path / "targets", tmp_path / "outputs"
         for directory in (targets, outputs):
@@ -561,8 +580,6 @@ class TestBadInput:
         argv = {
             "evaluate": ["evaluate", "--targets", str(targets), "--outputs", str(outputs)],
             "generate-spec": ["generate", "--spec", bad, "--index", str(index)],
-            "generate-index": ["generate", "--spec", str(spec_file), "--index", bad],
-            "index-build": ["index", "build", bad, "--out", str(tmp_path / "i.bin")],
             "evaluate-layers": ["evaluate", "layers", "--original", bad,
                                 "--generated", str(manifest)],
             "config": ["--config", bad, "parse", str(FIXTURES / "tomcat-ffmpeg.Dockerfile")],
@@ -578,6 +595,30 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not UTF-8" in err
         assert err == f"error: {bad}:2: not UTF-8 text: invalid continuation byte at byte 25\n"
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(b'{"spec": "caf\xe9"}\n',
+                     "1: not UTF-8 text: invalid continuation byte at byte 13", id="line-1"),
+        # the JSONL readers name the first bad line: line 1 is not JSON
+        pytest.param(NOT_UTF8, {"index-build": "1: not a JSONL record: Expecting value",
+                                "generate-index": " not an index file: Expecting value"},
+                     id="file-order"),
+    ])
+    @pytest.mark.parametrize("command", ["index-build", "generate-index"])
+    def test_non_utf8_jsonl_file(self, capsys, tmp_path, command, data, message):
+        bad = tmp_path / "input"
+        bad.write_bytes(data)
+        spec_file = tmp_path / "query.json"
+        spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
+        argv = {
+            "index-build": ["index", "build", str(bad), "--out", str(tmp_path / "i.bin")],
+            "generate-index": ["generate", "--spec", str(spec_file), "--index", str(bad)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        message = message if isinstance(message, str) else message[command]
+        assert err.startswith(f"error: {bad}:{message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("command", ["parse", "infer-spec", "index-build", "os-words"])
@@ -663,6 +704,34 @@ class TestBadInput:
         assert out == ""
         assert err == f"error: {message}: {out_path!r}\n"
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["index-build", "corpus-build", "evaluate-report"])
+    def test_empty_output_path(self, capsys, monkeypatch, tmp_path, corpus_dir, command):
+        # an empty path fails as open("") does, before any input is read
+        from dockerspec import corpus_pipeline
+
+        calls = []
+        for name in ("ingest_directory", "read_corpus_records"):
+            monkeypatch.setattr(corpus_pipeline, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        monkeypatch.setattr("dockerspec.cli._read_pairs",
+                            lambda *args: calls.append("_read_pairs"))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = {
+            "index-build": ["index", "build", str(write_corpus(tmp_path / "c.jsonl")),
+                            "--out", ""],
+            "corpus-build": ["corpus", "build", str(corpus_dir), "--out", ""],
+            "evaluate-report": ["evaluate", "--targets", str(FIXTURES),
+                                "--outputs", str(FIXTURES), "--report", ""],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert calls == []
+        assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("tag", ["pretrain", "train", "eval", "test"])
     def test_corpus_build_checks_every_output_before_writing(self, capsys, tmp_path,
@@ -798,13 +867,10 @@ class TestBadInput:
         assert err.startswith(f"error: {corpus}:2: missing field(s): pkg_manager")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("good_lines, message", [(0, "3: not UTF-8 text"),
-                                                     (1000, "2: missing field(s)")])
-    def test_index_build_undecodable_bytes_read_ahead(self, capsys, tmp_path, good_lines,
-                                                      message):
-        # the file is decoded in blocks of about 8 KiB: undecodable bytes in
-        # the block of an earlier bad record are named, and bytes in a
-        # later block are not reached
+    @pytest.mark.parametrize("good_lines", [0, 1000])
+    def test_index_build_names_bad_spec_before_undecodable_bytes(self, capsys, tmp_path,
+                                                                 good_lines):
+        # each line is decoded when the reader reaches it, at any distance
         good = json.dumps({"spec": spec_to_dict(SPEC), "dockerfile": "x"})
         bad_spec = json.dumps({"spec": {"os": "alpine"}, "dockerfile": "x"})
         corpus = tmp_path / "c.jsonl"
@@ -814,7 +880,22 @@ class TestBadInput:
                              "--out", str(tmp_path / "index.bin"))
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {corpus}:{message}")
+        assert err.startswith(f"error: {corpus}:2: missing field(s): pkg_manager")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_index_build_reads_a_raw_carriage_return_as_whitespace(self, capsys, tmp_path,
+                                                                   newline):
+        line = json.dumps({"spec": spec_to_dict(SPEC), "dockerfile": "FROM alpine <nl>\n"})
+        assert ", " in line
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes((line.replace(", ", ",\r ", 1) + newline).encode())
+        index = tmp_path / "index.bin"
+        code, out, err = run(capsys, "index", "build", str(corpus), "--out", str(index))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["documents"] == 1
+        assert index_lines(index)[1] == [json.dumps(
+            {"dockerfile": "FROM alpine <nl>\n", "spec": spec_to_dict(SPEC)},
+            sort_keys=True) + "\n"]
 
     @pytest.mark.parametrize("record", [
         {"spec": {"os": "alpine"}, "dockerfile": "x"},

@@ -496,6 +496,16 @@ class TestSharedSplit:
             Counter({"eligible": 1, "no-comments": 2, "parse-error": 1})
 
 
+_SPECS = st.builds(DockerSpec, st.sampled_from(["any", "alpine", "ubuntu"]),
+                   st.sampled_from(["any", "apk", "apt"]),
+                   st.frozensets(st.sampled_from(["curl", "git", "make"])), st.booleans())
+_JSON_SPACE = st.text(alphabet=" \t\r", max_size=3)
+
+
+def _separator(token):
+    return st.builds(lambda before, after: before + token + after, _JSON_SPACE, _JSON_SPACE)
+
+
 class TestPipeline:
     def test_corpus_build_splits_each_run_body_once(self, corpus_dir, word_lists, tmp_path,
                                                     monkeypatch, capsys):
@@ -629,7 +639,7 @@ class TestPipeline:
 
     def test_read_names_line_of_undecodable_bytes(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        good = json.dumps({"spec": {}, "dockerfile": "FROM alpine"})
+        good = json.dumps({"spec": spec_to_dict(DockerSpec()), "dockerfile": "FROM alpine"})
         path.write_bytes(f"{good}\n{good}\n".encode() + b'{"dockerfile": "caf\xe9"}\n')
         with pytest.raises(SchemaError, match=r"corpus\.jsonl:3: not UTF-8 text"):
             list(read_corpus_records(path))
@@ -644,17 +654,41 @@ class TestPipeline:
         with pytest.raises(SchemaError, match=r"corpus\.jsonl:5: record must carry"):
             next(read)
 
-    def test_read_from_an_open_file_names_lines_from_start(self, tmp_path):
+    def test_read_from_an_open_file_keeps_its_line_numbers(self, tmp_path):
         # an index file hands over its lines after the header
         path = tmp_path / "index.bin"
         good = json.dumps({"spec": spec_to_dict(DockerSpec()), "dockerfile": "FROM alpine"})
         path.write_text(f"header\n{good}\n{{\n")
         lines = read_lines(path, SchemaError)
-        assert next(lines) == "header\n"
-        read = read_corpus_records(path, lines, start=2)
+        assert next(lines) == (1, "header\n")
+        read = read_corpus_records(path, lines)
         assert next(read) == (DockerSpec(), "FROM alpine")
         with pytest.raises(SchemaError, match=r"index\.bin:3: not a JSONL record"):
             next(read)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_SPECS, st.text(max_size=20), st.lists(_JSON_SPACE, max_size=2),
+                              _JSON_SPACE, _separator(","), _separator(":")),
+                    min_size=1, max_size=20),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_read_gives_back_every_record(self, tmp_path_factory, records, newline):
+        # a raw \r, space or tab between tokens is JSON whitespace, not a line end
+        lines = []
+        for spec, dockerfile, blanks, pad, comma, colon in records:
+            record = {"spec": spec_to_dict(spec), "dockerfile": dockerfile}
+            lines += [*blanks, pad + json.dumps(record, separators=(comma, colon)) + pad]
+        path = tmp_path_factory.mktemp("lines") / "corpus.jsonl"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        assert list(read_corpus_records(path)) == [(spec, text) for spec, text, *_ in records]
+
+    @pytest.mark.parametrize("good_lines", [0, 1000])
+    def test_read_names_a_bad_spec_before_later_undecodable_bytes(self, tmp_path, good_lines):
+        good = json.dumps({"spec": spec_to_dict(DockerSpec()), "dockerfile": "x"}) + "\n"
+        bad_spec = json.dumps({"spec": {"os": "alpine"}, "dockerfile": "x"}) + "\n"
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes((good + bad_spec).encode() + b"\xff\n" + good.encode() * good_lines)
+        with pytest.raises(SchemaError, match=r"corpus\.jsonl:2: missing field\(s\): pkg_manager"):
+            list(read_corpus_records(path))
 
     def test_read_holds_one_record_at_a_time(self, benchmark_index_corpus):
         # a list of every record peaks at about 3.2 times the file

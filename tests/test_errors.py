@@ -77,11 +77,21 @@ class TestReadInput:
 
 
 class TestReadLines:
-    def test_yields_lines_with_newlines_translated(self, tmp_path):
+    def test_yields_numbered_lines_split_at_newline_only(self, tmp_path):
+        # a \r, alone or before \n, stays in its line, as JSON whitespace may
         path = tmp_path / "in.txt"
-        path.write_bytes("one\r\ncaf\u00e9 \u2028 x\n\nlast".encode())
-        assert list(read_lines(path, SchemaError)) == ["one\n", "caf\u00e9 \u2028 x\n", "\n",
-                                                       "last"]
+        path.write_bytes("one\r\ncaf\u00e9 \u2028 x\ry\r\rz\n\nlast".encode())
+        assert list(read_lines(path, SchemaError)) == [
+            (1, "one\r\n"), (2, "caf\u00e9 \u2028 x\ry\r\rz\n"), (3, "\n"), (4, "last")]
+
+    def test_lines_before_undecodable_bytes_are_yielded(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"one\ntwo\n\xff\nfour\n")
+        lines = read_lines(path, SchemaError)
+        assert [next(lines), next(lines)] == [(1, "one\n"), (2, "two\n")]
+        with pytest.raises(SchemaError, match=r":3: not UTF-8 text: invalid start byte "
+                                              r"at byte 8$"):
+            next(lines)
 
     @pytest.mark.parametrize("error", [ParseError, SchemaError])
     def test_names_undecodable_bytes_as_read_input(self, tmp_path, error):

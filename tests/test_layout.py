@@ -2,10 +2,10 @@
 
 No module imports another module's ``_private`` names or reads them as
 attributes of an imported module; a helper that two modules need gets a
-public name. Only ``errors`` words the "not UTF-8" message, since its
-readers, ``read_input`` and ``read_lines``, decode every input file. The
-spec's field names are declared once, by ``DockerSpec``: no module writes
-them out as a sequence.
+public name. Only ``errors`` reads files and words the "not UTF-8" message:
+its readers, ``read_input`` and ``read_lines``, decode every input file and
+keep one line rule. The spec's field names are declared once, by
+``DockerSpec``: no module writes them out as a sequence.
 """
 
 import ast
@@ -120,6 +120,59 @@ def test_utf8_rule_flags_another_module():
         "spec_model": "text = read_input(path, ConfigError)\n",
     }
     assert utf8_message_outside_errors(sources) == ["cli"]
+
+
+def file_reads(source: str) -> list[str]:
+    """Each call in ``source`` that reads a file: ``read_text``,
+    ``read_bytes``, or ``open`` (``open(path, mode)`` or ``path.open(mode)``)
+    with a mode that is not a constant or that reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("read_text", "read_bytes"):
+            found.append(f"line {node.lineno}: {name}")
+        elif name == "open":
+            position = 1 if isinstance(func, ast.Name) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[position:position + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and "r" not in mode.value and "+" not in mode.value):
+                found.append(f"line {node.lineno}: open")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_errors_reads_files(path):
+    found = file_reads(path.read_text(encoding="utf-8"))
+    assert found != [] if path.stem == "errors" else found == []
+
+
+@pytest.mark.parametrize("source", [
+    'text = Path(path).read_text(encoding="utf-8")\n',
+    "data = path.read_bytes()\n",
+    'handle = open(path, encoding="utf-8")\n',
+    'handle = open(path, "rb")\n',
+    'handle = open(path, mode="r+")\n',
+    "handle = Path(path).open()\n",
+    "handle = open(path, mode)\n",
+])
+def test_read_rule_flags_a_read(source):
+    assert len(file_reads(source)) == 1
+
+
+@pytest.mark.parametrize("source", [
+    'handle = open(path, "w", encoding="utf-8")\n',
+    'handle = Path(path).open("w", encoding="utf-8")\n',
+    'handle = open(path, mode="ab")\n',
+    "text = read_input(path, ParseError)\n",
+    "lines = read_lines(path, SchemaError)\n",
+])
+def test_read_rule_allows_writes_and_the_readers(source):
+    assert file_reads(source) == []
 
 
 def spec_field_literals(source: str) -> list[str]:
