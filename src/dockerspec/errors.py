@@ -86,27 +86,31 @@ class ConfigError(DockerspecError):
 def _decode(data: bytes, path: str | Path, error: type[DockerspecError],
             line: int = 1, offset: int = 0) -> str:
     """``data``, from ``line`` and byte ``offset`` of ``path`` on, decoded as
-    UTF-8. Undecodable bytes raise ``error`` as ``path:line: not UTF-8 text:
-    reason at byte N``, N counted from the start of the file."""
+    UTF-8, less one byte-order mark at byte 0 of the file. Undecodable bytes
+    raise ``error`` as ``path:line: not UTF-8 text: reason at byte N``, N
+    counted from the start of the file."""
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line += data.count(b"\n", 0, exc.start)
         offset += exc.start
         raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {offset}") from exc
+    return text.removeprefix("\ufeff") if offset == 0 else text
 
 
 def read_input(path: str | Path, error: type[DockerspecError]) -> str:
-    """The text of the UTF-8 file ``path``, read whole, each ``\\r\\n`` read as
-    ``\\n``: lines break at ``\\n`` only, as in ``parse_dockerfile``. Raises
-    ``error`` on undecodable bytes (see ``_decode``); OSError propagates."""
+    """The text of the UTF-8 file ``path``, read whole without a leading
+    byte-order mark, each ``\\r\\n`` read as ``\\n``: lines break at ``\\n``
+    only, as in ``parse_dockerfile``. Raises ``error`` on undecodable bytes
+    (see ``_decode``); OSError propagates."""
     return _decode(Path(path).read_bytes(), path, error).replace("\r\n", "\n")
 
 
 def read_lines(path: str | Path, error: type[DockerspecError]) -> Iterator[tuple[int, str]]:
     """Each line of the UTF-8 file ``path``, ending at ``\\n`` only, with its
-    number from 1, decoded when reached: undecodable bytes raise ``error``
-    (see ``_decode``) after every line before them. OSError propagates."""
+    number from 1, decoded when reached, line 1 without a leading byte-order
+    mark: undecodable bytes raise ``error`` (see ``_decode``) after every
+    line before them. OSError propagates."""
     offset = 0
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):

@@ -10,10 +10,12 @@ Building, saving or loading an index does no ranking work: it checks the
 BM25 parameters and keeps the entries. The first BM25 query over the index
 builds one table of impacts, per field each term's postings' doc ids and
 score parts, pays for it, and the index keeps it for later queries. The
-TF-IDF tables (idf, document norms, weighted postings) are built on the
-first TF-IDF query over the index and reused after; a TF-IDF query never
-builds the BM25 impacts. Both assume the index's entries list is read-only
-once indexed.
+TF-IDF tables (idf, document norms, and per term its postings grouped by
+weight) are built on the first TF-IDF query over the index and reused
+after; a TF-IDF query never builds the BM25 impacts. A TF-IDF query is
+scored term at a time: each (query term, weight group) pair is one part,
+and each distinct pattern of parts that a document holds is summed once.
+Both assume the index's entries list is read-only once indexed.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ def rendered_spec_text(spec: DockerSpec) -> str:
 
 @dataclass(frozen=True)
 class TfidfTables:
-    """Smoothed idf per term, each document's vector norm, and per term the
-    (doc id, tf * idf) postings in ascending doc id."""
+    """Smoothed idf per term, each document's vector norm, and per term its
+    postings grouped by weight: one (tf * idf, ascending doc ids) pair per
+    distinct weight, in the order the weights first occur."""
     idf: dict[str, float]
     norms: list[float]
-    postings: dict[str, list[tuple[int, float]]]
+    postings: dict[str, list[tuple[float, list[int]]]]
 
 
 def _tfidf_tables(entries: list[tuple[DockerSpec, str]]) -> TfidfTables:
@@ -75,12 +78,13 @@ def _tfidf_tables(entries: list[tuple[DockerSpec, str]]) -> TfidfTables:
         df.update(counts.keys())
     idf = {term: math.log((1.0 + n) / (1.0 + d)) + 1.0 for term, d in df.items()}
     norms = []
-    postings: dict[str, list[tuple[int, float]]] = {}
+    groups: dict[str, dict[float, list[int]]] = {}
     for doc_id, counts in enumerate(doc_counts):
         weights = [(term, tf * idf[term]) for term, tf in counts.items()]
         norms.append(math.sqrt(sum(w * w for _, w in weights)))
         for term, weight in weights:
-            postings.setdefault(term, []).append((doc_id, weight))
+            groups.setdefault(term, {}).setdefault(weight, []).append(doc_id)
+    postings = {term: list(by_weight.items()) for term, by_weight in groups.items()}
     return TfidfTables(idf, norms, postings)
 
 
@@ -237,7 +241,10 @@ def vector_retrieve(spec: DockerSpec, k: int,
 
     Uses smoothed idf, ln((1+N)/(1+df)) + 1, so identical rendered specs
     always score 1.0. The tables over an index's own ``entries`` are built
-    once; over any other list, once per call.
+    once; over any other list, once per call. The query's terms are walked
+    in first-occurrence order, each document's dot product is that of the
+    distinct pattern of parts it holds, summed once per pattern, and each
+    score is then divided by the two norms per document.
     """
     if not entries:
         raise EmptyCorpus("retrieval over an empty corpus")
@@ -247,23 +254,28 @@ def vector_retrieve(spec: DockerSpec, k: int,
     query = [(term, tf * tables.idf.get(term, default))
              for term, tf in Counter(rendered_spec_text(spec).split()).items()]
     query_norm = math.sqrt(sum(w * w for _, w in query))
-    # One column per query term, in query-term order, holds each document's
-    # product for that term, or 0.0 where the document lacks it. sum() then
-    # adds a document's products in query-term order, as the dot product
-    # over the query's terms does. Adding 0.0 changes neither a plain float
-    # sum nor the compensated one of Python 3.12+, so each score equals, bit
-    # for bit, the sum of the document's products alone. Every product is at
-    # least 1.0 (tf >= 1, idf >= 1), so a zero sum means no shared term: it
-    # scores 0.0, whether or not the document's or the query's norm is 0.0.
-    columns = []
+    # Term at a time: each (query term, weight group) pair is one part, the
+    # product of the two weights, and takes the next bit; a document's
+    # pattern is the sum of the bits of the groups holding it, at most one
+    # per term. Only which parts a document holds sets its dot product, so
+    # each distinct pattern sums its parts once, in bit order: the query's
+    # first-occurrence term order, as the dot product over the query's terms
+    # adds them, so every score is the same to the last bit on any Python.
+    # Every part is at least 1.0 (tf >= 1, idf >= 1), so only the empty
+    # pattern sums to 0.0: it scores 0.0, whether or not the document's or
+    # the query's norm is 0.0.
+    patterns = [0] * n
+    parts = []
     for term, weight in query:
-        column = [0.0] * n
-        for doc_id, doc_weight in tables.postings.get(term, ()):
-            column[doc_id] = weight * doc_weight
-        columns.append(column)
-    dots = map(sum, zip(*columns)) if columns else [0.0] * n
+        for doc_weight, ids in tables.postings.get(term, ()):
+            bit = 1 << len(parts)
+            parts.append(weight * doc_weight)
+            for doc_id in ids:
+                patterns[doc_id] += bit
+    dots = {pattern: sum(part for i, part in enumerate(parts) if pattern >> i & 1)
+            for pattern in set(patterns)}
     similarities = [dot / (query_norm * norm) if dot else 0.0
-                    for dot, norm in zip(dots, tables.norms)]
+                    for dot, norm in zip(map(dots.__getitem__, patterns), tables.norms)]
     return [ScoredHit(i, similarities[i], entries[i][1]) for i in _top_k(similarities, k)]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -81,7 +82,10 @@ def load_word_list(path) -> frozenset[str]:
     return frozenset(word for word in words if word)
 
 
+@cache
 def default_word_lists() -> WordLists:
+    """The packaged OS and stop word lists, read once per process; every call
+    returns the same frozen ``WordLists``."""
     data = resources.files("dockerspec").joinpath("data")
     with resources.as_file(data.joinpath("os_words.txt")) as p:
         os_words = load_word_list(p)

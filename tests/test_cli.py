@@ -1031,6 +1031,71 @@ class TestBadInput:
         assert list(tmp_path.glob("corpus*")) == []
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """One byte-order mark at the start of any input file is ignored: each
+    reader gives the same result with the mark as without it."""
+
+    @staticmethod
+    def inputs(tmp_path):
+        """Per reader: the input file's bytes, and the argv reading it."""
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
+        index, spec_file = tmp_path / "index.bin", tmp_path / "query.json"
+        assert main(["index", "build", str(corpus), "--out", str(index)]) == 0
+        spec_file.write_text(json.dumps(spec_to_dict(SPEC)))
+        dockerfile = tmp_path / "alpine.Dockerfile"
+        dockerfile.write_text("FROM alpine:3.14\nRUN apk add --no-cache curl\n")
+        generate = ["generate", "--spec", str(spec_file), "--index", str(index)]
+        return {
+            "spec": (spec_file.read_bytes(), lambda p: ["generate", "--spec", p, "--index",
+                                                         str(index)]),
+            "corpus": (corpus.read_bytes(), lambda p: ["index", "build", p, "--out",
+                                                       str(tmp_path / "out.bin")]),
+            "index": (index.read_bytes(), lambda p: ["generate", "--spec", str(spec_file),
+                                                     "--index", p]),
+            "config": (json.dumps({"generate": {"k": 1}}).encode(),
+                       lambda p: ["--config", p] + generate),
+            # a word read as "\ufeffalpine" would not name alpine's os
+            "word-list": (b"alpine\n", lambda p: ["infer-spec", str(dockerfile),
+                                                   "--os-words", p]),
+            "manifest": (json.dumps(["a", "b"]).encode(),
+                         lambda p: ["evaluate", "layers", "--original", p,
+                                    "--generated", p]),
+        }
+
+    @pytest.mark.parametrize("reader", ["spec", "corpus", "index", "config", "word-list",
+                                        "manifest"])
+    def test_ignored_by_every_reader(self, capsys, tmp_path, reader):
+        data, argv = self.inputs(tmp_path)[reader]
+        path = tmp_path / "input"
+        results = []
+        for prefix in (b"", BOM):
+            path.write_bytes(prefix + data)
+            capsys.readouterr()
+            code, out, err = run(capsys, *argv(str(path)))
+            written = (tmp_path / "out.bin").read_bytes() if reader == "corpus" else None
+            results.append((code, out, err, written))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+        if reader == "word-list":
+            assert json.loads(results[0][1])["os"] == "alpine314"
+
+    def test_dockerfile_sha1_is_that_of_the_text_without_it(self, capsys, tmp_path):
+        original = FIXTURES / "tomcat-ffmpeg.Dockerfile"
+        sha1 = {}
+        for name, prefix in (("plain", b""), ("bom", BOM)):
+            directory = tmp_path / name
+            directory.mkdir()
+            (directory / "a.Dockerfile").write_bytes(prefix + original.read_bytes())
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["corpus", "build", str(directory), "--out", str(out)]) == 0
+            [record] = [json.loads(line) for line in out.read_text().splitlines()]
+            sha1[name] = record["sha1"]
+        assert sha1["bom"] == sha1["plain"]
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -69,6 +69,18 @@ class TestReadInput:
                                              rf"at byte {len(data) - 3}$"):
             read_input(path, ParseError)
 
+    def test_one_byte_order_mark_at_byte_zero_dropped(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes("\ufeff\ufeffa\r\n\ufeffb\n".encode())
+        assert read_input(path, ParseError) == "\ufeffa\n\ufeffb\n"
+
+    def test_bad_byte_after_byte_order_mark_counted_from_the_file_start(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\n\xff\n")
+        with pytest.raises(ParseError, match=r":2: not UTF-8 text: invalid start byte "
+                                             r"at byte 5$"):
+            read_input(path, ParseError)
+
     def test_os_error_propagates(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_input(tmp_path / "missing.txt", ParseError)
@@ -83,6 +95,11 @@ class TestReadLines:
         path.write_bytes("one\r\ncaf\u00e9 \u2028 x\ry\r\rz\n\nlast".encode())
         assert list(read_lines(path, SchemaError)) == [
             (1, "one\r\n"), (2, "caf\u00e9 \u2028 x\ry\r\rz\n"), (3, "\n"), (4, "last")]
+
+    def test_one_byte_order_mark_dropped_from_line_one_only(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes("\ufeff\ufeffone\n\ufefftwo\n".encode())
+        assert list(read_lines(path, SchemaError)) == [(1, "\ufeffone\n"), (2, "\ufefftwo\n")]
 
     def test_lines_before_undecodable_bytes_are_yielded(self, tmp_path):
         path = tmp_path / "in.txt"

@@ -305,9 +305,34 @@ class TestVectorRetrieve:
             vector_retrieve(DockerSpec(), 1, [])
 
 
-class TestTfidfColumns:
-    """``vector_retrieve`` sums each document's per-term column values; the
-    edges where a sum is empty or a norm is zero score 0.0."""
+def _tfidf_parts_case(name):
+    """Entries and queries whose (query term, weight group) parts are not one
+    per term, or are more than 64."""
+    git_twice = DockerSpec(dependencies=frozenset({"git", "git lfs"}))
+    specs = [git_twice, DockerSpec(dependencies=frozenset({"git", "vim"})),
+             DockerSpec(os="alpine", dependencies=frozenset({"lfs"})),
+             DockerSpec(dependencies=frozenset({"git lfs", "curl"})), git_twice]
+    if name == "term-twice-in-documents":
+        return specs, specs + [DockerSpec(dependencies=frozenset({"git"}))]
+    if name == "term-twice-in-query":
+        return specs, [git_twice,
+                       DockerSpec(os="git", dependencies=frozenset({"git", "git lfs"})),
+                       DockerSpec(os="vim", pkg_manager="vim", dependencies=frozenset({"vim"}))]
+    rng = random.Random(14)
+    words = [f"pkg{i}" for i in range(70)]
+    specs = [DockerSpec(dependencies=frozenset(words))]
+    for _ in range(40):
+        held = rng.sample(words, rng.randint(1, 70))
+        # a two-word dependency repeats its words: a second weight group
+        held.append(" ".join(rng.sample(words, 2)))
+        specs.append(DockerSpec(dependencies=frozenset(held)))
+    return specs, [specs[0], DockerSpec(os="pkg0", dependencies=frozenset(words + ["pkg1 x"]))]
+
+
+class TestTfidfPatterns:
+    """``vector_retrieve`` scores each distinct pattern of (query term,
+    weight group) parts once; the edges where a document holds no part or a
+    norm is zero score 0.0."""
 
     EMPTY = DockerSpec(os="", pkg_manager="")  # renders as empty text
 
@@ -336,6 +361,24 @@ class TestTfidfColumns:
         queries = [spec for spec, _ in entries] + [random_valid_spec(rng) for _ in range(10)]
         indexed = build_index(entries).entries
         for query in queries + [self.EMPTY]:
+            expected = _hits(vector_retrieve_reference(query, len(entries), entries))
+            assert _hits(vector_retrieve(query, len(entries), indexed)) == expected
+            assert _hits(vector_retrieve(query, len(entries), list(entries))) == expected
+
+    @pytest.mark.parametrize("case", ["term-twice-in-documents", "term-twice-in-query",
+                                      "over-64-parts"])
+    def test_parts_equal_reference(self, case):
+        specs, queries = _tfidf_parts_case(case)
+        entries = [(s, f"doc{i}") for i, s in enumerate(specs)]
+        indexed = build_index(entries).entries
+        postings = indexed.tfidf.postings
+        assert len(postings["git" if case != "over-64-parts" else "pkg0"]) == 2
+        for query in queries:
+            terms = Counter(rendered_spec_text(query).split())
+            if case == "term-twice-in-query":
+                assert max(terms.values()) > 1
+            if case == "over-64-parts":
+                assert sum(len(postings.get(term, ())) for term in terms) > 64
             expected = _hits(vector_retrieve_reference(query, len(entries), entries))
             assert _hits(vector_retrieve(query, len(entries), indexed)) == expected
             assert _hits(vector_retrieve(query, len(entries), list(entries))) == expected

@@ -1,9 +1,11 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dockerspec import spec_model
 from dockerspec.corpus_pipeline import CorpusEntry, cluster_by_spec
 from dockerspec.errors import SchemaError
 from dockerspec.spec_model import (
@@ -205,3 +207,22 @@ class TestWordLists:
         path = tmp_path / "words.txt"
         path.write_text("# comment line\nAlpine\n\ndebian  # trailing\n")
         assert load_word_list(path) == frozenset({"alpine", "debian"})
+
+    def test_load_word_list_ignores_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes("\ufeffalpine\ndebian\n".encode())
+        assert load_word_list(path) == frozenset({"alpine", "debian"})
+
+    def test_defaults_read_once_per_process(self, monkeypatch):
+        read = []
+        load = spec_model.load_word_list
+        monkeypatch.setattr(spec_model, "load_word_list",
+                            lambda path: read.append(path) or load(path))
+        default_word_lists.cache_clear()
+        try:
+            first = default_word_lists()
+            assert default_word_lists() is first
+            assert sorted(Path(path).name for path in read) == ["os_words.txt",
+                                                                "stop_words.txt"]
+        finally:
+            default_word_lists.cache_clear()
