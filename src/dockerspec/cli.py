@@ -227,7 +227,9 @@ def index_build(corpus, out_path, k1, b):
     The file is a header line with the BM25 parameters, then the corpus
     records, spec and dockerfile only, one per line. Loading it does no
     ranking work: the first BM25 query on a loaded index builds its table of
-    BM25 impacts, and the first TF-IDF query the TF-IDF tables.
+    BM25 impacts (per field and term, one weight and doc bitset per
+    (tf, document length) shape), and the first TF-IDF query the TF-IDF
+    tables.
     """
     re_engine.check_bm25_parameters(k1, b)
     _check_outputs(out_path)

@@ -3,19 +3,23 @@
 Specs are rendered into per-field texts and indexed; a query spec scores
 every document with Okapi BM25 summed over fields (a disjunctive,
 should-style query). A TF-IDF cosine ranking over whole rendered specs is
-provided as the lexical stand-in for an embedding-based baseline. Both rank
-with one top-k, ties going to the ascending doc id.
+provided as the lexical stand-in for an embedding-based baseline. Both
+return the top k, ties going to the ascending doc id.
 
 Building, saving or loading an index does no ranking work: it checks the
 BM25 parameters and keeps the entries. The first BM25 query over the index
-builds one table of impacts, per field each term's postings' doc ids and
-score parts, pays for it, and the index keeps it for later queries. The
-TF-IDF tables (idf, document norms, and per term its postings grouped by
-weight) are built on the first TF-IDF query over the index and reused
-after; a TF-IDF query never builds the BM25 impacts. A TF-IDF query is
-scored term at a time: each (query term, weight group) pair is one part,
-and each distinct pattern of parts that a document holds is summed once.
-Both assume the index's entries list is read-only once indexed.
+builds one table of impacts, per field each term's postings grouped by
+(tf, document length) shape into (weight, doc bitset) groups, pays for it,
+and the index keeps it for later queries. A BM25 query is a best-first
+search over classes of documents that hold the same parts so far, bounded
+by the maximum weights of the terms still to come, so it stops once no
+document left can enter the top k. The TF-IDF tables (idf, document norms,
+and per term its postings grouped by weight) are built on the first TF-IDF
+query over the index and reused after; a TF-IDF query never builds the BM25
+impacts. A TF-IDF query is scored term at a time: each (query term, weight
+group) pair is one part, and each distinct pattern of parts that a document
+holds is summed once. Both assume the index's entries list is read-only once
+indexed.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus_pipeline import read_corpus_records, record_line
@@ -98,12 +103,26 @@ class IndexedEntries(list):
         return _tfidf_tables(self)
 
 
+def _bitset(ids) -> int:
+    """The int with bit d set for each doc id d in ``ids``."""
+    bits = 0
+    for doc_id in ids:
+        bits |= 1 << doc_id
+    return bits
+
+
+# a term's BM25 postings: (weight, docs) groups, docs a bitset or ascending ids
+Bm25Groups = tuple[tuple[float, int | tuple[int, ...]], ...]
+
+
 def _bm25_impacts(entries: list[tuple[DockerSpec, str]], k1: float,
-                  b: float) -> dict[str, dict[str, tuple[list[int], list[float]]]]:
-    """Per field, each term's postings as parallel (doc ids, BM25 weights)
-    lists in ascending doc id. A weight depends on the term's idf and the
-    posting's (tf, document length) alone, so within a term it is computed
-    once per (tf, length) and equal weights share a float."""
+                  b: float) -> dict[str, dict[str, Bm25Groups]]:
+    """Per field, each term's postings grouped by shape: one (BM25 weight,
+    docs) group per distinct (tf, document length), since a weight depends on
+    the term's idf and the shape alone, highest weight first, so a term's
+    maximum weight is its first group's. ``docs`` is a bitset, bit d set for
+    doc d, or, when that would take more bytes than the ids (df * 64 < n),
+    the ascending ids."""
     n = len(entries)
     table: dict[str, dict] = {f: {} for f in SPEC_FIELDS}
     lengths: dict[str, list[int]] = {f: [] for f in SPEC_FIELDS}
@@ -119,17 +138,16 @@ def _bm25_impacts(entries: list[tuple[DockerSpec, str]], k1: float,
         for term, plist in postings.items():
             df = len(plist)
             idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            by_shape: dict[tuple[int, int], float] = {}
-            ids, weights = [], []
+            shapes: dict[tuple[int, int], list[int]] = {}
             for doc_id, tf in plist:
-                shape = (tf, field_lengths[doc_id])
-                weight = by_shape.get(shape)
-                if weight is None:
-                    norm = k1 * (1.0 - b + b * field_lengths[doc_id] / avgdl)
-                    weight = by_shape[shape] = idf * tf * (k1 + 1.0) / (tf + norm)
-                ids.append(doc_id)
-                weights.append(weight)
-            postings[term] = (ids, weights)
+                shapes.setdefault((tf, field_lengths[doc_id]), []).append(doc_id)
+            groups = []
+            for (tf, length), ids in shapes.items():
+                norm = k1 * (1.0 - b + b * length / avgdl)
+                weight = idf * tf * (k1 + 1.0) / (tf + norm)
+                groups.append((weight, tuple(ids) if len(ids) * 64 < n else _bitset(ids)))
+            groups.sort(key=itemgetter(0), reverse=True)
+            postings[term] = tuple(groups)
     return table
 
 
@@ -140,25 +158,25 @@ class RetrievalIndex:
     indexed. Its file holds the parameters and the entries (``save_index``).
     Loading does no ranking work: the first ``retrieve`` builds the BM25
     ``impacts`` of every term, the first TF-IDF query the TF-IDF tables on
-    ``entries``, and the index keeps both. They describe ``entries`` as it
-    was then, and neither takes part in ``==`` or ``repr``."""
+    ``entries``, and the index keeps both; ``doc_frequency`` is counted once
+    from the impacts when first read. They describe ``entries`` as it was
+    then, and none takes part in ``==`` or ``repr``."""
     entries: IndexedEntries
     k1: float
     b: float
 
     @cached_property
-    def impacts(self) -> dict[str, dict[str, tuple[list[int], list[float]]]]:
-        """field -> term -> (doc ids, BM25 weights), as ``_bm25_impacts``."""
+    def impacts(self) -> dict[str, dict[str, Bm25Groups]]:
+        """field -> term -> (weight, docs) groups, as ``_bm25_impacts``."""
         return _bm25_impacts(self.entries, self.k1, self.b)
 
-    @property
+    @cached_property
     def doc_frequency(self) -> dict[str, dict[str, int]]:
-        """field -> term -> number of documents holding it, read from
-        ``impacts`` (so it builds them). Kept only because the benchmark
-        harness (``perfbench/workloads.py``, ``perfbench/anchor.py``) reads
-        it; it goes when the harness counts postings itself (ROADMAP item
-        1)."""
-        return {f: {term: len(ids) for term, (ids, _) in terms.items()}
+        """field -> term -> number of documents holding it, counted once from
+        the groups of ``impacts`` (so it builds them)."""
+        return {f: {term: sum(docs.bit_count() if isinstance(docs, int) else len(docs)
+                              for _, docs in groups)
+                    for term, groups in terms.items()}
                 for f, terms in self.impacts.items()}
 
     @property
@@ -210,27 +228,99 @@ def _top_k(scores: list[float], k: int) -> list[int]:
     return heapq.nlargest(max(k, 0), range(len(scores)), key=scores.__getitem__)
 
 
+def _lowest_ids(docs: int, k: int) -> list[int]:
+    """The ids of the k lowest bits set in ``docs``, ascending. Each step
+    jumps to the lowest set bit and reads the 64 bits from there, so a step
+    costs one pass over ``docs`` and yields at least one id."""
+    ids: list[int] = []
+    base = 0
+    while docs and len(ids) < k:
+        low = (docs & -docs).bit_length() - 1
+        word = (docs >> low) & 0xFFFF_FFFF_FFFF_FFFF
+        base += low
+        while word:
+            bit = word & -word
+            ids.append(base + bit.bit_length() - 1)
+            word ^= bit
+        docs >>= low + 64
+        base += 64
+    return ids[:k]
+
+
+def _bound(partial: float, maxima: list[float]) -> float:
+    """``partial`` plus each of ``maxima`` in turn: the highest score a
+    document can reach from ``partial`` over the terms still to come."""
+    for weight in maxima:
+        partial += weight
+    return partial
+
+
 def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]:
     """Top-k documents by summed per-field BM25; ties broken by ascending id.
 
     Every field contributes independently (disjunctive query), so zero-score
     documents are still returned when k exceeds the number of scoring ones.
     The first query over an index builds the impacts of every term (see
-    ``RetrievalIndex``); each query then adds its terms' weights in field ->
-    query-term -> ascending doc id order, and a term the index lacks adds
-    nothing.
+    ``RetrievalIndex``). A query is a best-first search over classes of
+    documents. A node is (doc bitset, partial score, next query term); the
+    query's terms that the index holds are walked in field -> query-term
+    order. Splitting a node at a term gives one child per weight group that
+    it meets, scoring ``partial + weight``, and one for its documents in none
+    of them, keeping ``partial``. So each document's score is the fold from
+    0.0 of its parts in that order, as a dense sum over the postings gives
+    it, to the last bit. A node's bound folds the remaining terms' maximum
+    weights onto ``partial`` in the same order; no weight is negative and
+    float addition is monotone, so no document in it can score higher. Nodes
+    are taken highest bound first, and a node past the last term is a class
+    of equal score that gives its lowest k ids. The search stops once k ids
+    are held and the next bound is below the k-th score; an equal bound is
+    still taken, so ties go to the ascending id.
     """
     if index.size == 0:
         raise EmptyCorpus("retrieval over an empty index")
+    if k <= 0:
+        return []
     query_terms = query_terms_for(spec)
-    scores = [0.0] * index.size
+    # per query term that the index holds: its groups, sparse ids made
+    # bitsets, and their union (a sum, since a term's groups are disjoint)
+    terms, unions = [], []
     for field_name in SPEC_FIELDS:
         impacts = index.impacts[field_name]
         for term in query_terms[field_name]:
-            ids, weights = impacts.get(term, ((), ()))
-            for doc_id, weight in zip(ids, weights):
-                scores[doc_id] += weight
-    return [ScoredHit(i, scores[i], index.entries[i][1]) for i in _top_k(scores, k)]
+            groups = [(weight, docs if isinstance(docs, int) else _bitset(docs))
+                      for weight, docs in impacts.get(term, ())]
+            if groups:
+                terms.append(groups)
+                unions.append(sum(docs for _, docs in groups))
+    maxima = [groups[0][0] for groups in terms]
+    tails = [maxima[step + 1:] for step in range(len(terms))]
+    # (-bound, -next term, docs, partial): the highest bound first, the
+    # deepest node of equal bounds first; nodes' docs are disjoint, so two
+    # entries never compare their partials
+    heap = [(-_bound(0.0, maxima), 0, (1 << index.size) - 1, 0.0)]
+    held: list[tuple[float, int]] = []  # (-score, doc id); negation is exact
+    while heap:
+        if len(held) >= k and heap[0][0] > held[k - 1][0]:
+            break
+        _, step, docs, partial = heapq.heappop(heap)
+        step = -step
+        if step == len(terms):
+            held.extend((-partial, doc_id) for doc_id in _lowest_ids(docs, k))
+            continue
+        tail = tails[step]
+        matched = docs & unions[step]
+        if matched != docs:
+            heapq.heappush(heap, (-_bound(partial, tail), -step - 1, docs ^ matched, partial))
+        for weight, group in terms[step]:
+            child = matched & group
+            if child:
+                score = partial + weight
+                heapq.heappush(heap, (-_bound(score, tail), -step - 1, child, score))
+                matched ^= child
+                if not matched:
+                    break
+    held.sort()
+    return [ScoredHit(doc_id, -score, index.entries[doc_id][1]) for score, doc_id in held[:k]]
 
 
 def vector_retrieve(spec: DockerSpec, k: int,
