@@ -960,7 +960,8 @@ class TestBadInput:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [["--k1", "nan"], ["--k1", "-5"], ["--k1", "inf"],
-                                       ["--b", "7"], ["--b", "-0.1"], ["--b", "nan"]])
+                                       ["--b", "7"], ["--b", "-0.1"], ["--b", "nan"],
+                                       ["--k1", "1e308"]])
     def test_index_build_rejects_bad_bm25_parameters(self, capsys, monkeypatch, tmp_path,
                                                      flags):
         from dockerspec import corpus_pipeline
@@ -986,6 +987,7 @@ class TestBadInput:
          ":2: record must carry spec and a dockerfile string"),
         ("k1", True, ": malformed index file: k1 must be a finite number >= 0, got True"),
         ("k1", 10 ** 400, ": malformed index file: k1 must be a finite number >= 0, got 1000"),
+        ("k1", 1e308, ": malformed index file: k1 must be at most 1e+09, got 1e+308"),
         ("b", True, ": malformed index file: b must be a number in [0, 1], got True"),
     ])
     def test_generate_names_index_with_bad_records_or_parameters(self, capsys, tmp_path,
