@@ -35,10 +35,6 @@ class AdherenceReport:
 
     field_scores: dict[str, float]
 
-    @property
-    def dependency_recall(self) -> float:
-        return self.field_scores["dependencies"]
-
 
 def adherence(target: DockerSpec, obtained: DockerSpec) -> AdherenceReport:
     """Score each field 1/0 on equality; dependencies score recall

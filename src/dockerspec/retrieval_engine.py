@@ -3,24 +3,24 @@
 Specs are rendered into per-field texts and indexed; a query spec scores
 every document with Okapi BM25 summed over fields (a disjunctive,
 should-style query). A TF-IDF cosine ranking over whole rendered specs is
-provided as the lexical stand-in for an embedding-based baseline. Both
-return the top k, ties going to the ascending doc id.
+provided as the lexical stand-in for an embedding-based baseline.
 
 Building, saving or loading an index does no ranking work: it checks the
-BM25 parameters and keeps the entries. The first BM25 query over the index
-builds one table of impacts, per field each term's postings grouped by
-(tf, document length) shape into (weight, doc bitset) groups, pays for it,
-and the index keeps it for later queries. A BM25 query is a best-first
-search over classes of documents that hold the same parts so far, bounded
-by the maximum weights of the terms still to come, so it stops once no
-document left can enter the top k. The TF-IDF tables (idf, the documents
-in (norm, id) order, and per term its postings grouped by weight, as
-bitsets over that order) are built on the first TF-IDF query over the index
-and reused after; a TF-IDF query never builds the BM25 impacts. A TF-IDF
-query splits the documents into classes of one pattern of (query term,
-weight group) parts, sums each class's parts once, and merges the classes
-best first: within a class the score falls with the norm, so each class
-gives its documents in order, and it stops at the k-th. Both assume the
+BM25 parameters and keeps the entries. Each ranker builds its table on its
+first query over the index, and the index keeps it for later queries: for
+BM25, per field each term's postings grouped by (tf, document length)
+shape into (weight, docs) groups; for TF-IDF, the idf, the documents in
+(norm, id) order, and per term its postings grouped by weight over that
+order. Both encode a group's documents with ``_encode``: a bitset, or the
+ascending numbers where the bitset would take more bytes.
+
+Both rankers split the documents into classes that hold the same parts
+and take the classes best first: BM25 by an upper bound over the terms
+still to come, TF-IDF by each class's best document left, since within a
+class the score falls with the norm. Both follow one tie rule: they take
+classes while fewer than k documents are held or while the next one can
+still reach the k-th score, then ``_hits`` sorts what they hold by
+(descending score, ascending doc id) and keeps the top k. Both assume the
 index's entries list is read-only once indexed.
 """
 
@@ -37,6 +37,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter, mul
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus_pipeline import read_corpus_records, record_line
 from .errors import ConfigError, EmptyCorpus, SchemaError, read_lines
@@ -81,7 +82,7 @@ class TfidfTables:
     vector norm of document ``order[r]``; and per term its postings grouped
     by weight, one (tf * idf, docs) pair per distinct weight. ``docs`` is in
     rank space: a bitset, bit r set for document ``order[r]``, or, when that
-    would take more bytes than the ranks (df * 64 < n), the ascending ranks.
+    would take more bytes than the ranks, the ascending ranks (``_encode``).
     In rank order a document's norm never falls, so among documents of one
     dot product the score never rises, and each class of a query's pattern
     gives its best document first (see ``vector_retrieve``)."""
@@ -94,10 +95,8 @@ class TfidfTables:
 def _tfidf_tables(entries: list[tuple[DockerSpec, str]]) -> TfidfTables:
     """Tables over the entries' rendered specs; a document's weights, and the
     squares summed into its norm, follow its terms' first-occurrence order.
-    The groups are filled in rank order, keyed by tf (a term's weight is tf
-    times its idf): a sparse term's ranks are appended, and a dense term's
-    bits are set in a bytearray per weight, bit r at byte r // 8, read as
-    one little-endian int at the end."""
+    Each term's ranks are collected per tf (a term's weight is tf times its
+    idf) in rank order, then encoded once."""
     n = len(entries)
     doc_counts = [Counter(rendered_spec_text(s).split()) for s, _ in entries]
     df = Counter(chain.from_iterable(doc_counts))
@@ -107,30 +106,12 @@ def _tfidf_tables(entries: list[tuple[DockerSpec, str]]) -> TfidfTables:
         weights = list(map(mul, counts.values(), map(idf.__getitem__, counts)))
         doc_norms.append(math.sqrt(sum(map(mul, weights, weights))))
     order = sorted(range(n), key=doc_norms.__getitem__)  # stable: ties by id
-    sparse = {term: {} for term, d in df.items() if d * 64 < n}
-    dense = {term: {} for term, d in df.items() if d * 64 >= n}
-    size = (n + 7) // 8
+    postings: dict[str, dict[int, list[int]]] = {term: {} for term in df}
     for rank, doc_id in enumerate(order):
-        byte, bit = rank >> 3, 1 << (rank & 7)
         for term, tf in doc_counts[doc_id].items():
-            by_tf = dense.get(term)
-            if by_tf is None:
-                by_tf = sparse[term]
-                ranks = by_tf.get(tf)
-                if ranks is None:
-                    by_tf[tf] = [rank]
-                else:
-                    ranks.append(rank)
-            else:
-                bits = by_tf.get(tf)
-                if bits is None:
-                    bits = by_tf[tf] = bytearray(size)
-                bits[byte] |= bit
-    groups = {term: tuple((tf * idf[term], tuple(ranks)) for tf, ranks in by_tf.items())
-              for term, by_tf in sparse.items()}
-    groups.update((term, tuple((tf * idf[term], int.from_bytes(bits, "little"))
-                               for tf, bits in by_tf.items()))
-                  for term, by_tf in dense.items())
+            postings[term].setdefault(tf, []).append(rank)
+    groups = {term: tuple((tf * idf[term], _encode(ranks, n)) for tf, ranks in by_tf.items())
+              for term, by_tf in postings.items()}
     return TfidfTables(idf, order, [doc_norms[doc_id] for doc_id in order], groups)
 
 
@@ -144,12 +125,20 @@ class IndexedEntries(list):
         return _tfidf_tables(self)
 
 
-def _bitset(ids) -> int:
-    """The int with bit d set for each doc id d in ``ids``."""
-    bits = 0
-    for doc_id in ids:
-        bits |= 1 << doc_id
-    return bits
+def _bitset(ids, n: int) -> int:
+    """The int with bit d set for each d in ``ids``, all below ``n``: bit d
+    is set at byte d // 8 of a bytearray read as one little-endian int."""
+    bits = bytearray((n + 7) >> 3)
+    for i in ids:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _encode(ids: list[int], n: int) -> int | tuple[int, ...]:
+    """A group of ascending ``ids`` below ``n`` as a table keeps it: the ids
+    when a bitset would take more bytes (len(ids) * 64 < n), else the
+    bitset."""
+    return tuple(ids) if len(ids) * 64 < n else _bitset(ids, n)
 
 
 def _bm25_impacts(entries: list[tuple[DockerSpec, str]], k1: float,
@@ -158,8 +147,8 @@ def _bm25_impacts(entries: list[tuple[DockerSpec, str]], k1: float,
     docs) group per distinct (tf, document length), since a weight depends on
     the term's idf and the shape alone, highest weight first, so a term's
     maximum weight is its first group's. ``docs`` is a bitset, bit d set for
-    doc d, or, when that would take more bytes than the ids (df * 64 < n),
-    the ascending ids."""
+    doc d, or, when that would take more bytes than the ids, the ascending
+    ids (``_encode``)."""
     n = len(entries)
     table: dict[str, dict] = {f: {} for f in SPEC_FIELDS}
     lengths: dict[str, list[int]] = {f: [] for f in SPEC_FIELDS}
@@ -182,7 +171,7 @@ def _bm25_impacts(entries: list[tuple[DockerSpec, str]], k1: float,
             for (tf, length), ids in shapes.items():
                 norm = k1 * (1.0 - b + b * length / avgdl)
                 weight = idf * tf * (k1 + 1.0) / (tf + norm)
-                groups.append((weight, tuple(ids) if len(ids) * 64 < n else _bitset(ids)))
+                groups.append((weight, _encode(ids, n)))
             groups.sort(key=itemgetter(0), reverse=True)
             postings[term] = tuple(groups)
     return table
@@ -221,8 +210,7 @@ class RetrievalIndex:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class ScoredHit:
+class ScoredHit(NamedTuple):
     doc_id: int
     score: float
     dockerfile_text: str
@@ -287,10 +275,10 @@ def _set_bits(docs: int) -> Iterator[int]:
         base += 64
 
 
-def _query_groups(groups: Groups) -> tuple[list[tuple[float, int]], int]:
-    """A query term's ``groups`` with sparse docs made bitsets, and their
-    union (a sum, since a term's groups are disjoint)."""
-    bitsets = [(weight, docs if isinstance(docs, int) else _bitset(docs))
+def _query_groups(groups: Groups, n: int) -> tuple[list[tuple[float, int]], int]:
+    """A query term's ``groups`` over ``n`` documents with sparse docs made
+    bitsets, and their union (a sum, since a term's groups are disjoint)."""
+    bitsets = [(weight, docs if isinstance(docs, int) else _bitset(docs, n))
                for weight, docs in groups]
     return bitsets, sum(docs for _, docs in bitsets)
 
@@ -323,6 +311,16 @@ def _bound(partial: float, maxima: list[float]) -> float:
     return partial
 
 
+def _hits(held: list[tuple[float, int]], k: int,
+          entries: list[tuple[DockerSpec, str]]) -> list[ScoredHit]:
+    """The top k of ``held``, (-score, doc id) pairs, by descending score and
+    then ascending id. Each ranker holds, of the documents that score at
+    least its k-th score, every one that could be among the k lowest ids of
+    its score, so ties go to the ascending id."""
+    held.sort()
+    return [ScoredHit(doc_id, -score, entries[doc_id][1]) for score, doc_id in held[:k]]
+
+
 def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]:
     """Top-k documents by summed per-field BM25; ties broken by ascending id.
 
@@ -340,9 +338,9 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
     weights onto ``partial`` in the same order; no weight is negative and
     float addition is monotone, so no document in it can score higher. Nodes
     are taken highest bound first, and a node past the last term is a class
-    of equal score that gives its lowest k ids. The search stops once k ids
-    are held and the next bound is below the k-th score; an equal bound is
-    still taken, so ties go to the ascending id.
+    of equal score that gives its lowest k ids. Nodes are taken while fewer
+    than k ids are held or while the next bound reaches the k-th score, and
+    ``_hits`` gives the top k.
     """
     if index.size == 0:
         raise EmptyCorpus("retrieval over an empty index")
@@ -350,7 +348,7 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
         return []
     query_terms = query_terms_for(spec)
     # per query term that the index holds: its groups as bitsets, and their union
-    terms = [_query_groups(index.impacts[field_name][term])
+    terms = [_query_groups(index.impacts[field_name][term], index.size)
              for field_name in SPEC_FIELDS for term in query_terms[field_name]
              if term in index.impacts[field_name]]
     maxima = [groups[0][0] for groups, _ in terms]
@@ -360,9 +358,7 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
     # entries never compare their partials
     heap = [(-_bound(0.0, maxima), 0, (1 << index.size) - 1, 0.0)]
     held: list[tuple[float, int]] = []  # (-score, doc id); negation is exact
-    while heap:
-        if len(held) >= k and heap[0][0] > held[k - 1][0]:
-            break
+    while heap and (len(held) < k or heap[0][0] <= held[k - 1][0]):
         _, step, docs, partial = heapq.heappop(heap)
         step = -step
         if step == len(terms):
@@ -373,8 +369,7 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
         for child, weight in _split(docs, union, groups):
             score = partial if weight is None else partial + weight
             heapq.heappush(heap, (-_bound(score, tail), -step - 1, child, score))
-    held.sort()
-    return [ScoredHit(doc_id, -score, index.entries[doc_id][1]) for score, doc_id in held[:k]]
+    return _hits(held, k, index.entries)
 
 
 def vector_retrieve(spec: DockerSpec, k: int,
@@ -393,12 +388,12 @@ def vector_retrieve(spec: DockerSpec, k: int,
     product over the query's terms adds them, so each score is the same to
     the last bit. A document's score is its class's dot over the query's
     norm times its own, which does not rise with the rank, so a heap merges
-    the classes by their lowest ranks left and stops at the k-th hit. A
-    class's head is taken before any document of an equal score, so all
-    the documents of one score are held before the first is given, and ties
-    go to the ascending id, even where a higher id has the smaller norm.
-    Documents that hold no part score 0.0 and come last, in ascending id.
-    No per-document list is built per query.
+    the classes by their lowest ranks left. It takes them while fewer than k
+    documents are held or while the next one scores as high as the k-th,
+    and ``_hits`` gives the top k, so ties go to the ascending id even where
+    a higher id has the smaller norm. The class of documents that hold no
+    part scores 0.0 and is merged as any other. No list of every document's
+    score is built per query.
     """
     if not entries:
         raise EmptyCorpus("retrieval over an empty corpus")
@@ -419,62 +414,39 @@ def vector_retrieve(spec: DockerSpec, k: int,
     classes = [((1 << n) - 1, ())]
     for term, weight in query:
         if term in tables.groups:
-            groups, union = _query_groups(tables.groups[term])
+            groups, union = _query_groups(tables.groups[term], n)
             classes = [(child, parts if doc_weight is None else parts + (weight * doc_weight,))
                        for docs, parts in classes
                        for child, doc_weight in _split(docs, union, groups)]
-    # Merge the classes best first. Every part is at least 1.0 (tf >= 1,
-    # idf >= 1), so a class with parts scores above 0.0, and its score
-    # dot / (query_norm * norm) does not rise with the rank: its lowest rank
-    # left is its best document, its head. Entries are (-score, 0, rank,
-    # dot, ranks) for a head and (-score, 1, doc id) for a document, so a
-    # head comes before every document of an equal score. A class's first
-    # head holds its bitset, and taking it makes the iterator of the ranks
-    # after it. Taking a head puts the class's next head in its place; its
-    # document is a hit at once when no entry left holds its score, and is
-    # pushed as a document otherwise. So the documents of one score are
-    # taken only once every class's head is below it, all of them in the
-    # heap, and ties go to the ascending id.
+    # Merge the classes best first. A class's score dot / (query_norm * norm)
+    # does not rise with the rank, so its lowest rank left is its best
+    # document, its head, and heads are taken in falling score order, so
+    # held[k - 1] is the k-th score. Entries are (-score, head rank, dot,
+    # rest of the class); a rank is in one class only, so two entries never
+    # compare past it. A class's first entry holds its bitset, and taking it
+    # makes the iterator of the ranks after its head. Every part is at least
+    # 1.0 (tf >= 1, idf >= 1), so only the class with no parts has dot 0;
+    # it scores 0.0 even where a norm is 0.0.
     norms, order = tables.norms, tables.order
-    heap, zero = [], 0
+    heap = []
     for docs, parts in classes:
-        if parts:
-            dot = sum(parts)
-            rank = (docs & -docs).bit_length() - 1
-            heap.append((-(dot / (query_norm * norms[rank])), 0, rank, dot, docs))
-        else:
-            zero = docs
+        dot = sum(parts)
+        rank = (docs & -docs).bit_length() - 1
+        heap.append((-(dot / (query_norm * norms[rank])) if dot else -0.0, rank, dot, docs))
     heapq.heapify(heap)
-    ids: list[int] = []
-    scores: list[float] = []
-    while heap and len(ids) < k:
-        entry = heap[0]
-        score = entry[0]
-        if entry[1]:  # a document
+    held: list[tuple[float, int]] = []  # (-score, doc id); negation is exact
+    while heap and (len(held) < k or heap[0][0] <= held[k - 1][0]):
+        score, rank, dot, ranks = heap[0]
+        if type(ranks) is int:
+            ranks = _set_bits(ranks & ranks - 1)  # the bitset without its head
+        following = next(ranks, None)
+        if following is None:
             heapq.heappop(heap)
-            doc_id = entry[2]
         else:
-            _, _, rank, dot, ranks = entry
-            if type(ranks) is int:
-                ranks = _set_bits(ranks & ranks - 1)  # the bitset without its head
-            following = next(ranks, None)
-            if following is None:
-                heapq.heappop(heap)
-            else:
-                heapq.heapreplace(heap, (-(dot / (query_norm * norms[following])), 0,
-                                         following, dot, ranks))
-            doc_id = order[rank]
-            if heap and heap[0][0] == score:
-                heapq.heappush(heap, (score, 1, doc_id))
-                continue
-        ids.append(doc_id)
-        scores.append(-score)
-    # the documents that hold no part score 0.0, whatever their norms
-    if len(ids) < k:
-        ids += heapq.nsmallest(k - len(ids), map(order.__getitem__, _set_bits(zero)))
-        scores += [0.0] * (len(ids) - len(scores))
-    return [ScoredHit(doc_id, score, entries[doc_id][1])
-            for doc_id, score in zip(ids[:k], scores)]
+            heapq.heapreplace(heap, (-(dot / (query_norm * norms[following])) if dot else -0.0,
+                                     following, dot, ranks))
+        held.append((score, order[rank]))
+    return _hits(held, k, entries)
 
 
 def save_index(index: RetrievalIndex, path: Path) -> None:

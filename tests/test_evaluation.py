@@ -65,17 +65,17 @@ class TestAdherence:
     def test_dependency_recall(self):
         target = DockerSpec(dependencies=frozenset({"a", "b"}))
         obtained = DockerSpec(dependencies=frozenset({"a"}))
-        assert adherence(target, obtained).dependency_recall == 0.5
+        assert adherence(target, obtained).field_scores["dependencies"] == 0.5
 
     def test_empty_target_dependencies(self):
         target = DockerSpec()
         obtained = DockerSpec(dependencies=frozenset({"x", "y"}))
-        assert adherence(target, obtained).dependency_recall == 1.0
+        assert adherence(target, obtained).field_scores["dependencies"] == 1.0
 
     def test_extra_obtained_dependencies_do_not_hurt(self):
         target = DockerSpec(dependencies=frozenset({"a"}))
         obtained = DockerSpec(dependencies=frozenset({"a", "b", "c"}))
-        assert adherence(target, obtained).dependency_recall == 1.0
+        assert adherence(target, obtained).field_scores["dependencies"] == 1.0
 
     def test_scores_are_binary_outside_dependencies(self):
         target = DockerSpec(os="alpine", uses_env=True)

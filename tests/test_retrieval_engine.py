@@ -864,6 +864,34 @@ class TestTfidfSearch:
         assert kept <= 1_770_402
 
 
+def test_both_tables_encode_groups_of_one_in_64_documents_as_bitsets():
+    # 128 documents: "solo"'s one group of one document keeps its number
+    # (1 * 64 < 128), and "pair"'s one group of two, same tf and same field
+    # length, is a bitset (2 * 64 == 128), in BM25's ids and TF-IDF's ranks
+    rng = random.Random(22)
+    common = ["git", "curl", "vim", "make"]
+    entries = [(DockerSpec(os=rng.choice(["any", "alpine"]),
+                           dependencies=frozenset(rng.sample(common, rng.randint(0, 3)))),
+                f"doc{i}") for i in range(128)]
+    entries[5] = (_deps("solo"), "doc5")
+    entries[9] = (_deps("pair", "x"), "doc9")
+    entries[100] = (_deps("pair", "y"), "doc100")
+    index = build_index(entries)
+    impacts = index.impacts["dependencies"]
+    assert [docs for _, docs in impacts["solo"]] == [(5,)]
+    assert [docs for _, docs in impacts["pair"]] == [1 << 9 | 1 << 100]
+    tables = index.entries.tfidf
+    rank = tables.order.index
+    assert [docs for _, docs in tables.groups["solo"]] == [(rank(5),)]
+    assert [docs for _, docs in tables.groups["pair"]] == [1 << rank(9) | 1 << rank(100)]
+    queries = [_deps("solo", "pair"), _deps("pair", "git"), entries[9][0], entries[0][0]]
+    for query in queries + [random_valid_spec(rng) for _ in range(4)]:
+        for k in (1, 10, 128):
+            assert _top(query, index, k) == _reference_top(query, index, k)
+            assert _tfidf_top(query, index.entries, k) == \
+                _tfidf_reference_top(query, entries, k)
+
+
 class TestIndexFile:
     def test_save_load_roundtrip(self, tmp_path):
         rng = random.Random(3)
