@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .dockerfile_syntax import DockerfileDocument, Node, ast_size, build_ast, parse_dockerfile
 from .errors import (
@@ -56,25 +58,27 @@ def adherence(target: DockerSpec, obtained: DockerSpec) -> AdherenceReport:
 # tree edit distance (Zhang-Shasha, unit costs)
 
 class SubtreePairMemo:
-    """Finished tree-distance columns of ``b``'s Zhang-Shasha keyroots,
-    keyed by shapes, for distances that measure trees against one memo.
+    """Subtree-distance tables keyed by shapes, for distances that measure
+    trees against one memo.
 
     A shape id is a hash-consed ``(label code, child shape ids)``, interned
     in ``shapes``; label codes are interned in ``labels``. Two subtrees
     measured against one memo thus get one shape id exactly when they are
-    equal as labeled ordered trees. Once every keyroot of ``a`` has met a
-    keyroot of ``b``, the distances from each subtree of ``a`` to the nodes
-    on that keyroot's left path are final, and they depend only on ``a`` and
-    the keyroot's shape: ``columns`` keeps them, one list per left-path node
-    of one value per row of ``a``, under ``(a's root shape, the keyroot's
-    shape)``, and a later keyroot of that shape copies them instead of
-    filling any forest.
+    equal as labeled ordered trees, and the distance between two subtrees
+    depends only on their shapes. ``subtrees`` keeps, per shape of a root's
+    child, what a table reads of that child (``_Subtree``). ``tables`` keeps,
+    under ``(shape of a's child, shape of b's child)``, the distance from
+    every subtree of the one to every subtree of the other (``_table``), so a
+    later pair of children of those shapes, in the same trees or others,
+    reads it instead of filling any forest. The last forest table, over the
+    roots' children, is stored nowhere.
     """
 
     def __init__(self) -> None:
         self.labels: dict[str, int] = {}
         self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.columns: dict[tuple[int, int], list[list[int]]] = {}
+        self.subtrees: dict[int, _Subtree] = {}
+        self.tables: dict[tuple[int, int], list[list[int]]] = {}
 
 
 def _postorder(root: Node, memo: SubtreePairMemo
@@ -122,44 +126,26 @@ def _keyroots(leftmost: list[int]) -> list[int]:
     return sorted(last_with_leftmost.values())
 
 
-def _leaf_rows(wanted: set[int], labels: list[int], leftmost: list[int],
-               parents: list[int]) -> dict[int, list[int]]:
-    """Per label in ``wanted``, the distance from one node of that label to
-    each subtree T(y) of a post-order tree: |T(y)| - 1 + (label not in
-    T(y)), because the node can be kept as any node of T(y) and every other
-    node is inserted. Each row starts as the sizes |T(y)| and loses 1 on
-    each node with the label and its ancestors, up to the first one already
-    lowered."""
-    sizes = [y - left + 1 for y, left in enumerate(leftmost)]
-    rows = {label: sizes.copy() for label in wanted}
-    for y, label in enumerate(labels):
-        row = rows.get(label)
-        if row is not None:
-            while y >= 0 and row[y] == sizes[y]:
-                row[y] -= 1
-                y = parents[y]
-    return rows
-
-
 def _column(lj: int, j: int, labels_b: list[int], left_b: list[int]) -> tuple:
     """What a forest over ``b``'s nodes ``lj..j`` reads of ``b``, built once
     per keyroot: the nodes' bounds and labels, per node the offset of its
-    leftmost leaf, the forest columns on ``j``'s left path, and the
-    forest's first row."""
+    leftmost leaf, the forest columns on ``j``'s left path past its leaf
+    with their nodes, and the forest's first row."""
     # forest column y is node lj + y - 1; the forest left of that node's
     # subtree ends at column offsets[y - 1], which is 0 on j's left path
     offsets = [left_b[y] - lj for y in range(lj, j + 1)]
-    path_ys = [y + 1 for y, offset in enumerate(offsets) if not offset]
-    return lj, j + 1, labels_b[lj:j + 1], offsets, path_ys, list(range(j - lj + 2))
+    path = [(y + 1, lj + y) for y, offset in enumerate(offsets) if y and not offset]
+    return lj, j + 1, labels_b[lj:j + 1], offsets, path, list(range(j - lj + 2))
 
 
 def _forest(li: int, i: int, labels_a: list[int], left_a: list[int],
-            tree_dist: list[list[int]], column: tuple) -> tuple[list[list[int]], list[int]]:
+            tree_dist: list[list[int]], column: tuple) -> None:
     """Fill the forest table of ``a``'s nodes ``li..i`` against the nodes of
-    ``column``, row by row. Returns the distances between the nodes on the
-    two left paths, one list per row of ``a``'s path, and the last row."""
-    lj, stop, labels, offsets, path_ys, first_row = column
-    path_values = []
+    ``column``, row by row, and write the distances between the inner nodes
+    on the two left paths into ``tree_dist``. A row is written after it is
+    read, and a later row that shares its list (an equal shape) reads the
+    same distances there, so the writes change no cell of the forest."""
+    lj, stop, labels, offsets, path, first_row = column
     # forest[x][y]: distance between a's nodes li..li+x-1 and b's nodes
     # lj..lj+y-1; each cell is the cheapest of deleting the last node of a
     # (the row above + 1), inserting the last node of b (the cell to the
@@ -198,107 +184,278 @@ def _forest(li: int, i: int, labels_a: list[int], left_a: list[int],
                     cell = dist
                 diagonal = up
                 append(cell)
-            path_values.append([row[y] for y in path_ys])
+            if x > 1:  # row 1 is li, a leaf, whose row is the closed form
+                for y, other in path:
+                    dist_row[other] = row[y]
         forest.append(row)
         above = row
-    return path_values, above
+
+
+class _Subtree(NamedTuple):
+    """What a table reads of one child of a root, indexed from the child's
+    first post-order node: its labels, leftmost leaves, shapes and sizes;
+    per label in it, the distance from one node of that label to each of
+    its subtrees; as ``a``, the keyroots that fill forests, as (leftmost
+    leaf, keyroot); and as ``b``, its leaves, as (node, label), and the
+    ``_column`` data of its other keyroots."""
+
+    labels: list[int]
+    left: list[int]
+    shapes: list[int]
+    sizes: list[int]
+    leaf_rows: dict[int, list[int]]
+    runs: list[tuple[int, int]]
+    leaves: list[tuple[int, int]]
+    columns: list[tuple]
+
+
+def _subtree(start: int, stop: int, labels: list[int], left: list[int],
+             shapes: list[int], parents: list[int]) -> _Subtree:
+    """The ``_Subtree`` over post-order nodes ``start`` to ``stop - 1``."""
+    labels = labels[start:stop]
+    left = [x - start for x in left[start:stop]]
+    shapes = shapes[start:stop]
+    parents = [x - start for x in parents[start:stop - 1]] + [-1]
+    sizes = [y - x + 1 for y, x in enumerate(left)]
+    # |T(y)| - 1 + (label not in T(y)), because the node can be kept as any
+    # node of T(y) and every other node is inserted: each row starts as the
+    # sizes and loses 1 on each node with the label and its ancestors, up
+    # to the first one already lowered
+    leaf_rows: dict[int, list[int]] = {}
+    for y, label in enumerate(labels):
+        row = leaf_rows.get(label)
+        if row is None:
+            leaf_rows[label] = row = sizes.copy()
+        while y >= 0 and row[y] == sizes[y]:
+            row[y] -= 1
+            y = parents[y]
+    keyroots = _keyroots(left)
+    # the keyroots that fill forests: not a leaf, and a shape on no left
+    # path of an earlier one, whose forests fill the shared rows first (a
+    # shape first seen on the left path of a later keyroot does not count:
+    # its row is filled only after the forests in between read it)
+    runs = []
+    seen = set()
+    for i in keyroots:
+        li = left[i]
+        if li != i and shapes[i] not in seen:
+            seen.update(shapes[x] for x in range(li + 1, i + 1) if left[x] == li)
+            runs.append((li, i))
+    leaves = [(y, label) for y, label in enumerate(labels) if left[y] == y]
+    columns = [_column(left[j], j, labels, left) for j in keyroots if left[j] != j]
+    return _Subtree(labels, left, shapes, sizes, leaf_rows, runs, leaves, columns)
+
+
+def _table(a: _Subtree, b: _Subtree) -> list[list[int]]:
+    """The distance from every subtree of ``a`` to every subtree of ``b``,
+    one row per node of ``a``: Zhang-Shasha with every keyroot, the roots'
+    included.
+
+    ``b``'s keyroots are the outer loop and ``a``'s the inner one: a pair
+    reads only pairs inside its two subtrees with an earlier keyroot of
+    ``b``, or the same one and an earlier keyroot of ``a``. A leaf's row is
+    the closed form in ``b``'s ``leaf_rows`` (its sizes when it lacks the
+    label), shared and never written. Each distinct inner shape of ``a``
+    gets one row, shared by its nodes: its columns at ``b``'s leaves are
+    the closed form over ``a``, the others are filled by the forests of
+    ``a``'s keyroots against each inner keyroot of ``b``. A keyroot of
+    ``a`` whose shape lies on the left path of an earlier one fills no
+    forest: that keyroot's pairs already filled the rows."""
+    labels_a, left_a, shapes_a, sizes_a, leaf_rows_a, runs, _, _ = a
+    _, _, _, sizes_b, leaf_rows_b, _, leaves, columns = b
+    row_of_shape: dict[int, list[int]] = {}
+    inner = []
+    tree_dist = []
+    for x, shape in enumerate(shapes_a):
+        row = row_of_shape.get(shape)
+        if row is None:
+            if left_a[x] == x:
+                row = leaf_rows_b.get(labels_a[x], sizes_b)
+            else:
+                row = [0] * len(sizes_b)
+                inner.append((x, row))
+            row_of_shape[shape] = row
+        tree_dist.append(row)
+    for y, label in leaves:
+        values = leaf_rows_a.get(label, sizes_a)
+        for x, row in inner:
+            row[y] = values[x]
+    for column in columns:
+        for li, i in runs:
+            _forest(li, i, labels_a, left_a, tree_dist, column)
+    return tree_dist
+
+
+def _root_children(post: tuple, memo: SubtreePairMemo
+                   ) -> tuple[list[int], list[int], list[_Subtree]]:
+    """The first and the last post-order index of each child of the root,
+    in order, and each child's ``_Subtree``, built once per shape in
+    ``memo``."""
+    labels, left, shapes, parents = post
+    starts, ends = [], []
+    child = len(labels) - 2
+    while child >= 0:
+        starts.append(left[child])
+        ends.append(child)
+        child = left[child] - 1
+    starts.reverse()
+    ends.reverse()
+    subtrees = memo.subtrees
+    kids = []
+    for start, end in zip(starts, ends):
+        kid = subtrees.get(shapes[end])
+        if kid is None:
+            subtrees[shapes[end]] = kid = _subtree(start, end + 1, labels, left, shapes, parents)
+        kids.append(kid)
+    return starts, ends, kids
+
+
+def _band(width: int, delta: int) -> tuple[int, int]:
+    """The lowest and the highest diagonal t whose lower bound
+    |t| + |t - delta| is at most ``width`` (which is at least |delta|)."""
+    slack = (width - abs(delta)) // 2
+    return min(0, delta) - slack, max(0, delta) + slack
 
 
 def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) -> int:
     """Minimum number of unit-cost node insertions, deletions, and relabels
     turning ordered tree ``a`` into ``b``.
 
-    Zhang & Shasha (SIAM J. Comput. 1989). ``tree_dist[x][y]`` is the
-    distance between the subtrees of ``a``'s node ``x`` and ``b``'s node
-    ``y`` (post-order). When the two roots have equal labels, some optimal
-    mapping maps root to root (a root mapped elsewhere or not at all can be
-    remapped to the other root at no extra cost), so the distance is that
-    of the two child forests: the keyroots are those of the forests (each
-    root's first child instead of the root), ``a``'s root gets no row, no
-    pair involving a root is filled, and one last forest table over all
-    non-root nodes, stored in no memo, gives the answer. Trees whose roots
-    differ are scored the same way under two wrapper roots of one label,
-    since the distance of two one-tree forests is that of the trees.
+    Zhang & Shasha (SIAM J. Comput. 1989), filled only where an optimal
+    mapping can reach, after Ukkonen's cut-off (Inf. Control 1985). When
+    the two roots have equal labels, some optimal mapping maps root to root
+    (a root mapped elsewhere or not at all can be remapped to the other
+    root at no extra cost), so the distance d is that of the two child
+    forests, of n1 and n2 nodes. Trees whose roots differ are scored the
+    same way under two wrapper roots of one label, since the distance of
+    two one-tree forests is that of the trees.
 
-    ``b``'s keyroots are the outer loop and ``a``'s the inner one: a pair
-    reads only pairs inside its two subtrees with an earlier keyroot of
-    ``b``, or the same one and an earlier keyroot of ``a``, so once a
-    keyroot of ``b`` is done, the columns on its left path are final.
-    Subtree distances depend only on shapes, so each distinct shape of
-    ``a`` gets one row, shared by its nodes, and a keyroot of ``a`` whose
-    shape lies on the left path of an earlier keyroot is skipped: that
-    keyroot's pairs already filled the rows. A keyroot of ``b`` whose shape
-    ``memo`` (a fresh one when None) holds copies its finished columns and
-    fills no forest; otherwise each pair with it fills a forest table row
-    by row, from column data built once for the keyroot, and the columns
-    are stored. A keyroot that is a leaf gets its whole row or column in
-    closed form, from one row per distinct label built over the other tree.
+    The last forest table's cell (x, y), the first x nodes of ``a``'s
+    forest in post-order against the first y of ``b``'s, lies only on paths
+    that cost at least |t| + |t - Δ|, where t = y - x and Δ = n2 - n1: its
+    two prefixes differ in size by |t|, and the two rests by |t - Δ|. Each
+    cell of an optimal path, and each pair of subtrees it matches, thus has
+    a bound of at most d. So for any U >= d, the band of cells whose bound
+    is at most U gives d exactly, with every other cell at n1 + n2 + 1.
+
+    A cell matches a subtree of ``a``'s root child k with one of ``b``'s
+    child l: it reads the table of (k, l), every subtree of the one against
+    every subtree of the other (``_table``), which ``memo`` (a fresh one
+    when None) keeps under the two children's shapes. A pair's table is
+    computed only when its rectangle of cells meets the band, so every
+    cell of the band reads a computed one.
+
+    U is the cost of the best alignment of the two child sequences, where
+    deleting or inserting a child costs its size and matching two costs
+    their table's root distance. That is the cost of a real mapping, so
+    U >= d. The alignment first runs over the pairs that meet the band of
+    width |Δ| + 2; when it costs more than that, the band of its cost gets
+    its tables and the alignment runs once more, so the band of the final
+    U has every table it reads. Rows of the band find the tables that their
+    columns fall in by bisecting the children's spans.
     """
     memo = memo if memo is not None else SubtreePairMemo()
     if a.label != b.label:
         a, b = Node("", [a]), Node("", [b])
-    labels_a, left_a, shapes_a, parents_a = _postorder(a, memo)
-    labels_b, left_b, shapes_b, parents_b = _postorder(b, memo)
-    size_a, size_b = len(labels_a), len(labels_b)
-    keyroots_a = _keyroots(left_a[:-1])
-    keyroots_b = _keyroots(left_b[:-1])
-    rows_over_b = _leaf_rows({labels_a[i] for i in keyroots_a if left_a[i] == i},
-                             labels_b, left_b, parents_b)
-    rows_over_a = _leaf_rows({labels_b[j] for j in keyroots_b if left_b[j] == j},
-                             labels_a, left_a, parents_a)
+    post_a, post_b = _postorder(a, memo), _postorder(b, memo)
+    n1, n2 = len(post_a[0]) - 1, len(post_b[0]) - 1
+    if not n1 or not n2:
+        return n1 + n2
+    starts_a, ends_a, kids_a = _root_children(post_a, memo)
+    starts_b, ends_b, kids_b = _root_children(post_b, memo)
+    sizes_a = [len(kid.labels) for kid in kids_a]
+    sizes_b = [len(kid.labels) for kid in kids_b]
+    delta = n2 - n1
+    far = n1 + n2 + 1
+    tables = [[None] * len(kids_b) for _ in kids_a]
+    roots = [[far] * len(kids_b) for _ in kids_a]
+    stored = memo.tables
 
-    # one row per distinct shape, in the order the shapes first occur; no
-    # keyroot pair writes a leaf keyroot's row, so a leaf whose label has
-    # one takes the closed form
-    row_of_shape: dict[int, list[int]] = {}
-    tree_dist = []
-    for x in range(size_a - 1):
-        row = row_of_shape.get(shapes_a[x])
-        if row is None:
-            row = rows_over_b.get(labels_a[x]) if left_a[x] == x else None
-            row_of_shape[shapes_a[x]] = row = row if row is not None else [0] * size_b
-        tree_dist.append(row)
-    rows = list(row_of_shape.values())
+    def bound(width: int) -> int:
+        # the tables of the pairs whose rectangle meets the band: for child
+        # k, the children l of b whose last node is not left of the band at
+        # k's first row and whose first node is not right of it at k's last
+        tlo, thi = _band(width, delta)
+        for kid, start, end, row_tables, row_roots in zip(
+                kids_a, starts_a, ends_a, tables, roots):
+            for l in range(bisect_left(ends_b, start + tlo), bisect_right(starts_b, end + thi)):
+                if row_tables[l] is None:
+                    key = (kid.shapes[-1], kids_b[l].shapes[-1])
+                    table = stored.get(key)
+                    if table is None:
+                        stored[key] = table = _table(kid, kids_b[l])
+                    row_tables[l] = table
+                    row_roots[l] = table[-1][-1]
+        # then the alignment of the children: above[l] aligns the first k
+        # children of a with the first l of b
+        above = [0]
+        for size in sizes_b:
+            above.append(above[-1] + size)
+        for size_a, row_roots in zip(sizes_a, roots):
+            cell = above[0] + size_a
+            row = [cell]
+            for up, diagonal, size_b, root in zip(above[1:], above, sizes_b, row_roots):
+                cell += size_b
+                up += size_a
+                if up < cell:
+                    cell = up
+                diagonal += root
+                if diagonal < cell:
+                    cell = diagonal
+                row.append(cell)
+            above = row
+        return above[-1]
 
-    # the keyroots of a that fill forests: not a leaf, and a shape on no
-    # left path of an earlier one, whose forests fill the rows first (a
-    # shape first seen on the left path of a later keyroot does not count:
-    # its row is filled only after the forests in between read it)
-    runs = []
-    seen = set()
-    for i in keyroots_a:
-        li = left_a[i]
-        if li != i and shapes_a[i] not in seen:
-            path = [x for x in range(li, i + 1) if left_a[x] == li]
-            seen.update(shapes_a[x] for x in path)
-            runs.append((li, i, [tree_dist[x] for x in path]))
+    width = abs(delta) + 2
+    upper = bound(width)
+    if upper > width:
+        upper = bound(upper)
+    tlo, thi = _band(upper, delta)
 
-    stored_columns = memo.columns
-    for j in keyroots_b:
-        lj = left_b[j]
-        if lj == j:
-            for row, value in zip(tree_dist, rows_over_a[labels_b[j]]):
-                row[j] = value
-            continue
-        path_columns = [y for y in range(lj, j + 1) if left_b[y] == lj]
-        key = (shapes_a[-1], shapes_b[j])
-        stored = stored_columns.get(key)
-        if stored is not None:
-            for y, values in zip(path_columns, stored):
-                for row, value in zip(rows, values):
-                    row[y] = value
-            continue
-        column = _column(lj, j, labels_b, left_b)
-        for li, i, path_rows in runs:
-            # the forest reads no cell it would write, so writing them all
-            # after it is the same as writing each as its row is done
-            for dist_row, values in zip(path_rows, _forest(
-                    li, i, labels_a, left_a, tree_dist, column)[0]):
-                for y, value in zip(path_columns, values):
-                    dist_row[y] = value
-        stored_columns[key] = [[row[y] for row in rows] for y in path_columns]
-    return _forest(0, size_a - 2, labels_a, left_a, tree_dist,
-                   _column(0, size_b - 2, labels_b, left_b))[1][-1]
+    # the last forest table, as _forest fills one, but only on the band:
+    # row x holds columns x + tlo .. x + thi, and every other cell is far.
+    # Its node is in a's child k; tree_dist of node and b's node y - 1 is
+    # in the table of k and the child of b that y - 1 falls in. Matching
+    # subtrees on the two first children's left paths needs no relabelling
+    # case: that table holds their distance, and forest[0][0] is 0
+    left_a, offsets = post_a[1], post_b[1]
+    last = min(n2, thi)
+    above = list(range(last + 1)) + [far] * (n2 - last)
+    forest = [above]
+    k = 0
+    for x in range(1, n1 + 1):
+        node = x - 1
+        if node > ends_a[k]:
+            k += 1
+        lo, hi = x + tlo, min(n2, x + thi)
+        if lo <= 0:
+            row = [x]
+            cell = x
+            lo = 1
+        else:
+            row = [far] * lo
+            cell = far
+        local, row_tables = node - starts_a[k], tables[k]
+        dists = []
+        l = bisect_right(starts_b, lo - 1) - 1
+        while l < len(starts_b) and starts_b[l] < hi:
+            start = starts_b[l]
+            dists += row_tables[l][local][max(lo - 1 - start, 0):hi - start]
+            l += 1
+        before = forest[left_a[node]]
+        append = row.append
+        for q, dist, up in zip(offsets[lo - 1:hi], dists, above[lo:hi + 1]):
+            if up < cell:
+                cell = up
+            cell += 1
+            dist += before[q]
+            if dist < cell:
+                cell = dist
+            append(cell)
+        row += [far] * (n2 - hi)
+        forest.append(row)
+        above = row
+    return above[n2]
 
 
 @dataclass(frozen=True)
@@ -503,9 +660,10 @@ class PreparedTarget:
     """A target Dockerfile prepared once for every output scored against it:
     its spec, tree and BLEU reference words, or the error string of the
     parse or inference that failed. ``memo`` is shared by the tree edit
-    distances measured against this target, so an output keyroot whose
-    shape an earlier output (or an earlier keyroot of the same output) had
-    copies its finished columns; it is dropped with the target."""
+    distances measured against this target, so a pair of root children
+    whose two shapes an earlier output (or an earlier pair of the same
+    output) had reads its stored subtree table, and a child shape seen
+    before reuses its ``_Subtree``; it is dropped with the target."""
 
     words: list[str]
     spec: DockerSpec | None = None

@@ -392,8 +392,9 @@ def vector_retrieve(spec: DockerSpec, k: int,
     documents are held or while the next one scores as high as the k-th,
     and ``_hits`` gives the top k, so ties go to the ascending id even where
     a higher id has the smaller norm. The class of documents that hold no
-    part scores 0.0 and is merged as any other. No list of every document's
-    score is built per query.
+    part scores 0.0; it is merged as any other, but when it reaches the top
+    it gives its k lowest ids at once, as a BM25 leaf does. No list of every
+    document's score is built per query.
     """
     if not entries:
         raise EmptyCorpus("retrieval over an empty corpus")
@@ -437,6 +438,13 @@ def vector_retrieve(spec: DockerSpec, k: int,
     held: list[tuple[float, int]] = []  # (-score, doc id); negation is exact
     while heap and (len(held) < k or heap[0][0] <= held[k - 1][0]):
         score, rank, dot, ranks = heap[0]
+        if not dot:
+            # the class with no parts, still whole: all of it scores 0.0,
+            # so its k lowest ids are all that _hits can take of it
+            heapq.heappop(heap)
+            held.extend((score, doc_id) for doc_id in
+                        heapq.nsmallest(k, map(order.__getitem__, _set_bits(ranks))))
+            continue
         if type(ranks) is int:
             ranks = _set_bits(ranks & ranks - 1)  # the bitset without its head
         following = next(ranks, None)

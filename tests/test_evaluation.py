@@ -299,7 +299,7 @@ class TestRootLabels:
             memo = SubtreePairMemo()
             assert tree_edit_distance(x, y, memo) == zhang_shasha_reference(x, y)
             roots = {shape_id(memo, x), shape_id(memo, y)}
-            assert not roots.intersection(shape for _, shape in memo.columns)
+            assert not roots.intersection(shape for pair in memo.tables for shape in pair)
 
     def test_different_roots_are_scored_under_wrapper_roots(self):
         a = tree("r", tree("a", tree("b")), tree("c"))
@@ -307,8 +307,9 @@ class TestRootLabels:
         memo = SubtreePairMemo()
         assert tree_edit_distance(a, b, memo) == zhang_shasha_reference(a, b) == \
             tree_edit_distance(tree("w", a), tree("w", b))
-        # under the wrappers b's root is a keyroot, so its column is stored
-        assert shape_id(memo, b) in {shape for _, shape in memo.columns}
+        # under the wrappers each tree is its root's one child, so the one
+        # table stored is that of the two trees
+        assert list(memo.tables) == [(shape_id(memo, a), shape_id(memo, b))]
 
 
 def chain(length, label="a"):
@@ -423,36 +424,39 @@ class TestSubtreePairMemo:
 
     def test_repeated_pair_stores_no_new_column(self, fixture_trees):
         """A pair measured again against the same memo gives the same
-        distance and adds no memo entry."""
+        distance and adds no table and no subtree entry."""
         a = fixture_trees["merged"]
         b = edited(a, random.Random(5), 8)
         memo = SubtreePairMemo()
         first = tree_edit_distance(a, b, memo)
-        stored = len(memo.columns)
-        assert stored > 0
+        stored = (len(memo.tables), len(memo.subtrees))
+        assert stored[0] > 0
         assert tree_edit_distance(a, copy.deepcopy(b), memo) == first
-        assert len(memo.columns) == stored
+        assert (len(memo.tables), len(memo.subtrees)) == stored
 
     def test_repeated_output_fills_only_the_last_table(self, fixture_trees, monkeypatch):
-        """Every keyroot of an output measured again finds its columns in
-        the memo: the one forest filled is the child-forest table of the
-        equal roots, which no memo stores."""
-        forests = []
+        """Every pair of root children that an output measured again
+        needs finds its table in the memo: no subtree table is computed and
+        no keyroot forest is filled, only the band of the child-forest table
+        of the equal roots, which no memo stores."""
+        calls = []
 
-        def counted(*args):
-            forests.append(args[:2])
-            return forest(*args)
+        def counted(name, function):
+            def call(*args):
+                calls.append(name)
+                return function(*args)
+            return call
 
-        forest = evaluation._forest
-        monkeypatch.setattr(evaluation, "_forest", counted)
+        for name in ("_table", "_forest"):
+            monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
         a = fixture_trees["merged"]
         b = with_root_label(edited(a, random.Random(6), 8), a.label)
         memo = SubtreePairMemo()
         first = tree_edit_distance(a, b, memo)
-        assert len(forests) > 1
-        forests.clear()
+        assert calls.count("_table") > 1 and calls.count("_forest") > 1
+        calls.clear()
         assert tree_edit_distance(a, copy.deepcopy(b), memo) == first
-        assert forests == [(0, ast_size(a) - 2)]
+        assert calls == []
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
@@ -481,6 +485,86 @@ class TestSubtreePairMemo:
         # roots that the different root labels take
         assert len(memo.shapes) == 9
         assert tree_edit_distance(same[0], other, memo) == 1
+
+
+def dockerfile_like(rng, children, alphabet="abcd"):
+    """A tree shaped like ``build_ast``'s: a root of ``children`` children,
+    each a leaf or a node whose children are leaves or nodes of leaves (an
+    instruction of words, or a RUN of statements), so depth is at most 3.
+    Four labels make shapes repeat."""
+    def node(depth):
+        count = rng.randint(0, 3 if depth == 1 else 2) if depth < 3 else 0
+        return Node(rng.choice(alphabet), [node(depth + 1) for _ in range(count)])
+
+    return Node("r", [node(1) for _ in range(children)])
+
+
+class TestBand:
+    """The band of the last forest table, bounded by the alignment of the
+    roots' children, and the subtree tables it reads, against the plain
+    Zhang-Shasha and the naive recursion."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), children=st.integers(1, 30),
+           copies=st.integers(1, 3))
+    def test_dockerfile_like_trees_share_a_memo(self, seed, children, copies):
+        rng = random.Random(seed)
+        target = dockerfile_like(rng, children)
+        outputs = [edited(target, rng, rng.randint(0, 6), labels="abcd") for _ in range(copies)]
+        outputs.append(dockerfile_like(rng, rng.randint(1, 30)))
+        memo = SubtreePairMemo()
+        pairs = [(target, output) for output in outputs] + [(outputs[0], target)]
+        for a, b in rng.sample(pairs, len(pairs)):
+            distance = tree_edit_distance(a, b, memo)
+            assert distance == zhang_shasha_reference(a, b)
+            if ast_size(a) <= 7 and ast_size(b) <= 7:
+                assert distance == naive_tree_edit_distance(a, b)
+
+    @pytest.mark.parametrize("other", [
+        tree("r"), tree("r", tree("a")), tree("r", tree("a", tree("b")), tree("c")),
+        tree("s"), tree("s", tree("r"))])
+    def test_root_only_tree_on_either_side(self, other):
+        single = tree("r")
+        expected = zhang_shasha_reference(single, other)
+        assert expected == naive_tree_edit_distance(single, other)
+        memo = SubtreePairMemo()
+        assert tree_edit_distance(single, other, memo) == expected
+        assert tree_edit_distance(other, single, memo) == expected
+
+    def test_roots_of_different_labels(self):
+        a = tree("r", tree("x", tree("p")), tree("y"))
+        b = tree("s", tree("x", tree("p")), tree("y"), tree("z"))
+        assert tree_edit_distance(a, b) == zhang_shasha_reference(a, b) == 2
+        assert tree_edit_distance(b, a) == 2
+
+    def test_single_child_roots(self):
+        a = tree("r", tree("x", tree("p"), tree("q")))
+        for b, expected in ((tree("r", tree("x", tree("p"))), 1),
+                            (tree("r", tree("y", tree("q"), tree("p"))), 3),
+                            (tree("r", tree("x", tree("p"), tree("q")), tree("x")), 1)):
+            assert tree_edit_distance(a, b) == zhang_shasha_reference(a, b) == expected
+            assert tree_edit_distance(b, a) == expected
+
+    def test_alignment_bound_above_the_distance(self, monkeypatch):
+        # the best alignment of the children matches X(p, q) with p at 2
+        # and inserts q at 1, 3 in all; deleting X alone costs 1, a mapping
+        # that no alignment of whole children makes. The band of width 3
+        # still holds that mapping's path
+        a = tree("r", tree("X", tree("p"), tree("q")))
+        b = tree("r", tree("p"), tree("q"))
+        bands = []
+        band = evaluation._band
+
+        def recorded(width, delta):
+            bands.append((width, delta))
+            return band(width, delta)
+
+        monkeypatch.setattr(evaluation, "_band", recorded)
+        assert tree_edit_distance(a, b) == zhang_shasha_reference(a, b) == 1
+        assert bands[-1] == (3, -1)
+        bands.clear()
+        assert tree_edit_distance(b, a) == 1
+        assert bands[-1] == (3, 1)
 
 
 @pytest.fixture(scope="module")
@@ -512,7 +596,7 @@ class TestBenchmarkTrees:
                 assert tree_edit_distance(target, output, memo) == \
                     zhang_shasha_reference(target, output)
                 roots = {shape_id(memo, target), shape_id(memo, output)}
-                assert not roots.intersection(shape for _, shape in memo.columns)
+                assert not roots.intersection(shape for pair in memo.tables for shape in pair)
 
 
 class TestNormalizedDistance:

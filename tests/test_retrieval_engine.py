@@ -821,6 +821,25 @@ class TestTfidfSearch:
             assert [(h.doc_id, h.score) for h in hits] == [(i, 0.0) for i in range(min(k, 20))]
             assert _tfidf_top(query, entries, k) == _tfidf_reference_top(query, entries, k)
 
+    def test_zero_class_after_the_matching_documents(self):
+        # 200 documents of every norm, so the zero class is a bitset whose
+        # ranks are not its ids; "rare" is in 3 of them, so k above 3 takes
+        # the zero class's lowest ids after them, and "no-such-package" in
+        # none, so the zero class is all the query reaches
+        rng = random.Random(22)
+        entries = [(random_valid_spec(rng), f"doc{i}") for i in range(200)]
+        for i in (17, 90, 151):
+            spec = entries[i][0]
+            entries[i] = (spec._replace(dependencies=spec.dependencies | {"rare"}), f"doc{i}")
+        indexed = build_index(entries).entries
+        assert indexed.tfidf.order != sorted(indexed.tfidf.order)
+        for name in ("rare", "no-such-package"):
+            query = DockerSpec(os="plan9", pkg_manager="pacman", dependencies=frozenset({name}))
+            for k in (1, 3, 4, 10, 199, 200, 205):
+                hits = _tfidf_top(query, indexed, k)
+                assert len(hits) == min(k, 200)
+                assert hits == _tfidf_reference_top(query, entries, k)
+
     def test_sparse_and_dense_groups_over_64_documents(self):
         # 300 documents: a term in fewer than 5 documents keeps its groups'
         # ranks and the others are bitsets, so a query reads both kinds
