@@ -87,14 +87,23 @@ def _load_lists(os_words_path: str | None, stop_words_path: str | None) -> WordL
         raise ConfigError(f"bad word lists: {exc}") from exc
 
 
-def _check_config(command: click.Command, defaults, where: str) -> None:
+def _check_config(command: click.Command, defaults, path: str, names: tuple = ()) -> None:
     """Click reads the config as nested default maps: the whole file and the
-    value under each key that names a subcommand must be JSON objects."""
+    value under each key that names a subcommand must be JSON objects, and
+    every other key must name a parameter of the command it is under. The
+    top level takes subcommands only: ``--config`` is read before them."""
+    where = repr(" ".join(names)) if names else "the top level"
     if not isinstance(defaults, dict):
-        raise ConfigError(f"bad config file: {where} must hold a JSON object")
-    for name, subcommand in getattr(command, "commands", {}).items():
-        if name in defaults:
-            _check_config(subcommand, defaults[name], f"{where} key {name!r}")
+        raise ConfigError(f"{path}: bad config file: {where} must hold a JSON object")
+    subcommands = getattr(command, "commands", {})
+    params = [param.name for param in command.params] if names else []
+    for name, value in defaults.items():
+        if name in subcommands:
+            _check_config(subcommands[name], value, path, names + (name,))
+        elif name not in params:
+            accepted = ", ".join(sorted(subcommands) + sorted(params))
+            raise ConfigError(f"{path}: bad config file: unknown key {name!r} in {where};"
+                              f" accepted keys: {accepted}")
 
 
 @click.group()

@@ -61,34 +61,33 @@ class SubtreePairMemo:
     """Subtree-distance tables keyed by shapes, for distances that measure
     trees against one memo.
 
-    A shape id is a hash-consed ``(label code, child shape ids)``, interned
-    in ``shapes``; label codes are interned in ``labels``. Two subtrees
-    measured against one memo thus get one shape id exactly when they are
-    equal as labeled ordered trees, and the distance between two subtrees
-    depends only on their shapes. ``subtrees`` keeps, per shape of a root's
-    child, what a table reads of that child (``_Subtree``). ``tables`` keeps,
-    under ``(shape of a's child, shape of b's child)``, the distance from
-    every subtree of the one to every subtree of the other (``_table``), so a
-    later pair of children of those shapes, in the same trees or others,
-    reads it instead of filling any forest. The last forest table, over the
-    roots' children, is stored nowhere.
+    A shape id is a hash-consed ``(label, child shape ids)``, interned in
+    ``shapes``. Two subtrees measured against one memo thus get one shape id
+    exactly when they are equal as labeled ordered trees, and the distance
+    between two subtrees depends only on their shapes. ``subtrees`` keeps,
+    per shape of a root's child, what a table reads of that child
+    (``_Subtree``). ``tables`` keeps, under ``(shape of a's child, shape of
+    b's child)``, the distance from every subtree of the one to every
+    subtree of the other (``_table``), so a later pair of children of those
+    shapes, in the same trees or others, reads it instead of filling any
+    forest. The last forest table, over the roots' children, is stored
+    nowhere.
     """
 
     def __init__(self) -> None:
-        self.labels: dict[str, int] = {}
-        self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.shapes: dict[tuple[str, tuple[int, ...]], int] = {}
         self.subtrees: dict[int, _Subtree] = {}
         self.tables: dict[tuple[int, int], list[list[int]]] = {}
 
 
 def _postorder(root: Node, memo: SubtreePairMemo
-               ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Post-order label codes, per node the index of its leftmost leaf, per
-    node the shape id of its subtree, interned in ``memo``, and per node the
+               ) -> tuple[list[str], list[int], list[int], list[int]]:
+    """Post-order labels, per node the index of its leftmost leaf, per node
+    the shape id of its subtree, interned in ``memo``, and per node the
     index of its parent (-1 for the root). Walks with an explicit stack, so
     depth is not bounded by the recursion limit."""
-    codes, shape_ids = memo.labels, memo.shapes
-    labels: list[int] = []
+    shape_ids = memo.shapes
+    labels: list[str] = []
     leftmost: list[int] = []
     shapes: list[int] = []
     parents: list[int] = []
@@ -109,10 +108,9 @@ def _postorder(root: Node, memo: SubtreePairMemo
         del pending[first:]
         for child in children:
             parents[child] = index
-        label = codes.setdefault(node.label, len(codes))
-        labels.append(label)
+        labels.append(node.label)
         leftmost.append(leftmost[children[0]] if children else index)
-        shape = (label, tuple(shapes[child] for child in children))
+        shape = (node.label, tuple(shapes[child] for child in children))
         shapes.append(shape_ids.setdefault(shape, len(shape_ids)))
         parents.append(-1)
         pending.append(index)
@@ -126,7 +124,7 @@ def _keyroots(leftmost: list[int]) -> list[int]:
     return sorted(last_with_leftmost.values())
 
 
-def _column(lj: int, j: int, labels_b: list[int], left_b: list[int]) -> tuple:
+def _column(lj: int, j: int, labels_b: list[str], left_b: list[int]) -> tuple:
     """What a forest over ``b``'s nodes ``lj..j`` reads of ``b``, built once
     per keyroot: the nodes' bounds and labels, per node the offset of its
     leftmost leaf, the forest columns on ``j``'s left path past its leaf
@@ -138,13 +136,12 @@ def _column(lj: int, j: int, labels_b: list[int], left_b: list[int]) -> tuple:
     return lj, j + 1, labels_b[lj:j + 1], offsets, path, list(range(j - lj + 2))
 
 
-def _forest(li: int, i: int, labels_a: list[int], left_a: list[int],
+def _forest(li: int, i: int, labels_a: list[str], left_a: list[int],
             tree_dist: list[list[int]], column: tuple) -> None:
     """Fill the forest table of ``a``'s nodes ``li..i`` against the nodes of
     ``column``, row by row, and write the distances between the inner nodes
     on the two left paths into ``tree_dist``. A row is written after it is
-    read, and a later row that shares its list (an equal shape) reads the
-    same distances there, so the writes change no cell of the forest."""
+    read, so the writes change no cell of the forest."""
     lj, stop, labels, offsets, path, first_row = column
     # forest[x][y]: distance between a's nodes li..li+x-1 and b's nodes
     # lj..lj+y-1; each cell is the cheapest of deleting the last node of a
@@ -193,35 +190,32 @@ def _forest(li: int, i: int, labels_a: list[int], left_a: list[int],
 
 class _Subtree(NamedTuple):
     """What a table reads of one child of a root, indexed from the child's
-    first post-order node: its labels, leftmost leaves, shapes and sizes;
-    per label in it, the distance from one node of that label to each of
-    its subtrees; as ``a``, the keyroots that fill forests, as (leftmost
-    leaf, keyroot); and as ``b``, its leaves, as (node, label), and the
-    ``_column`` data of its other keyroots."""
+    first post-order node: its labels, leftmost leaves and sizes; per label
+    in it, the distance from one node of that label to each of its
+    subtrees; its shape id; its leaves, as (node, label); and the
+    ``_column`` data of its inner keyroots, each starting (leftmost leaf, keyroot + 1)."""
 
-    labels: list[int]
+    labels: list[str]
     left: list[int]
-    shapes: list[int]
     sizes: list[int]
-    leaf_rows: dict[int, list[int]]
-    runs: list[tuple[int, int]]
-    leaves: list[tuple[int, int]]
+    leaf_rows: dict[str, list[int]]
+    shape: int
+    leaves: list[tuple[int, str]]
     columns: list[tuple]
 
 
-def _subtree(start: int, stop: int, labels: list[int], left: list[int],
-             shapes: list[int], parents: list[int]) -> _Subtree:
+def _subtree(start: int, stop: int, labels: list[str], left: list[int],
+             parents: list[int], shape: int) -> _Subtree:
     """The ``_Subtree`` over post-order nodes ``start`` to ``stop - 1``."""
     labels = labels[start:stop]
     left = [x - start for x in left[start:stop]]
-    shapes = shapes[start:stop]
     parents = [x - start for x in parents[start:stop - 1]] + [-1]
     sizes = [y - x + 1 for y, x in enumerate(left)]
     # |T(y)| - 1 + (label not in T(y)), because the node can be kept as any
     # node of T(y) and every other node is inserted: each row starts as the
     # sizes and loses 1 on each node with the label and its ancestors, up
     # to the first one already lowered
-    leaf_rows: dict[int, list[int]] = {}
+    leaf_rows: dict[str, list[int]] = {}
     for y, label in enumerate(labels):
         row = leaf_rows.get(label)
         if row is None:
@@ -229,21 +223,9 @@ def _subtree(start: int, stop: int, labels: list[int], left: list[int],
         while y >= 0 and row[y] == sizes[y]:
             row[y] -= 1
             y = parents[y]
-    keyroots = _keyroots(left)
-    # the keyroots that fill forests: not a leaf, and a shape on no left
-    # path of an earlier one, whose forests fill the shared rows first (a
-    # shape first seen on the left path of a later keyroot does not count:
-    # its row is filled only after the forests in between read it)
-    runs = []
-    seen = set()
-    for i in keyroots:
-        li = left[i]
-        if li != i and shapes[i] not in seen:
-            seen.update(shapes[x] for x in range(li + 1, i + 1) if left[x] == li)
-            runs.append((li, i))
     leaves = [(y, label) for y, label in enumerate(labels) if left[y] == y]
-    columns = [_column(left[j], j, labels, left) for j in keyroots if left[j] != j]
-    return _Subtree(labels, left, shapes, sizes, leaf_rows, runs, leaves, columns)
+    columns = [_column(left[j], j, labels, left) for j in _keyroots(left) if left[j] != j]
+    return _Subtree(labels, left, sizes, leaf_rows, shape, leaves, columns)
 
 
 def _table(a: _Subtree, b: _Subtree) -> list[list[int]]:
@@ -255,33 +237,28 @@ def _table(a: _Subtree, b: _Subtree) -> list[list[int]]:
     reads only pairs inside its two subtrees with an earlier keyroot of
     ``b``, or the same one and an earlier keyroot of ``a``. A leaf's row is
     the closed form in ``b``'s ``leaf_rows`` (its sizes when it lacks the
-    label), shared and never written. Each distinct inner shape of ``a``
-    gets one row, shared by its nodes: its columns at ``b``'s leaves are
-    the closed form over ``a``, the others are filled by the forests of
-    ``a``'s keyroots against each inner keyroot of ``b``. A keyroot of
-    ``a`` whose shape lies on the left path of an earlier one fills no
-    forest: that keyroot's pairs already filled the rows."""
-    labels_a, left_a, shapes_a, sizes_a, leaf_rows_a, runs, _, _ = a
-    _, _, _, sizes_b, leaf_rows_b, _, leaves, columns = b
-    row_of_shape: dict[int, list[int]] = {}
+    label), shared and never written. Each inner node of ``a`` gets a row
+    of its own: its columns at ``b``'s leaves are the closed form over
+    ``a``, the others are filled by the forests of each inner keyroot of
+    ``a`` against each inner keyroot of ``b``."""
+    labels_a, left_a, sizes_a, leaf_rows_a, _, _, columns_a = a
+    _, _, sizes_b, leaf_rows_b, _, leaves, columns = b
+    keyroots = [(column[0], column[1] - 1) for column in columns_a]
     inner = []
     tree_dist = []
-    for x, shape in enumerate(shapes_a):
-        row = row_of_shape.get(shape)
-        if row is None:
-            if left_a[x] == x:
-                row = leaf_rows_b.get(labels_a[x], sizes_b)
-            else:
-                row = [0] * len(sizes_b)
-                inner.append((x, row))
-            row_of_shape[shape] = row
+    for x, label in enumerate(labels_a):
+        if left_a[x] == x:
+            row = leaf_rows_b.get(label, sizes_b)
+        else:
+            row = [0] * len(sizes_b)
+            inner.append((x, row))
         tree_dist.append(row)
     for y, label in leaves:
         values = leaf_rows_a.get(label, sizes_a)
         for x, row in inner:
             row[y] = values[x]
     for column in columns:
-        for li, i in runs:
+        for li, i in keyroots:
             _forest(li, i, labels_a, left_a, tree_dist, column)
     return tree_dist
 
@@ -303,10 +280,10 @@ def _root_children(post: tuple, memo: SubtreePairMemo
     subtrees = memo.subtrees
     kids = []
     for start, end in zip(starts, ends):
-        kid = subtrees.get(shapes[end])
-        if kid is None:
-            subtrees[shapes[end]] = kid = _subtree(start, end + 1, labels, left, shapes, parents)
-        kids.append(kid)
+        shape = shapes[end]
+        if shape not in subtrees:
+            subtrees[shape] = _subtree(start, end + 1, labels, left, parents, shape)
+        kids.append(subtrees[shape])
     return starts, ends, kids
 
 
@@ -380,7 +357,7 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
                 kids_a, starts_a, ends_a, tables, roots):
             for l in range(bisect_left(ends_b, start + tlo), bisect_right(starts_b, end + thi)):
                 if row_tables[l] is None:
-                    key = (kid.shapes[-1], kids_b[l].shapes[-1])
+                    key = (kid.shape, kids_b[l].shape)
                     table = stored.get(key)
                     if table is None:
                         stored[key] = table = _table(kid, kids_b[l])

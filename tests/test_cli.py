@@ -1133,6 +1133,26 @@ class TestUsage:
         assert code == 0
         assert json.loads(stdout)["seed"] == 5
 
+    @pytest.mark.parametrize("config,key,where,accepted", [
+        ({"corpus": {"build": {"max-tokens": 3}}}, "max-tokens", "'corpus build'",
+         "directory, max_tokens, os_words_path, out_path, seed, stop_words_path"),
+        ({"corpus": {"build": {"seed": 7, "seeed": 1}}}, "seeed", "'corpus build'",
+         "directory, max_tokens, os_words_path, out_path, seed, stop_words_path"),
+        ({"corpus": {}, "generat": {"k": 1}}, "generat", "the top level",
+         "corpus, evaluate, generate, index, infer-spec, parse"),
+    ])
+    def test_config_key_that_names_no_option(self, capsys, corpus_dir, tmp_path,
+                                             config, key, where, accepted):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "corpus.jsonl"
+        code, stdout, err = run(capsys, "--config", str(path), "corpus", "build",
+                                str(corpus_dir), "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == (f"error: {path}: bad config file: unknown key {key!r} in {where};"
+                       f" accepted keys: {accepted}\n")
+        assert not out.exists()
+
 
 # Dockerfile-shaped bytes for the CLI fuzz test, beside arbitrary bytes
 _LINES = st.sampled_from([

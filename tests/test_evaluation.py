@@ -248,8 +248,7 @@ class TestTreeEditDistanceExactness:
 
 def shape_id(memo, node):
     """The shape id that ``memo`` interned for the subtree of ``node``."""
-    return memo.shapes[memo.labels[node.label],
-                       tuple(shape_id(memo, child) for child in node.children)]
+    return memo.shapes[node.label, tuple(shape_id(memo, child) for child in node.children)]
 
 
 def with_root_label(node, label):
@@ -340,11 +339,9 @@ class TestDeepTrees:
 
 
 class TestSkippedKeyroots:
-    """A keyroot of ``a`` is skipped when its shape lies on the left path
-    of an earlier keyroot, whose pairs fill the shared rows first. A shape
-    first seen on the left path of a later keyroot must not skip one: its
-    rows are filled only after the forests of the keyroots between read
-    them."""
+    """Trees in which one shape lies on the left path of an earlier
+    keyroot and is again a keyroot off a later left path, scored both ways
+    against ``zhang_shasha_reference``."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), alphabet=st.sampled_from(["a", "ab", "abc"]),
@@ -932,6 +929,20 @@ class TestEvaluateRun:
             pytest.approx(sum(expected_distances) / 3)
         expected_bleu = [bleu4(g.split(), t.split()) for t, g in pairs]
         assert report.bleu_mean == pytest.approx(sum(expected_bleu) / 3)
+
+    def test_readme_library_example(self, tmp_path, monkeypatch):
+        # README's python block, run where it expects app.Dockerfile: the
+        # file retrieves itself, so its one pair is at distance 0
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        code = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "app.Dockerfile").write_bytes(
+            (FIXTURES / "tomcat-ffmpeg.Dockerfile").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        report = namespace["report"]
+        assert (report.evaluated_pairs, report.failed_pairs) == (1, 0)
+        assert report.pair_results[0].distance.raw_distance == 0
 
 
 class TestCompareSystems:
