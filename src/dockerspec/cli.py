@@ -242,6 +242,10 @@ def index_build(corpus, out_path, k1, b):
     """
     re_engine.check_bm25_parameters(k1, b)
     _check_outputs(out_path)
+    # writing the index over its own corpus would lose the corpus's records
+    if os.path.exists(out_path) and os.path.samefile(corpus, out_path):
+        raise ConfigError(f"--out {out_path} is the corpus file {corpus}; "
+                          "write the index to another path")
     # one record at a time: only the entries are kept, and nothing is
     # written until every record has been read and checked
     index = re_engine.build_index(list(cp.read_corpus_records(Path(corpus))), k1=k1, b=b)

@@ -71,13 +71,17 @@ class SubtreePairMemo:
     subtree of the other (``_table``), so a later pair of children of those
     shapes, in the same trees or others, reads it instead of filling any
     forest. The last forest table, over the roots' children, is stored
-    nowhere.
+    nowhere. ``walked`` keeps the last ``a`` tree walked and its
+    ``_postorder``, so that a target measured against several outputs is
+    walked once; it is reused only for that same object, which must not
+    change while it is measured against the memo.
     """
 
     def __init__(self) -> None:
         self.shapes: dict[tuple[str, tuple[int, ...]], int] = {}
         self.subtrees: dict[int, _Subtree] = {}
         self.tables: dict[tuple[int, int], list[list[int]]] = {}
+        self.walked: tuple[Node, tuple] | None = None
 
 
 def _postorder(root: Node, memo: SubtreePairMemo
@@ -334,7 +338,12 @@ def tree_edit_distance(a: Node, b: Node, memo: SubtreePairMemo | None = None) ->
     memo = memo if memo is not None else SubtreePairMemo()
     if a.label != b.label:
         a, b = Node("", [a]), Node("", [b])
-    post_a, post_b = _postorder(a, memo), _postorder(b, memo)
+    if memo.walked is not None and memo.walked[0] is a:
+        post_a = memo.walked[1]
+    else:
+        post_a = _postorder(a, memo)
+        memo.walked = (a, post_a)
+    post_b = _postorder(b, memo)
     n1, n2 = len(post_a[0]) - 1, len(post_b[0]) - 1
     if not n1 or not n2:
         return n1 + n2
@@ -639,8 +648,9 @@ class PreparedTarget:
     parse or inference that failed. ``memo`` is shared by the tree edit
     distances measured against this target, so a pair of root children
     whose two shapes an earlier output (or an earlier pair of the same
-    output) had reads its stored subtree table, and a child shape seen
-    before reuses its ``_Subtree``; it is dropped with the target."""
+    output) had reads its stored subtree table, a child shape seen before
+    reuses its ``_Subtree``, and the target's tree is walked once
+    (``SubtreePairMemo.walked``); it is dropped with the target."""
 
     words: list[str]
     spec: DockerSpec | None = None

@@ -15,13 +15,17 @@ order. Both encode a group's documents with ``_encode``: a bitset, or the
 ascending numbers where the bitset would take more bytes.
 
 Both rankers split the documents into classes that hold the same parts
-and take the classes best first: BM25 by an upper bound over the terms
-still to come, TF-IDF by each class's best document left, since within a
-class the score falls with the norm. Both follow one tie rule: they take
-classes while fewer than k documents are held or while the next one can
-still reach the k-th score, then ``_hits`` sorts what they hold by
-(descending score, ascending doc id) and keeps the top k. Both assume the
-index's entries list is read-only once indexed.
+and take the classes best first. BM25 splits at the query's terms in
+falling order of maximum weight and takes its nodes by an upper bound over
+the terms still to come, widened by a slack that covers the rounding of
+adding the parts in that order; a class past the last term is scored by
+adding its parts in field -> query-term order, as a dense sum does, and is
+taken under that exact score. TF-IDF takes each class by its best document
+left, since within a class the score falls with the norm. Both follow one
+tie rule: they take classes while fewer than k documents are held or while
+the next one can still reach the k-th score, then ``_hits`` sorts what they
+hold by (descending score, ascending doc id) and keeps the top k. Both
+assume the index's entries list is read-only once indexed.
 """
 
 from __future__ import annotations
@@ -303,12 +307,23 @@ def _split(docs: int, union: int,
     return split
 
 
-def _bound(partial: float, maxima: list[float]) -> float:
-    """``partial`` plus each of ``maxima`` in turn: the highest score a
-    document can reach from ``partial`` over the terms still to come."""
-    for weight in maxima:
-        partial += weight
-    return partial
+# a node's decided parts, latest first: (canonical term position, weight,
+# the parts decided before it), or None when it holds none
+Parts = tuple[int, float, "Parts"] | None
+
+
+def _canonical_score(parts: Parts) -> float:
+    """The fold from 0.0 of ``parts`` in canonical term order (field ->
+    query term), as ``bm25_scores_reference`` adds them: the exact score."""
+    chain = []
+    while parts is not None:
+        position, weight, parts = parts
+        chain.append((position, weight))
+    chain.sort()  # positions are distinct, so weights never compare
+    score = 0.0
+    for _, weight in chain:
+        score += weight
+    return score
 
 
 def _hits(held: list[tuple[float, int]], k: int,
@@ -328,47 +343,98 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
     documents are still returned when k exceeds the number of scoring ones.
     The first query over an index builds the impacts of every term (see
     ``RetrievalIndex``). A query is a best-first search over classes of
-    documents. A node is (doc bitset, partial score, next query term); the
-    query's terms that the index holds are walked in field -> query-term
-    order. Splitting a node at a term gives one child per weight group that
-    it meets, scoring ``partial + weight``, and one for its documents in none
-    of them, keeping ``partial``. So each document's score is the fold from
-    0.0 of its parts in that order, as a dense sum over the postings gives
-    it, to the last bit. A node's bound folds the remaining terms' maximum
-    weights onto ``partial`` in the same order; no weight is negative and
-    float addition is monotone, so no document in it can score higher. Nodes
-    are taken highest bound first, and a node past the last term is a class
-    of equal score that gives its lowest k ids. Nodes are taken while fewer
-    than k ids are held or while the next bound reaches the k-th score, and
-    ``_hits`` gives the top k.
+    documents. A document's score is the fold from 0.0 of its parts in
+    canonical order, field -> query term, as a dense sum over the postings
+    gives it; its parts are the weights of the query's terms that the index
+    holds, one per term whose postings hold the document.
+
+    The search takes those terms in another order: falling maximum weight,
+    ties in canonical order, so that the first splits are at the terms that
+    separate scores most (MaxScore: Turtle & Flood, IP&M 1995). A node is
+    (doc bitset, search-order partial, chain of its decided (canonical
+    position, weight) parts, next search step). Splitting it at a term gives
+    one child per weight group that it meets, adding the weight to the
+    partial and the part to the chain, and one child for its documents in
+    none of them, keeping both. Its key is ``B * slack``: B is the partial
+    plus the sum of the remaining terms' maximum weights, and slack is
+    ``1 + (T + 2) * 2**-50`` for the query's T terms.
+
+    The key is at least the canonical score of any document in the node.
+    Let u = 2**-53. Adding m >= 1 non-negative floats in any order, each
+    addition rounded to nearest, gives their exact sum S times a factor in
+    [(1 - u)**(m-1), (1 + u)**(m-1)]: each summand passes through at most
+    m - 1 additions, and each scales it by some 1 + d with |d| <= u. A
+    document in the node has the node's decided parts and, for each term
+    still to come, no part or one of at most that term's maximum, so its
+    parts' exact sum is at most Q, the exact sum of the decided parts and
+    the remaining maxima. Both sums have at most T summands, so the
+    document's canonical score is at most (1 + u)**(T-1) * Q, and
+    B >= (1 - u)**(T-1) * Q. The slack is exact, 1 + 8 * (T + 2) * u (it is
+    4 * (T + 2) ulps of 1.0, for T + 2 < 2**50), and the rounded product is
+    at least (1 - u) * B * slack, so the key is at least
+    (1 - u)**T * (1 + 8 * (T + 2) * u) * Q, above (1 + u)**(T-1) * Q for
+    any T below 2**40. The rounding bounds hold for normal floats: a weight
+    is at least idf / (1 + norm), with idf >= 0.5 / (n + 1) and norm below
+    2**94 under ``check_bm25_parameters``, far above the least normal float.
+
+    Nodes are taken highest key first, the deepest of equal keys first. A
+    node past the last term is a class of equal score: the first time it is
+    taken its score is its chain's canonical fold (``_canonical_score``),
+    and it goes back onto the heap under that exact score, unless the score
+    already reaches the highest key left, when it is held at once. A class
+    taken under its exact score holds its lowest k ids, and as every key
+    bounds its documents' scores, classes are held in falling exact score.
+    Nodes are taken while fewer than k ids are held or while the next key
+    reaches the k-th score, and ``_hits`` gives the top k.
     """
     if index.size == 0:
         raise EmptyCorpus("retrieval over an empty index")
     if k <= 0:
         return []
     query_terms = query_terms_for(spec)
-    # per query term that the index holds: its groups as bitsets, and their union
+    # per query term that the index holds, in canonical order: its groups
+    # as bitsets, and their union
     terms = [_query_groups(index.impacts[field_name][term], index.size)
              for field_name in SPEC_FIELDS for term in query_terms[field_name]
              if term in index.impacts[field_name]]
-    maxima = [groups[0][0] for groups, _ in terms]
-    tails = [maxima[step + 1:] for step in range(len(terms))]
-    # (-bound, -next term, docs, partial): the highest bound first, the
-    # deepest node of equal bounds first; nodes' docs are disjoint, so two
-    # entries never compare their partials
-    heap = [(-_bound(0.0, maxima), 0, (1 << index.size) - 1, 0.0)]
+    # canonical positions in search order: falling maximum, ties by position
+    order = sorted(range(len(terms)), key=lambda position: -terms[position][0][0][0])
+    # rest[step]: the sum of the maxima of the terms from step on
+    rest = [0.0]
+    for position in reversed(order):
+        rest.append(terms[position][0][0][0] + rest[-1])
+    rest.reverse()
+    slack = 1.0 + (len(terms) + 2) * 2.0 ** -50
+    last = len(terms)
+    # (-key, -next step, docs, partial, parts): a class held under its
+    # exact score has step last + 1, partial its score and no parts; nodes'
+    # docs are disjoint, so two entries never compare past them
+    heap = [(-rest[0] * slack, 0, (1 << index.size) - 1, 0.0, None)]
     held: list[tuple[float, int]] = []  # (-score, doc id); negation is exact
     while heap and (len(held) < k or heap[0][0] <= held[k - 1][0]):
-        _, step, docs, partial = heapq.heappop(heap)
+        _, step, docs, partial, parts = heapq.heappop(heap)
         step = -step
-        if step == len(terms):
+        if step == last:
+            # first taken: back under its exact score, or held at once when
+            # that score reaches every key left
+            partial = _canonical_score(parts)
+            if heap and -partial > heap[0][0]:
+                heapq.heappush(heap, (-partial, -last - 1, docs, partial, None))
+                continue
+            step += 1
+        if step > last:
             held.extend((-partial, doc_id) for doc_id in islice(_set_bits(docs), k))
             continue
-        tail = tails[step]
-        groups, union = terms[step]
+        position = order[step]
+        groups, union = terms[position]
+        tail = rest[step + 1]
         for child, weight in _split(docs, union, groups):
-            score = partial if weight is None else partial + weight
-            heapq.heappush(heap, (-_bound(score, tail), -step - 1, child, score))
+            if weight is None:
+                child_partial, child_parts = partial, parts
+            else:
+                child_partial, child_parts = partial + weight, (position, weight, parts)
+            heapq.heappush(heap, (-(child_partial + tail) * slack, -step - 1,
+                                  child, child_partial, child_parts))
     return _hits(held, k, index.entries)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -977,6 +978,36 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(f"error: {flags[0][2:]} must be a") and err.count("\n") == 1
         assert not index.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("out", ["c.jsonl", "./c.jsonl", "../dir/c.jsonl", "symlink",
+                                     "hard link"])
+    def test_index_build_refuses_to_write_over_its_corpus(self, capsys, monkeypatch, tmp_path,
+                                                          out):
+        from dockerspec import corpus_pipeline
+
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        corpus = write_corpus(directory / "c.jsonl")
+        corpus.write_text(corpus.read_text() * 20)
+        before = corpus.read_bytes()
+        monkeypatch.chdir(directory)
+        if out == "symlink":
+            out = "link.jsonl"
+            Path(out).symlink_to(corpus)
+        elif out == "hard link":
+            out = "hard.jsonl"
+            os.link(corpus, out)
+        # refused before any record is read
+        calls = []
+        monkeypatch.setattr(corpus_pipeline, "read_corpus_records",
+                            lambda *args: calls.append(args))
+        code, stdout, err = run(capsys, "index", "build", "c.jsonl", "--out", out)
+        assert code == 3
+        assert stdout == ""
+        assert err == (f"error: --out {out} is the corpus file c.jsonl; "
+                       "write the index to another path\n")
+        assert corpus.read_bytes() == before
         assert calls == []
 
     @pytest.mark.parametrize("method", ["bm25", "tfidf"])

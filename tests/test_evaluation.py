@@ -391,6 +391,36 @@ class TestSubtreePairMemo:
             if ast_size(a) <= 7 and ast_size(b) <= 7:
                 assert distance == naive_tree_edit_distance(a, b)
 
+    def test_target_walked_once_for_its_outputs(self, monkeypatch, word_lists,
+                                                tomcat_ffmpeg_text):
+        walks = []
+        postorder = evaluation._postorder
+
+        def counting(root, memo):
+            walks.append(root)
+            return postorder(root, memo)
+
+        monkeypatch.setattr(evaluation, "_postorder", counting)
+        target = prepare_target(tomcat_ffmpeg_text, word_lists)
+        outputs = [GENERATED_GOOD, GENERATED_PARTIAL]
+        results = [evaluate_pair(n, target, text, word_lists) for n, text in enumerate(outputs)]
+        # the target once, then each output
+        assert len(walks) == 3
+        assert walks[0] is target.tree
+        assert all(walk is not target.tree for walk in walks[1:])
+        for result, text in zip(results, outputs):
+            assert result.error is None
+            assert result.distance == normalized_distance(
+                target.tree, build_ast(parse_dockerfile(text)))
+        # roots of differing labels are measured under wrapper roots, built
+        # anew for each distance, so the target is walked again
+        memo, other = SubtreePairMemo(), Node("other", [Node("x")])
+        walks.clear()
+        for _ in range(2):
+            assert tree_edit_distance(target.tree, other, memo) == \
+                zhang_shasha_reference(target.tree, other)
+        assert len(walks) == 4
+
     def test_memo_shared_across_unrelated_targets(self, fixture_trees):
         rng = random.Random(3)
         first, second = fixture_trees["tomcat-ffmpeg"], random_tree(rng, 60, "ab")

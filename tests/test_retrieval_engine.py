@@ -747,6 +747,94 @@ class TestBm25Search:
         assert kept <= 1_478_907
 
 
+def _held_scores(query, index, k):
+    """``retrieve``'s top k as ``_top`` gives it, and the scores of what the
+    search held, in the order it held them."""
+    held = []
+    original = retrieval_engine._hits
+
+    def recording(pairs, *args):
+        held.extend(-score for score, _ in pairs)
+        return original(pairs, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval_engine, "_hits", recording)
+        return _top(query, index, k), held
+
+
+def _search_maxima(query, index):
+    """The query's indexed terms' maximum weights, in canonical order."""
+    terms = query_terms_for(query)
+    return [index.impacts[f][t][0][0] for f in SPEC_FIELDS for t in terms[f]
+            if t in index.impacts[f]]
+
+
+# "p" and "q" come with twins of the same postings, so their maxima tie to
+# the bit; the other dependencies' document frequencies differ by a few, so
+# their maxima nearly tie. A dependency's maximum is above that of a common
+# os or pkg_manager, which canonical order takes first
+_TWINNED_SPECS = st.builds(
+    DockerSpec,
+    os=st.sampled_from(["any", "alpine"]), pkg_manager=st.sampled_from(["any", "apt"]),
+    dependencies=st.frozensets(st.sampled_from(["p", "q", "r", "s", "t"]), max_size=4).map(
+        lambda deps: deps | {f"{d}-twin" for d in deps & {"p", "q"}}),
+    **{name: st.booleans() for name in FLAG_FIELDS})
+
+
+class TestSearchOrder:
+    """``retrieve`` splits at the highest maximum first but scores each
+    class in canonical order: every score equals the reference to the bit,
+    and classes are held in falling exact score."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=st.lists(_TWINNED_SPECS, min_size=2, max_size=24),
+           queries=st.lists(_TWINNED_SPECS, min_size=1, max_size=4),
+           k1=st.sampled_from([0.0, 1.2, 100.0]), b=st.sampled_from([0.0, 0.75, 1.0]))
+    def test_tied_and_near_tied_maxima_equal_reference(self, specs, queries, k1, b):
+        index = build_index([(s, f"doc{i}") for i, s in enumerate(specs)], k1=k1, b=b)
+        for query in queries:
+            for k in (1, 3, index.size):
+                top, held = _held_scores(query, index, k)
+                assert top == _reference_top(query, index, k)
+                assert held == sorted(held, reverse=True)
+
+    def test_twinned_specs_reorder_and_tie_the_terms(self):
+        # what the strategy above is for: a search order apart from the
+        # canonical one, with tied maxima in it
+        query = DockerSpec(dependencies=frozenset({"p", "p-twin", "r"}), uses_env=True)
+        specs = [query, DockerSpec(dependencies=frozenset({"p", "p-twin"})),
+                 DockerSpec(os="alpine", dependencies=frozenset({"r", "s"})), DockerSpec()]
+        maxima = _search_maxima(query, build_index([(s, "") for s in specs]))
+        assert sorted(maxima, reverse=True) != maxima
+        assert len(set(maxima)) < len(maxima)
+
+    def test_document_whose_two_folds_differ_in_the_last_bit(self):
+        # with k1 = 0 a weight is the idf: w2 for the flags that two of the
+        # three documents hold, w3 for uses_label, which all three hold. Document 0's parts in canonical (flag) order are
+        # w2, w2, w2, w3; document 1's are w2, w2, w3, w2. The search takes
+        # the w2 flags first, so both fold to document 0's score in search
+        # order, while document 1's canonical fold is one ulp higher
+        specs = [DockerSpec(downloads_external=True, uses_env=True, uses_arg=True,
+                            uses_label=True),
+                 DockerSpec(downloads_external=True, uses_arg=True, uses_label=True,
+                            uses_expose=True),
+                 DockerSpec(uses_env=True, uses_label=True, uses_expose=True)]
+        index = build_index([(s, f"doc{i}") for i, s in enumerate(specs)], k1=0.0)
+        query = DockerSpec(os="", pkg_manager="", **{name: True for name in FLAG_FIELDS})
+        w2, w3 = math.log(1.0 + 1.5 / 2.5), math.log(1.0 + 0.5 / 3.5)
+        assert sorted(_search_maxima(query, index), reverse=True) == [w2] * 4 + [w3]
+        search_order = ((w2 + w2) + w2) + w3
+        canonical = ((w2 + w2) + w3) + w2
+        assert canonical == math.nextafter(search_order, math.inf)
+        expected = [(1, canonical.hex()), (0, search_order.hex())]
+        assert expected == [(1, "0x1.8b25963e259abp+0"), (0, "0x1.8b25963e259aap+0")]
+        for k in (1, 2, 3):
+            top, held = _held_scores(query, index, k)
+            assert top == _reference_top(query, index, k)
+            assert top[:2] == expected[:k]
+            assert held == sorted(held, reverse=True)
+
+
 def _tfidf_top(query, entries, k):
     return [(hit.doc_id, hit.score.hex()) for hit in vector_retrieve(query, k, entries)]
 
