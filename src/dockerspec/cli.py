@@ -77,6 +77,33 @@ def _check_outputs(*paths: str) -> None:
         raise OSError(code, os.strerror(code), path)
 
 
+
+def _check_apart(outputs: list[str], files=(), directories=()) -> None:
+    """Raise ConfigError, before any work, when writing an output would
+    change what the command reads: when the output is an input file (by
+    ``os.path.samefile``, when it exists: any spelling, a symlink or a hard
+    link), lies inside an input directory (by real paths), or is a hard link
+    to a file in one; a directory is listed only for an output of more than
+    one link. A ``None`` input is left out. Real paths, unlike
+    ``Path.resolve``, leave a symlink loop to fail as ``open`` does."""
+    for output in outputs:
+        exists = os.path.exists(output)
+        real = Path(os.path.realpath(output))
+        for name in files:
+            if name is not None and exists and os.path.samefile(name, output):
+                raise ConfigError(f"{output} is the input file {name}; "
+                                  "write the output to another path")
+        for name in directories:
+            if real.is_relative_to(os.path.realpath(name)):
+                raise ConfigError(f"{output} lies inside the input directory {name}; "
+                                  "write the output outside it")
+            if exists and os.stat(output).st_nlink > 1 and any(
+                    os.path.samefile(output, file) for file in Path(name).rglob("*")
+                    if file.is_file()):
+                raise ConfigError(f"{output} is a file of the input directory {name}; "
+                                  "write the output to another path")
+
+
 def _load_lists(os_words_path: str | None, stop_words_path: str | None) -> WordLists:
     defaults = default_word_lists()
     os_words = load_word_list(os_words_path) if os_words_path else defaults.os_words
@@ -170,6 +197,8 @@ def corpus_build(directory, out_path, seed, max_tokens, os_words_path, stop_word
     out = Path(out_path)
     siblings = [_sibling(out, tag) for tag in _SIBLING_TAGS]
     _check_outputs(*map(str, siblings))
+    _check_apart([out_path, *map(str, siblings)], [os_words_path, stop_words_path],
+                 [directory])
     lists = _load_lists(os_words_path, stop_words_path)
     entries, reasons = cp.ingest_directory(Path(directory), lists)
     result = cp.build_corpus(entries, seed=seed, max_tokens=max_tokens)
@@ -242,10 +271,7 @@ def index_build(corpus, out_path, k1, b):
     """
     re_engine.check_bm25_parameters(k1, b)
     _check_outputs(out_path)
-    # writing the index over its own corpus would lose the corpus's records
-    if os.path.exists(out_path) and os.path.samefile(corpus, out_path):
-        raise ConfigError(f"--out {out_path} is the corpus file {corpus}; "
-                          "write the index to another path")
+    _check_apart([out_path], [corpus])
     # one record at a time: only the entries are kept, and nothing is
     # written until every record has been read and checked
     index = re_engine.build_index(list(cp.read_corpus_records(Path(corpus))), k1=k1, b=b)
@@ -368,6 +394,8 @@ def evaluate_group(ctx, targets_dir, output_dirs, report_path,
         system_dirs[name] = output_dir
     if report_path is not None:
         _check_outputs(report_path)
+        _check_apart([report_path], [os_words_path, stop_words_path],
+                     [targets_dir, *output_dirs])
     lists = _load_lists(os_words_path, stop_words_path)
     rows = _read_pairs(Path(targets_dir), system_dirs)
     # an unusable report path fails here at the latest, before any pair is evaluated

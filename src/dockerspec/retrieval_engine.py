@@ -15,17 +15,52 @@ order. Both encode a group's documents with ``_encode``: a bitset, or the
 ascending numbers where the bitset would take more bytes.
 
 Both rankers split the documents into classes that hold the same parts
-and take the classes best first. BM25 splits at the query's terms in
-falling order of maximum weight and takes its nodes by an upper bound over
-the terms still to come, widened by a slack that covers the rounding of
-adding the parts in that order; a class past the last term is scored by
-adding its parts in field -> query-term order, as a dense sum does, and is
-taken under that exact score. TF-IDF takes each class by its best document
-left, since within a class the score falls with the norm. Both follow one
-tie rule: they take classes while fewer than k documents are held or while
-the next one can still reach the k-th score, then ``_hits`` sorts what they
-hold by (descending score, ascending doc id) and keeps the top k. Both
-assume the index's entries list is read-only once indexed.
+and take them best first, and both search in one order. A query's terms
+that the index holds, in canonical order (BM25: field -> query term;
+TF-IDF: first occurrence in the rendered query), give a document at most
+one part each: a BM25 weight, or a TF-IDF query weight times document
+weight. A document's score adds its parts in canonical order, as a dense
+sum over the postings adds them: BM25 by a left fold from 0.0, TF-IDF by
+``sum()`` (a left fold before Python 3.12, compensated from 3.12 on), and
+TF-IDF divides by the two norms. ``_search_order`` takes the terms by
+falling maximum part, ties in canonical order, so that the first splits
+separate scores most (MaxScore: Turtle & Flood, IP&M 1995). A node is
+(docs, search-order partial, chain of its decided (canonical position,
+part) pairs, next step); splitting it at a term gives one child per part
+group that it meets and one for its documents in none. Its key is
+B * slack, over the norms for TF-IDF: B is the partial plus the sum of
+the maxima of the terms still to come, and slack is 1 + (T + 2) * 2**-50
+for the query's T terms. A class past the last term gets its exact score
+by the ranker's own sum of its chain in canonical order.
+
+The key bounds the score of every document in its node. Let u = 2**-53
+and Q the exact sum of the node's decided parts and the remaining maxima:
+a document in the node has the decided parts and, per term to come, none
+or one of at most its maximum, so its parts' exact sum S is at most Q.
+Adding m >= 1 non-negative floats in any order and grouping, each
+addition rounded to nearest, gives their exact sum times a factor in
+[(1 - u)**(m-1), (1 + u)**(m-1)]: each summand passes through at most
+m - 1 additions, and each scales it by some 1 + d with |d| <= u. So
+B >= (1 - u)**(T-1) * Q, and a left fold of the document's parts is at
+most (1 + u)**(T-1) * Q. The compensated ``sum()`` (Neumaier's) keeps each
+addition's rounding error exactly and adds their rounded sum, off by less
+than m**2 * u**2 * S, at the end: it is exact for m = 1, rounded once for
+m = 2, and at most (1 + u) * (1 + m**2 * u**2) * S, below (1 + u)**(m-1) * S,
+for 3 <= m < 2**26. The slack is exact, 1 + 8 * (T + 2) * u (4 * (T + 2)
+ulps of 1.0, for T + 2 < 2**50), and the rounded product is at least
+(1 - u) * B * slack, so B * slack is at least (1 - u)**T * (1 + 8 * (T + 2)
+* u) * Q, above (1 + u)**(T-1) * Q for any T below 2**26. For TF-IDF, a
+rounded product or quotient never falls when an operand rises or the
+divisor falls, and a node's lowest rank has the least norm of its
+documents, so dividing B * slack by the query norm times that norm bounds
+each document's dot over the query norm times its own. The bounds hold
+for normal floats: a BM25 weight is at least idf / (1 + norm), with idf
+>= 0.5 / (n + 1) and norm below 2**94 under ``check_bm25_parameters``, and
+a TF-IDF part is at least 1.0. Both rankers follow one tie rule: they take
+nodes and classes while fewer than k documents are held or while the next
+key reaches the k-th score, then ``_hits`` sorts what they hold by
+(descending score, ascending doc id) and keeps the top k. Both assume the
+index's entries list is read-only once indexed.
 """
 
 from __future__ import annotations
@@ -33,6 +68,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import closing
@@ -87,9 +123,10 @@ class TfidfTables:
     by weight, one (tf * idf, docs) pair per distinct weight. ``docs`` is in
     rank space: a bitset, bit r set for document ``order[r]``, or, when that
     would take more bytes than the ranks, the ascending ranks (``_encode``).
-    In rank order a document's norm never falls, so among documents of one
-    dot product the score never rises, and each class of a query's pattern
-    gives its best document first (see ``vector_retrieve``)."""
+    In rank order a document's norm never falls: a set of documents has
+    its least norm at its lowest rank, which a search node's key divides
+    by, and a class of one dot product gives its best document first (see
+    ``vector_retrieve``)."""
     idf: dict[str, float]
     order: list[int]
     norms: list[float]
@@ -307,23 +344,17 @@ def _split(docs: int, union: int,
     return split
 
 
-# a node's decided parts, latest first: (canonical term position, weight,
-# the parts decided before it), or None when it holds none
-Parts = tuple[int, float, "Parts"] | None
-
-
-def _canonical_score(parts: Parts) -> float:
-    """The fold from 0.0 of ``parts`` in canonical term order (field ->
-    query term), as ``bm25_scores_reference`` adds them: the exact score."""
-    chain = []
-    while parts is not None:
-        position, weight, parts = parts
-        chain.append((position, weight))
-    chain.sort()  # positions are distinct, so weights never compare
-    score = 0.0
-    for _, weight in chain:
-        score += weight
-    return score
+def _search_order(maxima: list[float]) -> tuple[list[int], list[float], float]:
+    """For terms of these ``maxima``, in canonical order: their positions in
+    search order, falling maximum and ties by position; ``rest[step]``, the
+    sum of the maxima from search step ``step`` on; and the slack for their
+    number (see the module docstring)."""
+    order = sorted(range(len(maxima)), key=lambda position: -maxima[position])
+    rest = [0.0]
+    for position in reversed(order):
+        rest.append(maxima[position] + rest[-1])
+    rest.reverse()
+    return order, rest, 1.0 + (len(maxima) + 2) * 2.0 ** -50
 
 
 def _hits(held: list[tuple[float, int]], k: int,
@@ -342,50 +373,19 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
     Every field contributes independently (disjunctive query), so zero-score
     documents are still returned when k exceeds the number of scoring ones.
     The first query over an index builds the impacts of every term (see
-    ``RetrievalIndex``). A query is a best-first search over classes of
-    documents. A document's score is the fold from 0.0 of its parts in
-    canonical order, field -> query term, as a dense sum over the postings
-    gives it; its parts are the weights of the query's terms that the index
-    holds, one per term whose postings hold the document.
-
-    The search takes those terms in another order: falling maximum weight,
-    ties in canonical order, so that the first splits are at the terms that
-    separate scores most (MaxScore: Turtle & Flood, IP&M 1995). A node is
-    (doc bitset, search-order partial, chain of its decided (canonical
-    position, weight) parts, next search step). Splitting it at a term gives
-    one child per weight group that it meets, adding the weight to the
-    partial and the part to the chain, and one child for its documents in
-    none of them, keeping both. Its key is ``B * slack``: B is the partial
-    plus the sum of the remaining terms' maximum weights, and slack is
-    ``1 + (T + 2) * 2**-50`` for the query's T terms.
-
-    The key is at least the canonical score of any document in the node.
-    Let u = 2**-53. Adding m >= 1 non-negative floats in any order, each
-    addition rounded to nearest, gives their exact sum S times a factor in
-    [(1 - u)**(m-1), (1 + u)**(m-1)]: each summand passes through at most
-    m - 1 additions, and each scales it by some 1 + d with |d| <= u. A
-    document in the node has the node's decided parts and, for each term
-    still to come, no part or one of at most that term's maximum, so its
-    parts' exact sum is at most Q, the exact sum of the decided parts and
-    the remaining maxima. Both sums have at most T summands, so the
-    document's canonical score is at most (1 + u)**(T-1) * Q, and
-    B >= (1 - u)**(T-1) * Q. The slack is exact, 1 + 8 * (T + 2) * u (it is
-    4 * (T + 2) ulps of 1.0, for T + 2 < 2**50), and the rounded product is
-    at least (1 - u) * B * slack, so the key is at least
-    (1 - u)**T * (1 + 8 * (T + 2) * u) * Q, above (1 + u)**(T-1) * Q for
-    any T below 2**40. The rounding bounds hold for normal floats: a weight
-    is at least idf / (1 + norm), with idf >= 0.5 / (n + 1) and norm below
-    2**94 under ``check_bm25_parameters``, far above the least normal float.
+    ``RetrievalIndex``). A query is the best-first search of the module
+    docstring; a document's part for a term is its weight, and its score
+    the fold from 0.0 of its parts in canonical order.
 
     Nodes are taken highest key first, the deepest of equal keys first. A
     node past the last term is a class of equal score: the first time it is
-    taken its score is its chain's canonical fold (``_canonical_score``),
-    and it goes back onto the heap under that exact score, unless the score
-    already reaches the highest key left, when it is held at once. A class
-    taken under its exact score holds its lowest k ids, and as every key
-    bounds its documents' scores, classes are held in falling exact score.
-    Nodes are taken while fewer than k ids are held or while the next key
-    reaches the k-th score, and ``_hits`` gives the top k.
+    taken its score is its chain's canonical fold, and it goes back onto the
+    heap under that exact score, unless the score already reaches the
+    highest key left, when it is held at once. A class taken under its
+    exact score holds its lowest k ids, and as every key bounds its
+    documents' scores, classes are held in falling exact score. Nodes are
+    taken while fewer than k ids are held or while the next key reaches the
+    k-th score, and ``_hits`` gives the top k.
     """
     if index.size == 0:
         raise EmptyCorpus("retrieval over an empty index")
@@ -397,19 +397,13 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
     terms = [_query_groups(index.impacts[field_name][term], index.size)
              for field_name in SPEC_FIELDS for term in query_terms[field_name]
              if term in index.impacts[field_name]]
-    # canonical positions in search order: falling maximum, ties by position
-    order = sorted(range(len(terms)), key=lambda position: -terms[position][0][0][0])
-    # rest[step]: the sum of the maxima of the terms from step on
-    rest = [0.0]
-    for position in reversed(order):
-        rest.append(terms[position][0][0][0] + rest[-1])
-    rest.reverse()
-    slack = 1.0 + (len(terms) + 2) * 2.0 ** -50
+    # a term's groups are highest weight first, so its maximum is the first
+    order, rest, slack = _search_order([groups[0][0] for groups, _ in terms])
     last = len(terms)
     # (-key, -next step, docs, partial, parts): a class held under its
     # exact score has step last + 1, partial its score and no parts; nodes'
     # docs are disjoint, so two entries never compare past them
-    heap = [(-rest[0] * slack, 0, (1 << index.size) - 1, 0.0, None)]
+    heap = [(-rest[0] * slack, 0, (1 << index.size) - 1, 0.0, ())]
     held: list[tuple[float, int]] = []  # (-score, doc id); negation is exact
     while heap and (len(held) < k or heap[0][0] <= held[k - 1][0]):
         _, step, docs, partial, parts = heapq.heappop(heap)
@@ -417,7 +411,9 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
         if step == last:
             # first taken: back under its exact score, or held at once when
             # that score reaches every key left
-            partial = _canonical_score(parts)
+            partial = 0.0
+            for _, weight in sorted(parts):
+                partial += weight
             if heap and -partial > heap[0][0]:
                 heapq.heappush(heap, (-partial, -last - 1, docs, partial, None))
                 continue
@@ -432,7 +428,7 @@ def retrieve(spec: DockerSpec, k: int, index: RetrievalIndex) -> list[ScoredHit]
             if weight is None:
                 child_partial, child_parts = partial, parts
             else:
-                child_partial, child_parts = partial + weight, (position, weight, parts)
+                child_partial, child_parts = partial + weight, parts + ((position, weight),)
             heapq.heappush(heap, (-(child_partial + tail) * slack, -step - 1,
                                   child, child_partial, child_parts))
     return _hits(held, k, index.entries)
@@ -446,21 +442,24 @@ def vector_retrieve(spec: DockerSpec, k: int,
 
     Uses smoothed idf, ln((1+N)/(1+df)) + 1, so identical rendered specs
     always score 1.0. The tables over an index's own ``entries`` are built
-    once; over any other list, once per call. The documents, as one bitset
-    in rank order (see ``TfidfTables``), are split into classes of one
-    pattern of parts, walking the query's terms in first-occurrence order
-    and each term's weight groups, as ``retrieve`` splits its nodes. A
-    class's dot product is the sum of its parts in that order, as the dot
-    product over the query's terms adds them, so each score is the same to
-    the last bit. A document's score is its class's dot over the query's
-    norm times its own, which does not rise with the rank, so a heap merges
-    the classes by their lowest ranks left. It takes them while fewer than k
-    documents are held or while the next one scores as high as the k-th,
-    and ``_hits`` gives the top k, so ties go to the ascending id even where
-    a higher id has the smaller norm. The class of documents that hold no
-    part scores 0.0; it is merged as any other, but when it reaches the top
-    it gives its k lowest ids at once, as a BM25 leaf does. No list of every
-    document's score is built per query.
+    once; over any other list, once per call. A query is the best-first
+    search of the module docstring over the documents as one bitset in rank
+    order (see ``TfidfTables``): a term's parts are its query weight times
+    each of its groups' weights, and a node's key divides B * slack by the
+    query norm times the norm of its lowest rank. Documents of norm 0 hold
+    no part and score 0.0, below any key, so a node holding some takes the
+    norm of the first rank of positive norm instead. Splitting a node at
+    the last term gives classes of one dot product each: ``sum()`` of the
+    class's parts sorted into canonical order, as the dot product over the
+    query's terms adds them, so each score is the same to the last bit on
+    any Python. Within a class the score does not rise with the rank, so a
+    class goes onto the heap under its lowest rank left, its head, and that
+    head's score: heads are taken in falling score order, and ties go to
+    the ascending id even where a higher id has the smaller norm. The class
+    of documents that hold no part scores 0.0, and when it reaches the top
+    it gives its k lowest ids at once, as a BM25 leaf does. No node is
+    split before it is the best one left, and no list of every document's
+    score is built per query.
     """
     if not entries:
         raise EmptyCorpus("retrieval over an empty corpus")
@@ -472,54 +471,66 @@ def vector_retrieve(spec: DockerSpec, k: int,
     query = [(term, tf * tables.idf.get(term, default))
              for term, tf in Counter(rendered_spec_text(spec).split()).items()]
     query_norm = math.sqrt(sum(w * w for _, w in query))
-    # Split the documents into classes of one pattern, term by term in the
-    # query's first-occurrence order and group by group. Each (query term,
-    # weight group) pair is one part, the product of the two weights, which
-    # a class's documents all hold or all lack. A class's parts are then in
-    # the query's term order, as the dot product over the query's terms adds
-    # them, so their sum gives every score to the last bit on any Python.
-    classes = [((1 << n) - 1, ())]
-    for term, weight in query:
-        if term in tables.groups:
-            groups, union = _query_groups(tables.groups[term], n)
-            classes = [(child, parts if doc_weight is None else parts + (weight * doc_weight,))
-                       for docs, parts in classes
-                       for child, doc_weight in _split(docs, union, groups)]
-    # Merge the classes best first. A class's score dot / (query_norm * norm)
-    # does not rise with the rank, so its lowest rank left is its best
-    # document, its head, and heads are taken in falling score order, so
-    # held[k - 1] is the k-th score. Entries are (-score, head rank, dot,
-    # rest of the class); a rank is in one class only, so two entries never
-    # compare past it. A class's first entry holds its bitset, and taking it
-    # makes the iterator of the ranks after its head. Every part is at least
-    # 1.0 (tf >= 1, idf >= 1), so only the class with no parts has dot 0;
-    # it scores 0.0 even where a norm is 0.0.
-    norms, order = tables.norms, tables.order
-    heap = []
-    for docs, parts in classes:
-        dot = sum(parts)
-        rank = (docs & -docs).bit_length() - 1
-        heap.append((-(dot / (query_norm * norms[rank])) if dot else -0.0, rank, dot, docs))
-    heapq.heapify(heap)
+    # per query term that the tables hold, in first-occurrence order: its
+    # (part, docs) groups as bitsets, and their union
+    terms = [_query_groups([(weight * doc_weight, docs)
+                            for doc_weight, docs in tables.groups[term]], n)
+             for term, weight in query if term in tables.groups]
+    order, rest, slack = _search_order([max(part for part, _ in groups) for groups, _ in terms])
+    last = len(terms)
+    ids, norms = tables.order, tables.norms
+    floor = bisect_right(norms, 0.0)  # the first rank of positive norm
+    # nodes are (-key, -next step, docs, partial, parts), and class heads
+    # (-score, -last - 1, rank, dot, the ranks after it, or the class's
+    # bitset before its head is taken); nodes' docs are disjoint and a rank
+    # is in one class only, so two entries never compare past them. The
+    # root's key is never read, and a query of no indexed term is the class
+    # with no parts at once
+    everyone = (1 << n) - 1
+    heap = [(-math.inf, 0, everyone, 0.0, ()) if last else (-0.0, -1, 0, 0, everyone)]
     held: list[tuple[float, int]] = []  # (-score, doc id); negation is exact
     while heap and (len(held) < k or heap[0][0] <= held[k - 1][0]):
-        score, rank, dot, ranks = heap[0]
-        if not dot:
-            # the class with no parts, still whole: all of it scores 0.0,
-            # so its k lowest ids are all that _hits can take of it
-            heapq.heappop(heap)
-            held.extend((score, doc_id) for doc_id in
-                        heapq.nsmallest(k, map(order.__getitem__, _set_bits(ranks))))
+        score, step, rank, dot, ranks = heap[0]
+        if step < -last:
+            if not dot:
+                # the class with no parts, still whole: all of it scores
+                # 0.0, so its k lowest ids are all that _hits can take of it
+                heapq.heappop(heap)
+                held.extend((score, doc_id) for doc_id in
+                            heapq.nsmallest(k, map(ids.__getitem__, _set_bits(ranks))))
+                continue
+            if type(ranks) is int:
+                ranks = _set_bits(ranks & ranks - 1)  # the bitset without its head
+            following = next(ranks, None)
+            if following is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (-(dot / (query_norm * norms[following])), step,
+                                         following, dot, ranks))
+            held.append((score, ids[rank]))
             continue
-        if type(ranks) is int:
-            ranks = _set_bits(ranks & ranks - 1)  # the bitset without its head
-        following = next(ranks, None)
-        if following is None:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, (-(dot / (query_norm * norms[following])) if dot else -0.0,
-                                     following, dot, ranks))
-        held.append((score, order[rank]))
+        _, step, docs, partial, parts = heapq.heappop(heap)
+        step = -step
+        position = order[step]
+        groups, union = terms[position]
+        tail = rest[step + 1]
+        leaf = step + 1 == last
+        for child, part in _split(docs, union, groups):
+            if part is None:
+                child_partial, child_parts = partial, parts
+            else:
+                child_partial, child_parts = partial + part, parts + ((position, part),)
+            low = (child & -child).bit_length() - 1
+            if leaf:
+                # the dot product as sum() adds it over the query's terms;
+                # every part is at least 1.0, so only the class with none is 0
+                dot = sum(map(itemgetter(1), sorted(child_parts)))
+                heapq.heappush(heap, (-(dot / (query_norm * norms[low])) if dot else -0.0,
+                                      -last - 1, low, dot, child))
+            else:
+                heapq.heappush(heap, (-((child_partial + tail) * slack
+                                        / (query_norm * norms[low if low > floor else floor])),
+                                      -step - 1, child, child_partial, child_parts))
     return _hits(held, k, entries)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import index_lines, write_index
+from conftest import index_lines, write_corpus_files, write_index
 from dockerspec.cli import main
 from dockerspec.corpus_pipeline import read_corpus_records
 from dockerspec.dockerfile_syntax import ast_to_json, build_ast, parse_dockerfile
@@ -980,36 +980,6 @@ class TestBadInput:
         assert not index.exists()
         assert calls == []
 
-    @pytest.mark.parametrize("out", ["c.jsonl", "./c.jsonl", "../dir/c.jsonl", "symlink",
-                                     "hard link"])
-    def test_index_build_refuses_to_write_over_its_corpus(self, capsys, monkeypatch, tmp_path,
-                                                          out):
-        from dockerspec import corpus_pipeline
-
-        directory = tmp_path / "dir"
-        directory.mkdir()
-        corpus = write_corpus(directory / "c.jsonl")
-        corpus.write_text(corpus.read_text() * 20)
-        before = corpus.read_bytes()
-        monkeypatch.chdir(directory)
-        if out == "symlink":
-            out = "link.jsonl"
-            Path(out).symlink_to(corpus)
-        elif out == "hard link":
-            out = "hard.jsonl"
-            os.link(corpus, out)
-        # refused before any record is read
-        calls = []
-        monkeypatch.setattr(corpus_pipeline, "read_corpus_records",
-                            lambda *args: calls.append(args))
-        code, stdout, err = run(capsys, "index", "build", "c.jsonl", "--out", out)
-        assert code == 3
-        assert stdout == ""
-        assert err == (f"error: --out {out} is the corpus file c.jsonl; "
-                       "write the index to another path\n")
-        assert corpus.read_bytes() == before
-        assert calls == []
-
     @pytest.mark.parametrize("method", ["bm25", "tfidf"])
     @pytest.mark.parametrize("key, value, message", [
         ("records", [], ": malformed index file: cannot index an empty corpus"),
@@ -1065,6 +1035,126 @@ class TestBadInput:
 
 
 BOM = b"\xef\xbb\xbf"
+
+
+def _snapshot(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+_IS_FILE = "is the input file {}; write the output to another path"
+_INSIDE = "lies inside the input directory {}; write the output outside it"
+_FILE_OF = "is a file of the input directory {}; write the output to another path"
+
+
+class TestOutputsApartFromInputs:
+    """No command writes over, or into, what it reads: an output that is an
+    input file by any spelling, a symlink or a hard link, or that lies
+    inside an input directory, is one line and exit 3 before any input is
+    read, and every input is left byte-identical."""
+
+    @pytest.fixture()
+    def work(self, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        (work / "d").mkdir(parents=True)
+        (work / "d" / "app.Dockerfile").write_text(
+            (FIXTURES / "tomcat-alpine.Dockerfile").read_text())
+        monkeypatch.chdir(work)
+        return work
+
+    @staticmethod
+    def spell(spelling, existing, directory=None):
+        """An output path for ``existing``, a path relative to the working
+        directory ``work``, or a new file in ``directory``."""
+        if spelling == "symlink":
+            Path("link.out").symlink_to(existing)
+            return "link.out"
+        if spelling == "hard link":
+            os.link(existing, "hard.out")
+            return "hard.out"
+        return {"same file": existing, "./": f"./{existing}", "../": f"../work/{existing}",
+                "new file inside": f"{directory}/new.jsonl"}[spelling]
+
+    @staticmethod
+    def refused(capsys, monkeypatch, work, argv, first_read, message):
+        before = _snapshot(work)
+        calls = []
+        monkeypatch.setattr(*first_read, lambda *args, **kwargs: calls.append(args))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err, calls) == (3, "", f"error: {message}\n", [])
+        assert _snapshot(work) == before
+
+    @pytest.mark.parametrize("spelling", ["same file", "./", "../", "symlink", "hard link"])
+    def test_index_build(self, capsys, monkeypatch, work, spelling):
+        from dockerspec import corpus_pipeline
+
+        corpus = write_corpus(work / "c.jsonl")
+        corpus.write_text(corpus.read_text() * 20)
+        out = self.spell(spelling, "c.jsonl")
+        self.refused(capsys, monkeypatch, work, ["index", "build", "c.jsonl", "--out", out],
+                     (corpus_pipeline, "read_corpus_records"),
+                     f"{out} {_IS_FILE.format('c.jsonl')}")
+
+    @pytest.mark.parametrize("spelling", ["same file", "./", "../", "symlink", "hard link",
+                                          "new file inside", "sibling symlink"])
+    def test_corpus_build(self, capsys, monkeypatch, work, spelling):
+        from dockerspec import corpus_pipeline
+
+        if spelling == "sibling symlink":
+            # OUT is a new file outside d, but its .train stream links into d
+            Path("c.train.jsonl").symlink_to("d/app.Dockerfile")
+            out, named = "c.jsonl", "c.train.jsonl"
+        else:
+            out = named = self.spell(spelling, "d/app.Dockerfile", "d")
+        relation = _FILE_OF if spelling == "hard link" else _INSIDE
+        self.refused(capsys, monkeypatch, work, ["corpus", "build", "d", "--out", out],
+                     (corpus_pipeline, "ingest_directory"), f"{named} {relation.format('d')}")
+
+    @pytest.mark.parametrize("spelling", ["same file", "./", "../", "symlink", "hard link",
+                                          "new file inside"])
+    def test_evaluate_report(self, capsys, monkeypatch, work, spelling):
+        from dockerspec import cli
+
+        shutil.copytree("d", "o")
+        report = self.spell(spelling, "o/app.Dockerfile", "d")
+        # the new file goes into the targets, the others are an output's file
+        named = "d" if spelling == "new file inside" else "o"
+        relation = _FILE_OF if spelling == "hard link" else _INSIDE
+        self.refused(capsys, monkeypatch, work,
+                     ["evaluate", "--targets", "d", "--outputs", "o", "--report", report],
+                     (cli, "_read_pairs"), f"{report} {relation.format(named)}")
+
+    def test_word_list_is_an_input_file(self, capsys, monkeypatch, work):
+        from dockerspec import corpus_pipeline
+
+        Path("os.txt").write_text("alpine\n")
+        self.refused(capsys, monkeypatch, work,
+                     ["corpus", "build", "d", "--out", "os.txt", "--os-words", "os.txt"],
+                     (corpus_pipeline, "ingest_directory"), f"os.txt {_IS_FILE.format('os.txt')}")
+
+    @pytest.mark.parametrize("command", ["index", "evaluate"])
+    def test_symlink_loop_fails_as_open_does(self, capsys, work, command):
+        os.symlink("loop-b", "loop-a")
+        os.symlink("loop-a", "loop-b")
+        write_corpus(work / "c.jsonl")
+        argv = {"index": ["index", "build", "c.jsonl", "--out", "loop-a"],
+                "evaluate": ["evaluate", "--targets", "d", "--outputs", "d",
+                             "--report", "loop-a"]}[command]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert err == "error: [Errno 40] Too many levels of symbolic links: 'loop-a'\n"
+
+    def test_outputs_beside_their_inputs_are_written(self, capsys, work):
+        # a name that starts with the directory's is not inside it
+        write_corpus_files(work / "d")
+        code, _, _ = run(capsys, "corpus", "build", "d", "--out", "d2.jsonl")
+        assert code == 0
+        code, _, _ = run(capsys, "index", "build", "d2.jsonl", "--out", "d2.index")
+        assert code == 0
+        shutil.copytree("d", "o")
+        code, _, _ = run(capsys, "evaluate", "--targets", "d", "--outputs", "o",
+                         "--report", "d.json")
+        assert code == 0 and Path("d.json").exists()
 
 
 class TestByteOrderMark:

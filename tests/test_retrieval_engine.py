@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -747,8 +748,9 @@ class TestBm25Search:
         assert kept <= 1_478_907
 
 
-def _held_scores(query, index, k):
-    """``retrieve``'s top k as ``_top`` gives it, and the scores of what the
+def _held_scores(query, index, k, top=_top):
+    """The top k as ``top`` gives it (``_top`` for ``retrieve``,
+    ``_tfidf_top`` for ``vector_retrieve``), and the scores of what the
     search held, in the order it held them."""
     held = []
     original = retrieval_engine._hits
@@ -759,7 +761,7 @@ def _held_scores(query, index, k):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(retrieval_engine, "_hits", recording)
-        return _top(query, index, k), held
+        return top(query, index, k), held
 
 
 def _search_maxima(query, index):
@@ -847,6 +849,20 @@ def _tfidf_reference_top(query, entries, k):
 def _deps(*names):
     """A spec whose rendered text is its dependencies alone."""
     return DockerSpec(os="", pkg_manager="", dependencies=frozenset(names))
+
+
+def _compensated_sum(values):
+    """Python 3.12's ``sum()`` of floats: Neumaier's compensated sum, whose
+    running compensation is added once at the end."""
+    total, compensation = values[0], 0.0
+    for value in values[1:]:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
 
 
 class TestTfidfSearch:
@@ -969,6 +985,128 @@ class TestTfidfSearch:
             tracemalloc.stop()
         assert [h.doc_id for h in hits] == [7]
         assert kept <= 1_770_402
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=st.lists(_TWINNED_SPECS, min_size=2, max_size=24),
+           empty=st.lists(st.integers(0, 24), max_size=3),
+           queries=st.lists(_TWINNED_SPECS, min_size=1, max_size=4))
+    def test_tied_and_near_tied_maxima_equal_reference(self, specs, empty, queries):
+        # the twins' maxima tie to the bit and the others' nearly tie, as
+        # in TestSearchOrder; documents that render as empty text have norm
+        # 0, so they take the lowest ranks and every node without parts
+        # holds them
+        for position in empty:
+            specs.insert(position, DockerSpec(os="", pkg_manager=""))
+        entries = build_index([(s, f"doc{i}") for i, s in enumerate(specs)]).entries
+        assert (entries.tfidf.norms[0] == 0.0) == bool(empty)
+        for query in queries:
+            for k in (1, 3, len(entries)):
+                top, held = _held_scores(query, entries, k, _tfidf_top)
+                assert top == _tfidf_reference_top(query, entries, k)
+                assert held == sorted(held, reverse=True)
+
+    def test_document_whose_three_sums_differ_in_the_last_bits(self):
+        # the query is document 0, four dependencies of tf 1: "w7" in one
+        # document, of idf w7, and the others in two, of idf w2, so each
+        # part is an idf squared. The search takes w7 first and canonical
+        # (sorted) order takes it last, and the dot product's last bits
+        # differ between the search-order fold, the canonical fold and the
+        # compensated sum() of Python 3.12 and later
+        specs = [_deps("w2", "w5", "w6", "w7"), _deps("w1"), _deps("w0", "w4", "w5", "w6"),
+                 _deps("w2", "w3"), _deps("w0", "w3")]
+        entries = build_index([(s, f"doc{i}") for i, s in enumerate(specs)]).entries
+        w2, w7 = math.log(6 / 3) + 1.0, math.log(6 / 2) + 1.0
+        assert [entries.tfidf.idf[f"w{i}"] for i in (2, 5, 6, 7)] == [w2, w2, w2, w7]
+        parts = [w2 * w2, w2 * w2, w2 * w2, w7 * w7]
+        search_order = ((parts[3] + parts[0]) + parts[1]) + parts[2]
+        canonical = ((parts[0] + parts[1]) + parts[2]) + parts[3]
+        compensated = _compensated_sum(parts)
+        assert [search_order.hex(), canonical.hex(), compensated.hex()] == \
+            ["0x1.a0242c5129c32p+3", "0x1.a0242c5129c34p+3", "0x1.a0242c5129c33p+3"]
+        later = sys.version_info >= (3, 12)
+        assert sum(parts) == (compensated if later else canonical)
+        # the norms are sums too, so the score pinned is the one of this Python
+        score = "0x1.0000000000000p+0" if later else "0x1.fffffffffffffp-1"
+        for k in (1, 2, 5):
+            assert _tfidf_top(specs[0], entries, k)[0] == (0, score)
+            assert _tfidf_top(specs[0], entries, k) == _tfidf_reference_top(specs[0], entries, k)
+
+    def test_scores_an_ulp_apart_are_held_in_falling_order(self):
+        # Documents 0 and 1 match three query terms each, of different
+        # weights and norms, and score one ulp apart where sum() is a left
+        # fold (0 above 1), and equal from Python 3.12 on. Their nodes' keys
+        # need the slack: a key of the search-order sum alone lies below
+        # document 0's score, and document 1 is then held first at k = 3
+        flags = [("downloads_external", "uses_label", "uses_cmd"),
+                 ("uses_env", "uses_label", "uses_entrypoint"),
+                 ("downloads_external", "uses_env", "uses_cmd", "uses_entrypoint"),
+                 ("downloads_external", "uses_env", "uses_entrypoint"), ("downloads_external",),
+                 ("uses_env", "uses_cmd"), ("downloads_external", "uses_cmd")]
+        systems = ["alpine apt", "alpine any", "alpine any", "any apt", "alpine any",
+                   "alpine apt", "x any"]
+        specs = [DockerSpec(*system.split(), frozenset({"d", "e"} if i == 2 else ()),
+                            **{name: True for name in flags[i]})
+                 for i, system in enumerate(systems)]
+        query = DockerSpec("alpine", "apt", frozenset({"b"}), uses_env=True, uses_expose=True,
+                           uses_cmd=True, uses_entrypoint=True)
+        entries = build_index([(s, f"doc{i}") for i, s in enumerate(specs)]).entries
+        expected = _tfidf_reference_top(query, entries, 7)
+        assert [doc_id for doc_id, _ in expected[:4]] == [5, 3, 0, 1]
+        second, third = (float.fromhex(score) for _, score in expected[2:4])
+        assert second - third in (0.0, math.ulp(third))
+        for k in (1, 2, 3, 4, 7):
+            top, held = _held_scores(query, entries, k, _tfidf_top)
+            assert top == expected[:k]
+            assert held == sorted(held, reverse=True)
+
+    def test_a_node_key_takes_the_norm_of_its_lowest_rank(self):
+        # The query is document 0, "p q r", and q and r tie in maximum, so
+        # the search splits at p, then q, then r. Documents 1 and 2 hold q
+        # but not p and have the two largest norms, so the node of them has
+        # a key below document 0's score of 1.0, and k = 1 never splits it;
+        # nor the node of documents 3 to 6, which hold neither. A key over
+        # the norm of any lower rank, such as document 5's (the least norm),
+        # is above 1.0 and splits it
+        specs = [_deps("p", "q", "r"), _deps("q", "x1", "x2", "x3", "x4"),
+                 _deps("q", "x1", "x2", "x3", "x4", "x5"), _deps("c", "r"), _deps("c", "r"),
+                 _deps("c"), _deps("c")]
+        entries = build_index([(s, f"doc{i}") for i, s in enumerate(specs)]).entries
+        tables = entries.tfidf
+        assert tables.order[:2] == [5, 6] and tables.order[-2:] == [1, 2]
+        splits = []
+        original = retrieval_engine._split
+
+        def recording(docs, *args):
+            splits.append(sorted(tables.order[rank] for rank in retrieval_engine._set_bits(docs)))
+            return original(docs, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval_engine, "_split", recording)
+            top = _tfidf_top(specs[0], entries, 1)
+        assert top == _tfidf_reference_top(specs[0], entries, 1)
+        assert top[0][0] == 0
+        assert sorted(splits) == [[0], [0], [0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]]
+
+    def test_many_flag_query_peaks_far_below_its_classes(self, benchmark_index_corpus):
+        # six of the seven flags, a common os and package manager and four
+        # common dependencies: over these 2,000 documents the split of every
+        # class at every term before any was scored made 761 classes and
+        # peaked at 392,507 traced bytes (Python 3.11.7); the lazy search
+        # peaks at about 68,000
+        entries = build_index(list(read_corpus_records(benchmark_index_corpus))).entries
+        query = DockerSpec(os="ubuntu2204", pkg_manager="apt",
+                           dependencies=frozenset({"curl", "git", "vim", "lsof"}),
+                           **{name: name != "uses_label" for name in FLAG_FIELDS})
+        expected = _tfidf_top(query, entries, 10)  # builds the tables
+        tracemalloc.start()
+        try:
+            hits = vector_retrieve(query, 10, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(h.doc_id, h.score.hex()) for h in hits] == expected
+        assert peak < 130_000
 
 
 def test_both_tables_encode_groups_of_one_in_64_documents_as_bitsets():
